@@ -1,46 +1,154 @@
-"""Kernel backend selector.
+"""Term kernels.
 
-Imports the compiled Cython kernels when available, falling back to the
-pure-Python twin.  Set WEYLOPS_PURE=1 to force the fallback (used by the
-parity tests and the benchmark).
+These are the inner loops of the whole package: sparse polynomial
+arithmetic and the normal-ordered operator product.
+
+Data layout (no classes here, wrappers live in ``poly``/``diffop``):
+
+* polynomial: dict mapping exponent tuple -> nonzero coefficient
+  (Fraction in characteristic 0, int residue mod p otherwise);
+* operator:   dict mapping exponent tuple -> polynomial dict, the left
+  coefficient of the divided-power basis element for that exponent.
+
+``p`` is the characteristic, 0 meaning the rationals.  All functions
+return canonical dicts (no zero values stored) and never mutate inputs.
 """
 
-import os
+from itertools import product as _product
+from math import comb as _comb
 
-if os.environ.get("WEYLOPS_PURE"):
-    from ._kernels_py import (  # noqa: F401
-        KERNEL_BACKEND,
-        binom_product,
-        diffop_apply,
-        diffop_mul,
-        partial_apply,
-        poly_add,
-        poly_mul,
-        poly_neg,
-        poly_scale,
-    )
-else:
-    try:
-        from ._kernels_cy import (  # noqa: F401
-            KERNEL_BACKEND,
-            binom_product,
-            diffop_apply,
-            diffop_mul,
-            partial_apply,
-            poly_add,
-            poly_mul,
-            poly_neg,
-            poly_scale,
-        )
-    except ImportError:
-        from ._kernels_py import (  # noqa: F401
-            KERNEL_BACKEND,
-            binom_product,
-            diffop_apply,
-            diffop_mul,
-            partial_apply,
-            poly_add,
-            poly_mul,
-            poly_neg,
-            poly_scale,
-        )
+KERNEL_BACKEND = "python"
+
+
+def poly_add(a, b, p):
+    out = dict(a)
+    for exp, c in b.items():
+        acc = out.get(exp)
+        if acc is None:
+            out[exp] = c
+            continue
+        acc = (acc + c) % p if p else acc + c
+        if acc:
+            out[exp] = acc
+        else:
+            del out[exp]
+    return out
+
+
+def poly_neg(a, p):
+    if p:
+        return {exp: (-c) % p for exp, c in a.items()}
+    return {exp: -c for exp, c in a.items()}
+
+
+def poly_scale(a, c, p):
+    if p:
+        c %= p
+    if not c:
+        return {}
+    out = {}
+    for exp, v in a.items():
+        v = (v * c) % p if p else v * c
+        if v:
+            out[exp] = v
+    return out
+
+
+def poly_mul(a, b, p):
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            c = (ca * cb) % p if p else ca * cb
+            if not c:
+                continue
+            exp = tuple(x + y for x, y in zip(ea, eb))
+            acc = out.get(exp)
+            if acc is None:
+                out[exp] = c
+                continue
+            acc = (acc + c) % p if p else acc + c
+            if acc:
+                out[exp] = acc
+            else:
+                del out[exp]
+    return out
+
+
+def binom_product(beta, alpha):
+    """Product of componentwise binomials C(beta_i, alpha_i), exact int."""
+    out = 1
+    for b, a in zip(beta, alpha):
+        if a > b:
+            return 0
+        out *= _comb(b, a)
+    return out
+
+
+def partial_apply(gamma, f, p):
+    """Apply the divided-power basis operator for gamma to a polynomial."""
+    out = {}
+    for beta, c in f.items():
+        co = binom_product(beta, gamma)
+        if p:
+            co %= p
+        if not co:
+            continue
+        c = (c * co) % p if p else c * co
+        if not c:
+            continue
+        exp = tuple(b - g for b, g in zip(beta, gamma))
+        acc = out.get(exp)
+        if acc is None:
+            out[exp] = c
+            continue
+        acc = (acc + c) % p if p else acc + c
+        if acc:
+            out[exp] = acc
+        else:
+            del out[exp]
+    return out
+
+
+def diffop_apply(xi, f, p):
+    """Value of the operator on a polynomial: sum of f_alpha * d^[alpha](f)."""
+    out = {}
+    for alpha, coeff in xi.items():
+        df = partial_apply(alpha, f, p)
+        if not df:
+            continue
+        out = poly_add(out, poly_mul(coeff, df, p), p)
+    return out
+
+
+def diffop_mul(xi, eta, p):
+    """Normal-ordered product of two operators in left-coefficient form.
+
+    Each pairing of a term f*d^[alpha] with g*d^[beta] is renormalized by
+    commuting d^[alpha] past g (summing d^[gamma](g) against the
+    complementary divided powers) and composing the remaining basis
+    elements, whose product carries the integer multinomial factor.
+    """
+    out = {}
+    for alpha, f in xi.items():
+        for beta, g in eta.items():
+            for gamma in _product(*(range(a + 1) for a in alpha)):
+                dg = partial_apply(gamma, g, p)
+                if not dg:
+                    continue
+                delta = tuple(a - c for a, c in zip(alpha, gamma))
+                target = tuple(d + b for d, b in zip(delta, beta))
+                factor = binom_product(target, delta)
+                if p:
+                    factor %= p
+                if not factor:
+                    continue
+                contrib = poly_mul(f, dg, p)
+                if factor != 1:
+                    contrib = poly_scale(contrib, factor, p)
+                if not contrib:
+                    continue
+                acc = out.get(target)
+                out[target] = poly_add(acc, contrib, p) if acc else contrib
+    return {exp: coeff for exp, coeff in out.items() if coeff}

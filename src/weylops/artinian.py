@@ -78,10 +78,6 @@ class ArtinianAlgebra:
         exp = tuple(1 if j == i else 0 for j in range(self.nvars))
         return self.multiplication_operator({exp: 1})
 
-    def socle_coefficient(self, vec):
-        """The socle functional on a coordinate vector."""
-        return vec[self.index(self.socle_exponent)]
-
     def gram(self, unit=None) -> Matrix:
         """Matrix of the pairing (f, g) -> socle coefficient of u*f*g.
 

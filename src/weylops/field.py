@@ -19,16 +19,34 @@ from fractions import Fraction
 from .errors import DomainError
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# Miller-Rabin over the prime bases up to 41 is exact below this bound
+# (Sorenson and Webster, 2015); larger characteristics are refused.
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test, exact for n < PRIME_LIMIT."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -38,6 +56,11 @@ class FieldSpec:
     __slots__ = ("characteristic",)
 
     def __init__(self, characteristic: int = 0):
+        if characteristic >= PRIME_LIMIT:
+            raise DomainError(
+                f"characteristic {characteristic} is not below the "
+                f"primality-test limit {PRIME_LIMIT}"
+            )
         if characteristic != 0 and not _is_prime(characteristic):
             raise DomainError(
                 f"characteristic must be 0 or a prime, got {characteristic}"

@@ -34,10 +34,6 @@ class GroupElement:
     def n(self) -> int:
         return self.matrix.nrows
 
-    @classmethod
-    def from_rows(cls, field, rows) -> GroupElement:
-        return cls(Matrix(field, rows))
-
     def __mul__(self, other: GroupElement) -> GroupElement:
         return GroupElement(self.matrix * other.matrix)
 

@@ -35,10 +35,6 @@ class Matrix:
         )
 
     @classmethod
-    def zeros(cls, field: FieldSpec, nrows: int, ncols: int) -> Matrix:
-        return cls(field, [[0] * ncols for _ in range(nrows)])
-
-    @classmethod
     def from_columns(cls, field: FieldSpec, cols) -> Matrix:
         cols = [list(c) for c in cols]
         return cls(field, [[c[i] for c in cols] for i in range(len(cols[0]))])
@@ -191,14 +187,6 @@ class Matrix:
             " ".join(self.field.to_str(v) for v in r) for r in self.rows
         )
         return f"<Matrix {self.nrows}x{self.ncols} [{body}]>"
-
-
-def span_contains(basis_matrix: Matrix | None, annihilator: Matrix | None, vec) -> bool:
-    """Membership of vec in a subspace given by its annihilator rows."""
-    if annihilator is None:
-        return True
-    F = annihilator.field
-    return all(F.is_zero(v) for v in annihilator.matvec(vec))
 
 
 def annihilator_of_columns(m: Matrix) -> Matrix | None:

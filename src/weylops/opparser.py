@@ -13,7 +13,10 @@ names a divided-power basis operator; ``d1``, ``d2``, ... are sugar for
 the unit exponents (unless shadowed by a declared variable name).
 Rational literals are a single token pair ``NAT/NAT``; there is no
 general division.  The AST is plain tuples and is evaluated into an
-operator over a given ring.
+operator over a given ring.  Sums, products and powers are flat n-ary
+nodes evaluated left to right, so long chains cost no recursion depth;
+real nesting (parentheses and unary minus) is refused beyond
+``MAX_DEPTH`` levels.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ _TOKEN_RE = re.compile(
 )
 
 _DSYM_BODY = re.compile(r"d\[([0-9, ]*)\]\Z")
+
+# Deepest nesting of parentheses and unary minus signs the parser accepts.
+MAX_DEPTH = 100
 
 
 class _Token:
@@ -81,6 +87,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     @property
     def current(self) -> _Token:
@@ -95,6 +102,11 @@ class _Parser:
         tok = self.current
         raise ParseError(message, tok.line, tok.column)
 
+    def enter(self):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.error(f"nesting deeper than {MAX_DEPTH} levels")
+
     def expect_op(self, text):
         tok = self.current
         if tok.kind != "op" or tok.text != text:
@@ -103,38 +115,40 @@ class _Parser:
 
     # expr := product (('+'|'-') product)*
     def parse_expr(self):
-        node = self.parse_product()
+        first = self.parse_product()
+        rest = []
         while self.current.kind == "op" and self.current.text in "+-":
             op = self.advance().text
-            rhs = self.parse_product()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
+            rest.append((op == "-", self.parse_product()))
+        return ("sum", first, rest) if rest else first
 
     # product := unary (['*'] unary)*
     def parse_product(self):
-        node = self.parse_unary()
+        factors = [self.parse_unary()]
         while True:
             tok = self.current
             if tok.kind == "op" and tok.text == "*":
                 self.advance()
-                node = ("mul", node, self.parse_unary())
-            elif tok.kind in _ATOM_STARTERS or (
-                tok.kind == "op" and tok.text == "("
+            elif not (
+                tok.kind in _ATOM_STARTERS or (tok.kind == "op" and tok.text == "(")
             ):
-                node = ("mul", node, self.parse_unary())
-            else:
-                return node
+                return ("prod", factors) if len(factors) > 1 else factors[0]
+            factors.append(self.parse_unary())
 
     # unary := '-' unary | power
     def parse_unary(self):
         if self.current.kind == "op" and self.current.text == "-":
             self.advance()
-            return ("neg", self.parse_unary())
+            self.enter()
+            node = ("neg", self.parse_unary())
+            self.depth -= 1
+            return node
         return self.parse_power()
 
     # power := atom ('^' NATURAL)*
     def parse_power(self):
-        node = self.parse_atom()
+        base = self.parse_atom()
+        exponents = []
         while self.current.kind == "op" and self.current.text == "^":
             self.advance()
             tok = self.current
@@ -143,8 +157,8 @@ class _Parser:
                     self.error("negative exponent")
                 self.error("exponent must be a natural number")
             self.advance()
-            node = ("pow", node, int(tok.text))
-        return node
+            exponents.append(int(tok.text))
+        return ("pow", base, exponents) if exponents else base
 
     def parse_atom(self):
         tok = self.current
@@ -179,8 +193,10 @@ class _Parser:
             return ("name", tok.text, tok.line, tok.column)
         if tok.kind == "op" and tok.text == "(":
             self.advance()
+            self.enter()
             node = self.parse_expr()
             self.expect_op(")")
+            self.depth -= 1
             return node
         if tok.kind == "op" and tok.text == "/":
             self.error("'/' is only allowed inside rational literals")
@@ -227,14 +243,25 @@ def evaluate(node, ring: PolyRing) -> DiffOp:
         return DiffOp.basis(ring, alpha)
     if kind == "neg":
         return -evaluate(node[1], ring)
-    if kind == "add":
-        return evaluate(node[1], ring) + evaluate(node[2], ring)
-    if kind == "sub":
-        return evaluate(node[1], ring) - evaluate(node[2], ring)
-    if kind == "mul":
-        return evaluate(node[1], ring) * evaluate(node[2], ring)
+    if kind == "sum":
+        acc = evaluate(node[1], ring)
+        for negate, term in node[2]:
+            if negate:
+                acc = acc - evaluate(term, ring)
+            else:
+                acc = acc + evaluate(term, ring)
+        return acc
+    if kind == "prod":
+        factors = node[1]
+        acc = evaluate(factors[0], ring)
+        for factor in factors[1:]:
+            acc = acc * evaluate(factor, ring)
+        return acc
     if kind == "pow":
-        return evaluate(node[1], ring) ** node[2]
+        acc = evaluate(node[1], ring)
+        for e in node[2]:
+            acc = acc**e
+        return acc
     raise ParseError(f"unknown AST node {kind!r}")
 
 

@@ -133,9 +133,6 @@ class Polynomial:
     def coefficient(self, exp):
         return self.terms.get(tuple(exp), self.ring.field.zero())
 
-    def constant_coefficient(self):
-        return self.terms.get((0,) * self.ring.nvars, self.ring.field.zero())
-
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 

@@ -19,6 +19,32 @@ def test_characteristic_must_be_prime_or_zero():
             FieldSpec(bad)
 
 
+def _accepts(characteristic):
+    try:
+        FieldSpec(characteristic)
+    except DomainError:
+        return False
+    return True
+
+
+def test_primality_matches_trial_division():
+    for n in range(3000):
+        prime = n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+        assert _accepts(n) == (n == 0 or prime), n
+
+
+def test_large_characteristics():
+    # decided by Miller-Rabin, which trial division could not do in time
+    assert FieldSpec(4294967311).characteristic == 4294967311
+    assert FieldSpec(2**61 - 1).characteristic == 2**61 - 1
+    # a Carmichael number, and a strong pseudoprime to bases 2, 3, 5 and 7
+    for bad in (561, 3215031751):
+        with pytest.raises(DomainError, match="must be 0 or a prime"):
+            FieldSpec(bad)
+    with pytest.raises(DomainError, match="primality-test limit"):
+        FieldSpec(10**25)
+
+
 def test_coerce_rational_string():
     Q = FieldSpec(0)
     assert Q.coerce("3/4") == Fraction(3, 4)

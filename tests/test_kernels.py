@@ -1,21 +1,26 @@
-"""The compiled kernels must agree with the pure-Python twin exactly."""
+"""The term kernels against naive references written here from the definitions.
 
+The references apply d^[alpha] to x^beta as C(beta, alpha) x^(beta-alpha)
+with ``math.comb`` and check operator products by composition: an operator
+whose support has total degree at most m is determined by its values on the
+monomials of total degree at most m (the system is triangular), so agreeing
+there is agreeing everywhere.  Products of residues of the two large primes
+overflow 64-bit integers.
+"""
+
+import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-import weylops._kernels_py as kpy
+import weylops._kernels as K
 
-try:
-    import weylops._kernels_cy as kcy
-except ImportError:
-    kcy = None
-
-needs_ext = pytest.mark.skipif(kcy is None, reason="compiled kernels not built")
+PRIMES = (0, 2, 3, 5, 4294967311, 2**61 - 1)
 
 
-def _rand_poly(rng, n, p, deg=4, terms=4):
+def _rand_poly(rng, n, p, deg=3, terms=3):
     out = {}
     for _ in range(rng.randint(0, terms)):
         exp = tuple(rng.randint(0, deg) for _ in range(n))
@@ -30,46 +35,120 @@ def _rand_poly(rng, n, p, deg=4, terms=4):
 
 def _rand_op(rng, n, p):
     return {
-        tuple(rng.randint(0, 3) for _ in range(n)): poly
+        tuple(rng.randint(0, 2) for _ in range(n)): poly
         for _ in range(rng.randint(1, 3))
         if (poly := _rand_poly(rng, n, p))
     }
 
 
-@needs_ext
-@pytest.mark.parametrize("p", [0, 2, 3, 5])
-def test_backends_agree(p):
+def _reduce(acc, p):
+    """Drop zero coefficients after reducing mod p."""
+    out = {}
+    for exp, c in acc.items():
+        if p:
+            c %= p
+        if c:
+            out[exp] = c
+    return out
+
+
+def _ref_add(a, b, p):
+    acc = dict(a)
+    for exp, c in b.items():
+        acc[exp] = acc.get(exp, 0) + c
+    return _reduce(acc, p)
+
+
+def _ref_mul(a, b, p):
+    acc = {}
+    for (ea, ca), (eb, cb) in product(a.items(), b.items()):
+        exp = tuple(x + y for x, y in zip(ea, eb))
+        acc[exp] = acc.get(exp, 0) + ca * cb
+    return _reduce(acc, p)
+
+
+def _ref_partial(alpha, f, p):
+    acc = {}
+    for beta, c in f.items():
+        if all(a <= b for a, b in zip(alpha, beta)):
+            co = math.prod(math.comb(b, a) for a, b in zip(alpha, beta))
+            exp = tuple(b - a for a, b in zip(alpha, beta))
+            acc[exp] = acc.get(exp, 0) + c * co
+    return _reduce(acc, p)
+
+
+def _ref_apply(xi, f, p):
+    out = {}
+    for alpha, coeff in xi.items():
+        out = _ref_add(out, _ref_mul(coeff, _ref_partial(alpha, f, p), p), p)
+    return out
+
+
+def _monomials(n, max_degree):
+    for exp in product(range(max_degree + 1), repeat=n):
+        if sum(exp) <= max_degree:
+            yield exp
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_poly_kernels_match_reference(p):
     rng = random.Random(90 + p)
     for _ in range(60):
         n = rng.randint(1, 3)
         a, b = _rand_poly(rng, n, p), _rand_poly(rng, n, p)
+        c = Fraction(-3, 2) if p == 0 else rng.randrange(p)
+        assert K.poly_add(a, b, p) == _ref_add(a, b, p)
+        assert K.poly_neg(a, p) == _reduce({e: -v for e, v in a.items()}, p)
+        assert K.poly_scale(a, c, p) == _reduce({e: v * c for e, v in a.items()}, p)
+        assert K.poly_mul(a, b, p) == _ref_mul(a, b, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_diffop_apply_matches_reference(p):
+    rng = random.Random(190 + p)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        xi, f = _rand_op(rng, n, p), _rand_poly(rng, n, p, deg=5, terms=4)
+        for alpha in xi:
+            assert K.partial_apply(alpha, f, p) == _ref_partial(alpha, f, p)
+        assert K.diffop_apply(xi, f, p) == _ref_apply(xi, f, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_diffop_mul_matches_composition(p):
+    rng = random.Random(290 + p)
+    for _ in range(40):
+        n = rng.randint(1, 3)
         xi, eta = _rand_op(rng, n, p), _rand_op(rng, n, p)
-        assert kpy.poly_add(a, b, p) == kcy.poly_add(a, b, p)
-        assert kpy.poly_neg(a, p) == kcy.poly_neg(a, p)
-        assert kpy.poly_mul(a, b, p) == kcy.poly_mul(a, b, p)
-        c = 3 if p == 0 else rng.randrange(p)
-        assert kpy.poly_scale(a, c, p) == kcy.poly_scale(a, c, p)
-        assert kpy.diffop_apply(xi, a, p) == kcy.diffop_apply(xi, a, p)
-        assert kpy.diffop_mul(xi, eta, p) == kcy.diffop_mul(xi, eta, p)
+        prod_op = K.diffop_mul(xi, eta, p)
+        assert all(prod_op.values())
+        bound = max(map(sum, xi), default=0) + max(map(sum, eta), default=0)
+        for mu in _monomials(n, bound):
+            x_mu = {mu: 1}
+            assert K.diffop_apply(prod_op, x_mu, p) == _ref_apply(
+                xi, _ref_apply(eta, x_mu, p), p
+            )
 
 
-@needs_ext
-def test_binom_product_agrees():
+def test_binom_product_matches_comb():
     rng = random.Random(4)
-    for _ in range(100):
+    for _ in range(300):
         n = rng.randint(1, 4)
         beta = tuple(rng.randint(0, 70) for _ in range(n))
         alpha = tuple(rng.randint(0, 80) for _ in range(n))
-        assert kpy.binom_product(beta, alpha) == kcy.binom_product(beta, alpha)
+        expected = math.prod(math.comb(b, a) for a, b in zip(alpha, beta))
+        assert K.binom_product(beta, alpha) == expected
+    assert K.binom_product((3, 1), (2, 2)) == 0  # alpha not <= beta
+    assert K.binom_product((5, 4), (2, 4)) == 10
 
 
 def test_pure_kernels_strip_zeros():
     p = 3
     a = {(1,): 1, (0,): 2}
     b = {(1,): 2, (0,): 1}
-    assert kpy.poly_add(a, b, p) == {}
-    assert kpy.poly_scale(a, 0, p) == {}
+    assert K.poly_add(a, b, p) == {}
+    assert K.poly_scale(a, 0, p) == {}
     # (x + 2)(2x + 1) = 2x^2 + 5x + 2 = 2x^2 + 2x + 2 mod 3
-    assert kpy.poly_mul(a, b, p) == {(2,): 2, (1,): 2, (0,): 2}
-    for result in (kpy.poly_mul(a, b, p), kpy.poly_neg(a, p)):
+    assert K.poly_mul(a, b, p) == {(2,): 2, (1,): 2, (0,): 2}
+    for result in (K.poly_mul(a, b, p), K.poly_neg(a, p)):
         assert all(v for v in result.values())

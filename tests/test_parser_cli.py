@@ -7,6 +7,7 @@ import pytest
 
 from weylops import DiffOp, ParseError, parse_operator, parse_polynomial
 from weylops.cli import main
+from weylops.opparser import MAX_DEPTH
 from weylops.render import render_op, render_poly
 from conftest import CHARACTERISTICS, make_ring, random_diffop
 
@@ -148,6 +149,7 @@ def test_cli_order_level_bracket():
 def test_cli_exit_codes(tmp_path):
     assert _run(["normalize", "d1*"])[0] == 2  # parse error
     assert _run(["level", "d1"])[0] == 3  # char-0 precondition
+    assert _run(["--char", str(10**25), "normalize", "x1"])[0] == 3  # too large
     assert _run(["transpose", "--twist", "x1", "d1", "--char", "2"])[0] == 1
     code, _, err = _run(["--char", "2", "transpose", "d1", "--twist", "x1"])
     assert code == 3  # no twists in characteristic p
@@ -155,6 +157,26 @@ def test_cli_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[not json")
     assert _run(["group", "--group", str(bad), "pseudoreflections"])[0] == 2
+
+
+def test_cli_long_flat_chains():
+    # sums, differences, products and power chains evaluate left to right
+    assert _run(["normalize", "+".join(["x1"] * 2000)]) == (0, "2000*x1\n", "")
+    assert _run(["normalize", "-".join(["x1"] * 2001)]) == (0, "-1999*x1\n", "")
+    assert _run(["normalize", "*".join(["x1"] * 3000)]) == (0, "x1^3000\n", "")
+    assert _run(["normalize", "x1" + "^1" * 3000]) == (0, "x1\n", "")
+
+
+def test_cli_deep_nesting_refused():
+    deep = MAX_DEPTH
+    assert _run(["normalize", "(" * deep + "x1" + ")" * deep]) == (0, "x1\n", "")
+    assert _run(["normalize", "--", "-" * deep + "x1"]) == (0, "x1\n", "")
+    for expr in ("(" * 3000 + "x1" + ")" * 3000, "-" * 3000 + "x1",
+                 "(" * (deep + 1) + "x1" + ")" * (deep + 1)):
+        code, out, err = _run(["normalize", "--", expr])
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: nesting deeper than")
+        assert "Traceback" not in err
 
 
 def test_cli_group_commands():
