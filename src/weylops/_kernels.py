@@ -128,12 +128,17 @@ def diffop_mul(xi, eta, p):
     Each pairing of a term f*d^[alpha] with g*d^[beta] is renormalized by
     commuting d^[alpha] past g (summing d^[gamma](g) against the
     complementary divided powers) and composing the remaining basis
-    elements, whose product carries the integer multinomial factor.
+    elements, whose product carries the integer multinomial factor.  Only
+    gamma up to the top exponents of g contribute: d^[gamma](g) is 0 once
+    some gamma_i exceeds every exponent of x_i in g.
     """
     out = {}
+    # per term of eta, one past the top exponent of each variable in g
+    terms = [(beta, g, [max(c) + 1 for c in zip(*g)]) for beta, g in eta.items()]
     for alpha, f in xi.items():
-        for beta, g in eta.items():
-            for gamma in _product(*(range(a + 1) for a in alpha)):
+        alpha_ends = [a + 1 for a in alpha]
+        for beta, g, g_ends in terms:
+            for gamma in _product(*map(range, map(min, alpha_ends, g_ends))):
                 dg = partial_apply(gamma, g, p)
                 if not dg:
                     continue

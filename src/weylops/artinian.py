@@ -9,15 +9,18 @@ anti-automorphism fixing the multiplication operators.
 
 Bracketing against the variable generators suffices for the filtration
 because the commutator is a derivation in the ring argument; that identity
-is itself unit-tested rather than assumed silently.
+is itself unit-tested rather than assumed silently.  On matrix units the
+bracket is an index shift and the socle adjoint an anti-transpose.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 
 from .errors import DomainError
 from .field import FieldSpec
+from .levelmatrix import SIZE_LIMIT
 from .linalg import Matrix, annihilator_of_columns
 
 
@@ -35,6 +38,9 @@ class ArtinianAlgebra:
         exponents = tuple(int(a) for a in exponents)
         if not exponents or any(a < 1 for a in exponents):
             raise DomainError("defining exponents must be naturals >= 1")
+        if prod(exponents) > SIZE_LIMIT:
+            raise DomainError(f"algebra dimension {prod(exponents)} exceeds "
+                              f"the guardrail of {SIZE_LIMIT}")
         self.exponents = exponents
         self.field = field
         self.basis = sorted(product(*(range(a) for a in exponents)))
@@ -44,10 +50,6 @@ class ArtinianAlgebra:
     @property
     def nvars(self) -> int:
         return len(self.exponents)
-
-    @property
-    def socle_exponent(self):
-        return tuple(a - 1 for a in self.exponents)
 
     def index(self, mu) -> int:
         return self._index[tuple(mu)]
@@ -78,43 +80,27 @@ class ArtinianAlgebra:
         exp = tuple(1 if j == i else 0 for j in range(self.nvars))
         return self.multiplication_operator({exp: 1})
 
-    def gram(self, unit=None) -> Matrix:
-        """Matrix of the pairing (f, g) -> socle coefficient of u*f*g.
+    def gram(self) -> Matrix:
+        """Matrix of the pairing (f, g) -> socle coefficient of f*g.
 
-        With the default unit this is a permutation matrix (exponents
-        pairing to the top one), which certifies nondegeneracy; a general
-        unit rescales the socle functional and must keep the form
-        invertible.
+        mu + nu is the socle exponent s exactly when nu = s - mu, and
+        mu -> s - mu reverses the lex order of the basis, so this is the
+        anti-diagonal permutation matrix: nondegenerate by construction.
         """
-        F = self.field
-        if unit is None:
-            rows = [
-                [
-                    F.one()
-                    if tuple(m + n for m, n in zip(mu, nu)) == self.socle_exponent
-                    else F.zero()
-                    for nu in self.basis
-                ]
-                for mu in self.basis
-            ]
-            return Matrix(F, rows)
-        mult_u = self.multiplication_operator(dict(unit))
-        g = self.gram() * mult_u
-        if g.rank() != self.dim:
-            raise DomainError("unit does not give a nondegenerate pairing")
-        return g
+        d = self.dim
+        return Matrix(
+            self.field,
+            [[1 if i + j == d - 1 else 0 for j in range(d)] for i in range(d)],
+        )
 
     def pairing_is_permutation(self) -> bool:
-        """Each row and column of the default Gram matrix has exactly one
-        nonzero (unit) entry."""
-        g = self.gram()
+        """Each row and column of the Gram matrix has exactly one nonzero
+        (unit) entry; true for every algebra here, by the closed form of
+        ``gram``."""
         F = self.field
-        for rows in (g.rows, g.transpose().rows):
-            for row in rows:
-                nonzero = [v for v in row if not F.is_zero(v)]
-                if len(nonzero) != 1:
-                    return False
-        return True
+        g = self.gram()
+        return all(sum(not F.is_zero(v) for v in row) == 1
+                   for rows in (g.rows, g.transpose().rows) for row in rows)
 
 
 class OrderFiltration:
@@ -152,18 +138,13 @@ class OrderFiltration:
         if n == 0:
             return [self.bases[0].column(j) for j in range(self.bases[0].ncols)]
         n = min(n, len(self.bases) - 1)
-        lower = self.bases[n - 1]
-        chosen = []
-        rank = lower.rank()
-        current = [lower.column(j) for j in range(lower.ncols)]
-        for j in range(self.bases[n].ncols):
-            cand = self.bases[n].column(j)
-            stacked = Matrix.from_columns(
-                self.algebra.field, current + chosen + [cand]
-            )
-            if stacked.rank() > rank + len(chosen):
-                chosen.append(cand)
-        return chosen
+        lower, upper = self.bases[n - 1], self.bases[n]
+        # the pivots of [lower | upper] in the upper block are the columns
+        # outside the span of all columns before them
+        _, pivots = Matrix(
+            self.algebra.field, [lo + up for lo, up in zip(lower.rows, upper.rows)]
+        ).rref()
+        return [upper.column(c - lower.ncols) for c in pivots if c >= lower.ncols]
 
 
 def vectorize(m: Matrix):
@@ -175,17 +156,18 @@ def unvectorize(field: FieldSpec, vec, dim: int) -> Matrix:
     return Matrix(field, [vec[i * dim : (i + 1) * dim] for i in range(dim)])
 
 
-def _bracket_map_matrix(A: ArtinianAlgebra, gen: Matrix) -> Matrix:
-    """Matrix of xi -> xi*gen - gen*xi on vectorized endomorphisms."""
-    F = A.field
-    d = A.dim
-    cols = []
-    for k in range(d * d):
-        basis_vec = [F.zero()] * (d * d)
-        basis_vec[k] = F.one()
-        e = unvectorize(F, basis_vec, d)
-        cols.append(vectorize(e * gen - gen * e))
-    return Matrix.from_columns(F, cols)
+def _bracket_pairs(A: ArtinianAlgebra, i: int):
+    """Per vectorized E_{mu,nu}, the coordinates of the two terms of
+    E_{mu,nu} x_i - x_i E_{mu,nu} = E_{mu,nu-e_i} - E_{mu+e_i,nu}; a term
+    outside the box is absent and gets the padding coordinate d*d.  In the
+    lex-ordered box, adding e_i moves a basis index by the stride of x_i."""
+    d, top, stride = A.dim, A.exponents[i] - 1, prod(A.exponents[i + 1 :])
+    return [
+        (j * d + k - stride if nu[i] else d * d,
+         (j + stride) * d + k if mu[i] < top else d * d)
+        for j, mu in enumerate(A.basis)
+        for k, nu in enumerate(A.basis)
+    ]
 
 
 def order_filtration(A: ArtinianAlgebra, n_max: int | None = None) -> OrderFiltration:
@@ -194,10 +176,14 @@ def order_filtration(A: ArtinianAlgebra, n_max: int | None = None) -> OrderFiltr
     Level 0 is spanned by the multiplication operators; each further level
     collects the endomorphisms whose commutators with every variable lie
     one level down.  Stops at stabilization or at ``n_max`` (default twice
-    the algebra dimension).
+    the algebra dimension).  Refuses algebras whose d*d endomorphism
+    coordinates exceed the guardrail, before building anything.
     """
     F = A.field
     d = A.dim
+    if d * d > SIZE_LIMIT:
+        raise DomainError(f"endomorphism space of dimension {d * d} exceeds "
+                          f"the guardrail of {SIZE_LIMIT}")
     if n_max is None:
         n_max = 2 * d
 
@@ -210,10 +196,8 @@ def order_filtration(A: ArtinianAlgebra, n_max: int | None = None) -> OrderFiltr
     )
     bases = [mult_basis]
     annihilators = [annihilator_of_columns(mult_basis)]
-    dims = [len(mult_basis.rref()[1])]
-    bracket_maps = [
-        _bracket_map_matrix(A, A.variable_operator(i)) for i in range(A.nvars)
-    ]
+    dims = [d]  # x^mu sends 1 to x^mu, so these operators are independent
+    bracket_pairs = [_bracket_pairs(A, i) for i in range(A.nvars)]
 
     stabilized_at = None
     for n in range(1, n_max + 1):
@@ -221,10 +205,11 @@ def order_filtration(A: ArtinianAlgebra, n_max: int | None = None) -> OrderFiltr
         if ann is None:
             stabilized_at = n - 1 if stabilized_at is None else stabilized_at
             break
-        constraint_rows = []
-        for B in bracket_maps:
-            constraint_rows.extend((ann * B).rows)
-        kernel = Matrix(F, constraint_rows).nullspace()
+        # ann applied to the brackets, one block of rows per variable
+        padded = [row + [F.zero()] for row in ann.rows]
+        rows = [[F.sub(r[a], r[b]) for a, b in pairs]
+                for pairs in bracket_pairs for r in padded]
+        kernel = Matrix(F, rows).nullspace()
         if not kernel:
             raise DomainError("order filtration lost the ring itself")
         basis = Matrix.from_columns(F, kernel)
@@ -241,16 +226,26 @@ def socle_adjoint(A: ArtinianAlgebra, xi: Matrix, unit=None) -> Matrix:
     """Adjoint of an endomorphism under the socle pairing.
 
     Defined by: pairing(adjoint(xi)(f), g) = pairing(f, xi(g)) for all f
-    and g, which in matrix form is the Gram-twisted transpose.  Additive,
+    and g, which in matrix form is (G xi G^-1)^T for the Gram matrix G.
+    G is the anti-diagonal permutation, so the adjoint is the
+    anti-transpose; rescaling the socle functional by a unit u makes
+    G = gram * M_u, which conjugates xi by M_u first.  Additive,
     anti-multiplicative, involutive, fixes multiplication operators, and
     preserves every order level.
     """
-    if xi.nrows != A.dim or xi.ncols != A.dim:
+    d = A.dim
+    if xi.nrows != d or xi.ncols != d:
         raise DomainError("endomorphism has the wrong size")
-    if not A.pairing_is_permutation():
-        raise DomainError("socle pairing is degenerate")
-    g = A.gram(unit=unit)
-    return (g * xi * g.inverse()).transpose()
+    if unit is not None:
+        mult_u = A.multiplication_operator(dict(unit))
+        try:
+            inv_u = mult_u.inverse()
+        except DomainError:
+            raise DomainError("unit does not give a nondegenerate pairing") from None
+        xi = mult_u * xi * inv_u
+    rows, last = xi.rows, d - 1
+    return Matrix(A.field, [[rows[last - j][last - i] for j in range(d)]
+                            for i in range(d)])
 
 
 def verify_order_preservation(A: ArtinianAlgebra, xi: Matrix, n: int) -> bool:

@@ -14,6 +14,7 @@ from weylops import (
     verify_order_preservation,
 )
 from weylops.artinian import unvectorize, vectorize
+from weylops.linalg import annihilator_of_columns
 
 
 def _random_endo(rng, A):
@@ -95,10 +96,54 @@ def test_bracket_is_derivation_in_ring_argument(rng):
         assert lhs == rhs
 
 
+def _socle_gram(A, unit):
+    """Gram matrix of (f, g) -> socle coefficient of u*f*g, from products
+    of basis monomials."""
+    socle = tuple(a - 1 for a in A.exponents)
+    rows = []
+    for mu in A.basis:
+        row = []
+        for nu in A.basis:
+            prod_exp = A.monomial_product(mu, nu)
+            row.append(sum(c for lam, c in unit.items() if prod_exp is not None
+                           and A.monomial_product(lam, prod_exp) == socle))
+        rows.append(row)
+    return Matrix(A.field, rows)
+
+
+def _random_unit(rng, A):
+    unit = {mu: rng.randint(-3, 3) for mu in rng.sample(A.basis, min(3, A.dim))}
+    F = A.field
+    unit[(0,) * A.nvars] = rng.choice(
+        [c for c in (1, -1, 2, 4) if not F.is_zero(F.coerce(c))]
+    )
+    return unit
+
+
 def test_gorenstein_pairing_is_permutation():
     for exps in ((2,), (4,), (2, 3), (2, 2, 2)):
         A = ArtinianAlgebra(exps, FieldSpec(0))
         assert A.pairing_is_permutation()
+
+
+def test_gram_is_the_socle_coefficient_pairing():
+    for exps in ((1,), (2,), (4,), (2, 3), (3, 2), (2, 2, 2)):
+        for char in (0, 2):
+            A = ArtinianAlgebra(exps, FieldSpec(char))
+            assert A.gram() == _socle_gram(A, {(0,) * A.nvars: 1})
+
+
+def test_socle_adjoint_is_the_gram_twisted_transpose(rng):
+    """The anti-transpose (conjugated by M_u for a unit u) against the
+    definition (G xi G^-1)^T with G the Gram matrix of the rescaled pairing."""
+    for exps, char in (((4,), 0), ((2, 3), 0), ((2, 3), 5), ((2, 2), 3), ((3, 2), 2)):
+        A = ArtinianAlgebra(exps, FieldSpec(char))
+        for _ in range(6):
+            xi = _random_endo(rng, A)
+            for unit in (None, _random_unit(rng, A)):
+                g = _socle_gram(A, unit or {(0,) * A.nvars: 1})
+                expected = (g * xi * g.inverse()).transpose()
+                assert socle_adjoint(A, xi, unit=unit) == expected
 
 
 def test_socle_adjoint_fixes_multiplications():
@@ -155,8 +200,8 @@ def test_socle_adjoint_with_unit_rescaling(rng):
         assert socle_adjoint(A, adj, unit=unit) == xi
         mult_x = A.variable_operator(0)
         assert socle_adjoint(A, mult_x, unit=unit) == mult_x
-    with pytest.raises(DomainError):
-        A.gram(unit={(1,): 1})  # no constant term, not a unit
+    with pytest.raises(DomainError, match="nondegenerate"):
+        socle_adjoint(A, xi, unit={(1,): 1})  # no constant term, not a unit
 
 
 def test_adjoint_depends_on_unit():
@@ -227,3 +272,90 @@ def test_vectorize_round_trip():
     A = ArtinianAlgebra((2, 2), FieldSpec(0))
     m = Matrix(A.field, [[1, 2, 3, 4]] * 4)
     assert unvectorize(A.field, vectorize(m), 4) == m
+
+
+def _dense_order_filtration(A):
+    """The filtration by dense linear algebra: the bracket with each x_i as a
+    d^2 x d^2 matrix, and each level the kernel of ann * B over all B."""
+    F, d = A.field, A.dim
+    units = []
+    for k in range(d * d):
+        vec = [F.zero()] * (d * d)
+        vec[k] = F.one()
+        units.append(unvectorize(F, vec, d))
+    brackets = []
+    for i in range(A.nvars):
+        X = A.variable_operator(i)
+        brackets.append(Matrix.from_columns(F, [vectorize(E * X - X * E) for E in units]))
+    basis = Matrix.from_columns(
+        F, [vectorize(A.multiplication_operator({mu: 1})) for mu in A.basis]
+    )
+    bases, anns = [basis], [annihilator_of_columns(basis)]
+    for _ in range(2 * d):
+        if anns[-1] is None:
+            break
+        rows = [row for B in brackets for row in (anns[-1] * B).rows]
+        bases.append(Matrix.from_columns(F, Matrix(F, rows).nullspace()))
+        anns.append(annihilator_of_columns(bases[-1]))
+        if bases[-1].ncols == bases[-2].ncols:
+            break
+    return bases, anns
+
+
+@pytest.mark.parametrize(
+    "exps, char",
+    [((2,), 0), ((2,), 2), ((2,), 5), ((4,), 0), ((4,), 2), ((4,), 5),
+     ((2, 3), 0), ((2, 3), 2), ((2, 3), 5), ((2, 2), 3)],
+)
+def test_filtration_matches_dense_oracle(exps, char):
+    A = ArtinianAlgebra(exps, FieldSpec(char))
+    filt = order_filtration(A)
+    bases, anns = _dense_order_filtration(A)
+    assert filt.bases == bases
+    assert filt.annihilators == anns
+    assert filt.dims == [b.ncols for b in bases]
+
+
+def _greedy_graded_piece(filt, n):
+    """Candidates of level n kept when they raise the rank over level n-1
+    and the candidates kept before them."""
+    lower, upper = filt.bases[n - 1], filt.bases[n]
+    F = filt.algebra.field
+    current = [lower.column(j) for j in range(lower.ncols)]
+    rank, chosen = lower.rank(), []
+    for j in range(upper.ncols):
+        cand = upper.column(j)
+        if Matrix.from_columns(F, current + chosen + [cand]).rank() > rank + len(chosen):
+            chosen.append(cand)
+    return chosen
+
+
+def test_graded_piece_matches_greedy_rank_loop():
+    for exps, char in (((4,), 0), ((2, 3), 2), ((2, 2), 3)):
+        filt = order_filtration(ArtinianAlgebra(exps, FieldSpec(char)))
+        for n in range(1, len(filt.bases)):
+            assert filt.graded_piece(n) == _greedy_graded_piece(filt, n)
+
+
+@pytest.mark.parametrize(
+    "exps, char, dims",
+    [
+        ((3, 3), 0, [9, 21, 37, 51, 65, 73, 78, 80, 81]),
+        ((3, 3), 5, [9, 21, 37, 51, 65, 73, 78, 80, 81]),
+        ((3, 3), 2, [9, 21, 37, 57, 69, 77, 81]),
+        ((2, 2, 2), 0, [8, 20, 38, 51, 60, 63, 64]),
+        ((2, 2, 2), 5, [8, 20, 38, 51, 60, 63, 64]),
+        ((2, 2, 2), 2, [8, 32, 56, 64]),
+    ],
+)
+def test_filtration_dims_pinned_by_the_dense_path(exps, char, dims):
+    assert order_filtration(ArtinianAlgebra(exps, FieldSpec(char))).dims == dims
+
+
+def test_size_limit_checked_before_work():
+    with pytest.raises(DomainError, match="guardrail"):
+        order_filtration(ArtinianAlgebra((17,), FieldSpec(0)))
+    with pytest.raises(DomainError, match="guardrail"):
+        ArtinianAlgebra((10**9,), FieldSpec(5))
+    # d = 16 is the largest accepted size
+    assert ArtinianAlgebra((4, 4), FieldSpec(5)).dim == 16

@@ -130,6 +130,24 @@ def test_diffop_mul_matches_composition(p):
             )
 
 
+@pytest.mark.parametrize("p", PRIMES)
+def test_diffop_mul_with_alpha_far_above_the_coefficient(p):
+    """d^[alpha] * g*d^[beta] by the Leibniz rule: the sum runs over
+    gamma <= alpha, but only gamma within the exponents of g give terms."""
+    alpha, beta = (10**8, 3), (1, 0)
+    half = Fraction(1, 2) if p == 0 else 1
+    g = _reduce({(2, 1): half, (0, 3): 2, (1, 0): -1}, p)
+    expected = {}
+    for gamma in product(range(3), range(4)):
+        delta = tuple(a - c for a, c in zip(alpha, gamma))
+        target = tuple(d + b for d, b in zip(delta, beta))
+        factor = math.prod(math.comb(t, d) for t, d in zip(target, delta))
+        term = {e: v * factor for e, v in _ref_partial(gamma, g, p).items()}
+        expected[target] = _ref_add(expected.get(target, {}), term, p)
+    expected = {e: v for e, v in expected.items() if v}
+    assert K.diffop_mul({alpha: {(0, 0): 1}}, {beta: g}, p) == expected
+
+
 def test_binom_product_matches_comb():
     rng = random.Random(4)
     for _ in range(300):

@@ -159,6 +159,16 @@ def test_cli_exit_codes(tmp_path):
     assert _run(["group", "--group", str(bad), "pseudoreflections"])[0] == 2
 
 
+def test_cli_size_limits():
+    # d[N] only meets the two lowest divided powers of x1, however large N is
+    assert _run(["normalize", "d[100000000]*x1"]) == (
+        0, "x1*d[100000000] + d[99999999]\n", "")
+    for exps in ("40,40", "17", "1000000000"):
+        code, out, err = _run(["artinian", "--exponents", exps])
+        assert (code, out) == (3, "")
+        assert "guardrail" in err and "Traceback" not in err
+
+
 def test_cli_long_flat_chains():
     # sums, differences, products and power chains evaluate left to right
     assert _run(["normalize", "+".join(["x1"] * 2000)]) == (0, "2000*x1\n", "")
