@@ -17,7 +17,11 @@ return canonical dicts (no zero values stored) and never mutate inputs.
 from itertools import product as _product
 from math import comb as _comb
 
+from .errors import DomainError
+
 KERNEL_BACKEND = "python"
+# largest exact binomial coefficient, in bits, that the kernels build
+BINOM_BITS_LIMIT = 1 << 14
 
 
 def poly_add(a, b, p):
@@ -76,23 +80,48 @@ def poly_mul(a, b, p):
     return out
 
 
-def binom_product(beta, alpha):
-    """Product of componentwise binomials C(beta_i, alpha_i), exact int."""
+def _comb_bounded(b, a):
+    """C(b, a) as an exact int, refused before any work when its size bound
+    min(b, min(a, b - a) * bitlen(b)) exceeds BINOM_BITS_LIMIT bits."""
+    if b > BINOM_BITS_LIMIT and min(a, b - a) * b.bit_length() > BINOM_BITS_LIMIT:
+        raise DomainError(
+            f"binomial C({b}, {a}) may exceed the guardrail of "
+            f"{BINOM_BITS_LIMIT} bits"
+        )
+    return _comb(b, a)
+
+
+def binom_product(beta, alpha, p):
+    """Product of componentwise binomials C(beta_i, alpha_i): an exact int
+    in characteristic 0, the residue mod p otherwise.
+
+    C(b, a) < 2^b, so b <= BINOM_BITS_LIMIT is computed directly.  Beyond
+    that, characteristic p multiplies the binomials of the base-p digits
+    (Lucas' theorem) and characteristic 0 checks the size first.
+    """
     out = 1
     for b, a in zip(beta, alpha):
         if a > b:
             return 0
-        out *= _comb(b, a)
-    return out
+        if b <= BINOM_BITS_LIMIT:
+            out *= _comb(b, a)
+        elif p:
+            while a:
+                b, b0 = divmod(b, p)
+                a, a0 = divmod(a, p)
+                if a0 > b0:
+                    return 0
+                out = out * _comb_bounded(b0, a0) % p
+        else:
+            out *= _comb_bounded(b, a)
+    return out % p if p else out
 
 
 def partial_apply(gamma, f, p):
     """Apply the divided-power basis operator for gamma to a polynomial."""
     out = {}
     for beta, c in f.items():
-        co = binom_product(beta, gamma)
-        if p:
-            co %= p
+        co = binom_product(beta, gamma, p)
         if not co:
             continue
         c = (c * co) % p if p else c * co
@@ -144,9 +173,7 @@ def diffop_mul(xi, eta, p):
                     continue
                 delta = tuple(a - c for a, c in zip(alpha, gamma))
                 target = tuple(d + b for d, b in zip(delta, beta))
-                factor = binom_product(target, delta)
-                if p:
-                    factor %= p
+                factor = binom_product(target, delta, p)
                 if not factor:
                     continue
                 contrib = poly_mul(f, dg, p)

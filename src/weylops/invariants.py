@@ -55,9 +55,7 @@ class GroupElement:
     def ring_map(self, ring: PolyRing) -> RingMap:
         if ring.nvars != self.n or ring.field != self.matrix.field:
             raise DomainError("group element does not act on this ring")
-        return RingMap.from_matrix(
-            ring, self.matrix.rows, inverse_rows=self.matrix.inverse().rows
-        )
+        return RingMap.from_matrix(ring, self.matrix.rows)
 
 
 class FiniteGroup:

@@ -249,19 +249,6 @@ class RingMap:
     def __call__(self, f: Polynomial) -> Polynomial:
         return apply_ring_map(self, f)
 
-    def compose(self, other: RingMap) -> RingMap:
-        """self after other: x_i -> self(other(x_i))."""
-        if self.ring != other.ring:
-            raise DomainError("ring mismatch in composition")
-        inv = None
-        if self.inverse is not None and other.inverse is not None:
-            inv = RingMap(
-                self.ring,
-                [other.inverse(self.inverse(self.ring.variable(i)))
-                 for i in range(self.ring.nvars)],
-            )
-        return RingMap(self.ring, [self(im) for im in other.images], inverse=inv)
-
     def is_linear(self) -> bool:
         """True when every variable image is homogeneous of degree 1."""
         return all(

@@ -6,17 +6,26 @@ characteristic 0 the ring is generated in order one, and prescribing
 d_i -> -d_i + f_i with each twist polynomial f_i univariate in its own
 variable yields further ("twisted") involutive anti-automorphisms; no such
 freedom exists in characteristic p, where the twisted construction is
-refused.  Conjugation by an invertible linear substitution is provided as
-the transport used for coordinate-invariance checks.
+refused.
+
+Conjugation by an invertible linear substitution m (the transport used
+for coordinate-invariance checks and group actions) is the contragredient
+action on the divided-power basis: with B the inverse matrix of m,
+d^[alpha] goes to prod_k l_k^[alpha_k] for the linear forms
+l_k = sum_j B[k][j] d_j, where (sum_j c_j d_j)^[a] is the sum of
+c^beta d^[beta] over |beta| = a, and the coefficient f goes to m(f).
+These coefficients are integral in the entries of B, so the same formula
+holds in every characteristic.
 """
 
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, prod
 
 from . import exponents
-from .diffop import DiffOp, operator_from_monomial_values
+from .diffop import DiffOp
 from .errors import DomainError
+from .linalg import Matrix
 from .poly import Polynomial, PolyRing, RingMap, apply_ring_map
 
 
@@ -148,14 +157,8 @@ def derivation_formula_check(theta: DiffOp, phi) -> bool:
 
 
 def transport_via_coordinates(m: RingMap, xi: DiffOp) -> DiffOp:
-    """Conjugate the operator by the substitution automorphism of m.
-
-    Requires a linear invertible map.  The conjugate is pinned back into
-    normal form by evaluating on all monomials up to the order bound plus
-    the coefficient degree plus one and solving the triangular system;
-    the surplus rows double as a consistency check (they must solve to
-    zero, which the reconstruction verifies).
-    """
+    """Conjugate the operator by the substitution automorphism of m, which
+    must be linear and invertible (the formula is in the module docstring)."""
     ring = xi.ring
     if m.ring != ring:
         raise DomainError("map/operator ring mismatch")
@@ -163,25 +166,20 @@ def transport_via_coordinates(m: RingMap, xi: DiffOp) -> DiffOp:
         raise DomainError("transport requires a linear map")
     if m.images == ring.gens():
         return xi
-    if m.inverse is None:
-        rows = m.matrix()
-        from .linalg import Matrix
+    inv_rows = Matrix(ring.field, m.matrix()).inverse().rows
 
-        inv_rows = Matrix(ring.field, rows).inverse().rows
-        m = RingMap.from_matrix(ring, rows, inverse_rows=inv_rows)
-    if xi.is_zero():
-        return xi
+    def divided_power(k: int, a: int) -> DiffOp:
+        """l_k^[a], the sum of B[k]^beta d^[beta] over |beta| = a."""
+        return DiffOp.from_terms(ring, {
+            beta: prod(b**e for b, e in zip(inv_rows[k], beta))
+            for beta in exponents.iter_graded(ring.nvars, a)
+        })
 
-    coeff_degree = max(f.degree() for f in xi.terms.values())
-    bound = xi.order() + coeff_degree + 1
-    values = {}
-    for beta in exponents.iter_up_to_degree(ring.nvars, bound):
-        pulled = apply_ring_map(m.inverse, ring.monomial(beta))
-        values[beta] = apply_ring_map(m, xi.apply(pulled))
-    out = operator_from_monomial_values(ring, values)
-    if out.order() > xi.order():
-        raise DomainError(
-            "transport reconstruction exceeded the order bound; "
-            "the supplied map is not an order-preserving substitution"
-        )
+    out = DiffOp.zero(ring)
+    for alpha, f in xi.terms.items():
+        image = DiffOp.constant(ring, 1)
+        for k, a in enumerate(alpha):
+            if a:
+                image = image * divided_power(k, a)
+        out = out + DiffOp.from_poly(apply_ring_map(m, f)) * image
     return out

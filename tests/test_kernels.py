@@ -16,6 +16,7 @@ from itertools import product
 import pytest
 
 import weylops._kernels as K
+from weylops import DomainError
 
 PRIMES = (0, 2, 3, 5, 4294967311, 2**61 - 1)
 
@@ -155,9 +156,39 @@ def test_binom_product_matches_comb():
         beta = tuple(rng.randint(0, 70) for _ in range(n))
         alpha = tuple(rng.randint(0, 80) for _ in range(n))
         expected = math.prod(math.comb(b, a) for a, b in zip(alpha, beta))
-        assert K.binom_product(beta, alpha) == expected
-    assert K.binom_product((3, 1), (2, 2)) == 0  # alpha not <= beta
-    assert K.binom_product((5, 4), (2, 4)) == 10
+        for p in PRIMES:
+            assert K.binom_product(beta, alpha, p) == (expected % p if p else expected)
+    assert K.binom_product((3, 1), (2, 2), 0) == 0  # alpha not <= beta
+    assert K.binom_product((5, 4), (2, 4), 0) == 10
+
+
+def test_binom_product_past_the_guardrail():
+    """Past BINOM_BITS_LIMIT, characteristic p goes by Lucas' theorem and
+    characteristic 0 refuses the binomials that may be that large."""
+    limit = K.BINOM_BITS_LIMIT
+    rng = random.Random(5)
+    for _ in range(40):
+        b = rng.randint(limit + 1, limit + 4000)
+        a = rng.choice([rng.randint(0, b), rng.randint(0, 40), b - rng.randint(0, 40)])
+        exact = math.comb(b, a)
+        for p in (2, 3, 5):
+            assert K.binom_product((b, 3), (a, 1), p) == exact * 3 % p
+        # a prime above b leaves one digit, C(b, a) itself: bounded as over Q
+        if min(a, b - a) * b.bit_length() <= limit:
+            for p in (0, 1000003, 4294967311):
+                assert K.binom_product((b,), (a,), p) == (exact % p if p else exact)
+        else:
+            for p in (0, 1000003, 4294967311):
+                with pytest.raises(DomainError):
+                    K.binom_product((b,), (a,), p)
+    big = 2 * 10**8
+    assert K.binom_product((big,), (big // 2,), 5) == 4
+    assert K.binom_product((big,), (3,), 0) == math.comb(big, 3)
+    with pytest.raises(DomainError):
+        K.binom_product((big,), (big // 2,), 0)
+    assert K.binom_product((big,), (big // 2,), 1000003) == 0  # digit 999703 > 999403
+    with pytest.raises(DomainError):
+        K.binom_product((big,), (big // 2,), 2**61 - 1)
 
 
 def test_pure_kernels_strip_zeros():

@@ -1,6 +1,7 @@
 """Expression grammar, render round trips, CLI surface and exit codes."""
 
 import json
+import math
 import pathlib
 
 import pytest
@@ -167,6 +168,19 @@ def test_cli_size_limits():
         code, out, err = _run(["artinian", "--exponents", exps])
         assert (code, out) == (3, "")
         assert "guardrail" in err and "Traceback" not in err
+
+
+def test_cli_huge_binomials():
+    # C(2*10^8, 10^8) is 4 mod 5 by Lucas' theorem; over Q it is refused
+    assert _run(["--char", "5", "normalize", "d[100000000]*d[100000000]"]) == (
+        0, "4*d[200000000]\n", "")
+    assert _run(["--char", "5", "apply", "d[100000000]",
+                 "--to", "x1^200000000"]) == (0, "4*x1^100000000\n", "")
+    code, out, err = _run(["normalize", "d[100000000]^2"])
+    assert (code, out) == (3, "")
+    assert "guardrail" in err and "Traceback" not in err
+    code, out, _ = _run(["normalize", "d[1000]^2"])
+    assert (code, out) == (0, f"{math.comb(2000, 1000)}*d[2000]\n")
 
 
 def test_cli_long_flat_chains():

@@ -112,17 +112,6 @@ def test_ring_map_is_homomorphism(rng):
     assert m(R.constant(2)) == R.constant(2)
 
 
-def test_ring_map_composition(rng):
-    R = make_ring(0, 2)
-    x, y = R.gens()
-    m1 = RingMap(R, [x + 1, y])
-    m2 = RingMap(R, [y, x * x])
-    comp = m1.compose(m2)
-    for _ in range(30):
-        f = random_poly(rng, R)
-        assert comp(f) == m1(m2(f))
-
-
 def test_ring_map_inverse_verified():
     R = make_ring(0, 1)
     x = R.variable(0)

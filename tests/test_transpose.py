@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylops import (
     AntiAutomorphism,
@@ -17,7 +18,9 @@ from weylops import (
     transport_via_coordinates,
     twisted_transpose,
 )
-from weylops.poly import RingMap
+from weylops import exponents
+from weylops.diffop import operator_from_monomial_values
+from weylops.poly import RingMap, apply_ring_map
 from conftest import make_ring, random_diffop, random_poly
 
 
@@ -249,6 +252,74 @@ def _all_gl2(R):
                 RingMap.from_matrix(R, rows, inverse_rows=mat.inverse().rows)
             )
     return out
+
+
+def _transport_oracle(m, xi):
+    """Evaluate-and-solve transport: the values of m*xi*m^-1 on every
+    monomial up to order + coefficient degree + 1, pinned back into normal
+    form by the triangular solve (the surplus rows must solve to zero)."""
+    ring = xi.ring
+    if xi.is_zero():
+        return xi
+    inverse = RingMap.from_matrix(
+        ring, Matrix(ring.field, m.matrix()).inverse().rows
+    )
+    bound = xi.order() + max(f.degree() for f in xi.terms.values()) + 1
+    values = {}
+    for beta in exponents.iter_up_to_degree(ring.nvars, bound):
+        pulled = apply_ring_map(inverse, ring.monomial(beta))
+        values[beta] = apply_ring_map(m, xi.apply(pulled))
+    out = operator_from_monomial_values(ring, values)
+    assert out.order() <= xi.order()
+    return out
+
+
+@st.composite
+def _invertible_map_and_operator(draw):
+    """A random invertible linear map as P*L*U (every invertible matrix has
+    this form) and an operator of order <= 2 with coefficients of degree
+    <= 2."""
+    char = draw(st.sampled_from([0, 2, 3, 5, 1000003]))
+    n = draw(st.integers(1, 3))
+    R = make_ring(char, n)
+    F = R.field
+    entry = st.integers(0, char - 1) if char else st.integers(-3, 3)
+    unit = st.integers(1, char - 1) if char else st.sampled_from(
+        [1, -1, 2, -2, Fraction(1, 2), Fraction(-2, 3)]
+    )
+    perm = draw(st.permutations(range(n)))
+    P = Matrix(F, [[int(perm[i] == j) for j in range(n)] for i in range(n)])
+    L = Matrix(F, [[draw(entry) if j < i else int(i == j) for j in range(n)]
+                   for i in range(n)])
+    U = Matrix(F, [[draw(entry) if j > i else draw(unit) if i == j else 0
+                    for j in range(n)] for i in range(n)])
+    m = RingMap.from_matrix(R, (P * L * U).rows)
+    exps = list(exponents.iter_up_to_degree(n, 2))
+    terms = draw(st.dictionaries(
+        st.sampled_from(exps),
+        st.dictionaries(st.sampled_from(exps), entry, min_size=1, max_size=3),
+        max_size=3,
+    ))
+    xi = DiffOp.from_terms(R, {a: R.from_terms(f) for a, f in terms.items()})
+    return m, xi
+
+
+@settings(max_examples=60, deadline=None)
+@given(_invertible_map_and_operator())
+def test_transport_matches_evaluate_and_solve(data):
+    m, xi = data
+    assert transport_via_coordinates(m, xi) == _transport_oracle(m, xi)
+
+
+def test_transport_matches_evaluate_and_solve_on_gl2(rng):
+    for p in (2, 3):
+        R = make_ring(p, 2)
+        elements = _all_gl2(R)
+        assert len(elements) == (p * p - 1) * (p * p - p)
+        for m in elements:
+            for _ in range(2):
+                xi = random_diffop(rng, R, max_order=3, coeff_degree=2)
+                assert transport_via_coordinates(m, xi) == _transport_oracle(m, xi)
 
 
 def test_level1_rigidity_coefficient_chain():
