@@ -1,7 +1,10 @@
 """Term kernels.
 
 These are the inner loops of the whole package: sparse polynomial
-arithmetic and the normal-ordered operator product.
+arithmetic (``poly_add``, ``poly_neg``, ``poly_scale``, ``poly_mul``), the
+divided-power derivatives (``partial_apply``, ``diffop_apply``), the
+normal-ordered operator product (``diffop_mul``) and the standard
+transposition (``diffop_transpose``).
 
 Data layout (no classes here, wrappers live in ``poly``/``diffop``):
 
@@ -165,6 +168,16 @@ def diffop_mul(xi, eta, p):
     # per term of eta, one past the top exponent of each variable in g
     terms = [(beta, g, [max(c) + 1 for c in zip(*g)]) for beta, g in eta.items()]
     for alpha, f in xi.items():
+        if not any(alpha):
+            # f*d^[0] is already normal-ordered against every g*d^[beta]; the
+            # loop below gives the same f*g at beta, but only after copying g
+            # through partial_apply and a binomial per pair
+            for beta, g, _ in terms:
+                contrib = poly_mul(f, g, p)
+                if contrib:
+                    acc = out.get(beta)
+                    out[beta] = poly_add(acc, contrib, p) if acc else contrib
+            continue
         alpha_ends = [a + 1 for a in alpha]
         for beta, g, g_ends in terms:
             for gamma in _product(*map(range, map(min, alpha_ends, g_ends))):
@@ -183,4 +196,28 @@ def diffop_mul(xi, eta, p):
                     continue
                 acc = out.get(target)
                 out[target] = poly_add(acc, contrib, p) if acc else contrib
+    return {exp: coeff for exp, coeff in out.items() if coeff}
+
+
+def diffop_transpose(xi, p):
+    """Standard transposition: each term f*d^[alpha] goes to
+    (-1)^|alpha| d^[alpha]*f, normal-ordered in one pass by the
+    divided-power Leibniz rule d^[alpha]*f = sum over gamma <= alpha of
+    d^[gamma](f)*d^[alpha-gamma] (no binomial factor).  As in ``diffop_mul``,
+    gamma stops at the top exponents of f.
+    """
+    out = {}
+    for alpha, f in xi.items():
+        odd = sum(alpha) % 2
+        alpha_ends = [a + 1 for a in alpha]
+        f_ends = [max(c) + 1 for c in zip(*f)]
+        for gamma in _product(*map(range, map(min, alpha_ends, f_ends))):
+            df = partial_apply(gamma, f, p)
+            if not df:
+                continue
+            if odd:
+                df = poly_neg(df, p)
+            target = tuple(a - c for a, c in zip(alpha, gamma))
+            acc = out.get(target)
+            out[target] = poly_add(acc, df, p) if acc else df
     return {exp: coeff for exp, coeff in out.items() if coeff}

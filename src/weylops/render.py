@@ -5,11 +5,27 @@ descending graded-lex order, operator terms by descending basis degree
 then descending lex on the exponent.  The JSON layer is versioned under
 the ``weyl-op/1`` schema tag; coefficients are rendered as exact decimal
 or fraction strings.
+
+Python refuses to convert an integer of more than
+``sys.get_int_max_str_digits()`` decimal digits to a string; the entry
+points that print coefficients turn that ``ValueError`` into a
+``DomainError``.
 """
 
 from __future__ import annotations
 
+import sys
+
+from .errors import DomainError
+
 SCHEMA = "weyl-op/1"
+
+
+def _too_many_digits() -> DomainError:
+    return DomainError(
+        f"a coefficient has more than {sys.get_int_max_str_digits()} decimal "
+        "digits, Python's limit for printing an integer"
+    )
 
 
 def _sorted_poly_exponents(terms):
@@ -39,7 +55,10 @@ def render_poly(f) -> str:
     for exp in _sorted_poly_exponents(f.terms):
         c = f.terms[exp]
         mono = _monomial_str(ring, exp)
-        cs = str(c)
+        try:
+            cs = str(c)
+        except ValueError:
+            raise _too_many_digits() from None
         negative = cs.startswith("-")
         if negative:
             cs = cs[1:]
@@ -91,10 +110,13 @@ def render_op(xi) -> str:
 
 
 def poly_terms_json(f) -> list:
-    return [
-        {"exponent": list(exp), "coefficient": str(f.terms[exp])}
-        for exp in _sorted_poly_exponents(f.terms)
-    ]
+    try:
+        return [
+            {"exponent": list(exp), "coefficient": str(f.terms[exp])}
+            for exp in _sorted_poly_exponents(f.terms)
+        ]
+    except ValueError:
+        raise _too_many_digits() from None
 
 
 def poly_json(f) -> dict:
@@ -140,4 +162,7 @@ def level_matrix_json(m) -> dict:
 
 
 def scalar_matrix_json(mat) -> list:
-    return [[str(v) for v in row] for row in mat.rows]
+    try:
+        return [[str(v) for v in row] for row in mat.rows]
+    except ValueError:
+        raise _too_many_digits() from None

@@ -1,7 +1,10 @@
 """Anti-automorphisms of the operator ring that fix the polynomials.
 
 The standard transposition sends a left-coefficient term f*d^[alpha] to
-(-1)^|alpha| * d^[alpha]*f and is involutive in every characteristic.  In
+(-1)^|alpha| * d^[alpha]*f and is involutive in every characteristic.  Its
+normal form comes from the divided-power Leibniz rule
+d^[alpha]*f = sum over gamma <= alpha of d^[gamma](f) * d^[alpha-gamma],
+with no binomial factor, so no general product is needed.  In
 characteristic 0 the ring is generated in order one, and prescribing
 d_i -> -d_i + f_i with each twist polynomial f_i univariate in its own
 variable yields further ("twisted") involutive anti-automorphisms; no such
@@ -13,32 +16,37 @@ for coordinate-invariance checks and group actions) is the contragredient
 action on the divided-power basis: with B the inverse matrix of m,
 d^[alpha] goes to prod_k l_k^[alpha_k] for the linear forms
 l_k = sum_j B[k][j] d_j, where (sum_j c_j d_j)^[a] is the sum of
-c^beta d^[beta] over |beta| = a, and the coefficient f goes to m(f).
+c^beta d^[beta] over |beta| = a (only beta supported where c is nonzero
+contribute), and the coefficient f goes to m(f).
 These coefficients are integral in the entries of B, so the same formula
 holds in every characteristic.
 """
 
 from __future__ import annotations
 
-from math import factorial, prod
+from math import comb, factorial, prod
 
+from . import _kernels as K
 from . import exponents
 from .diffop import DiffOp
 from .errors import DomainError
 from .linalg import Matrix
 from .poly import Polynomial, PolyRing, RingMap, apply_ring_map
 
+# most term pairs that the products building prod_k l_k^[alpha_k] may form
+# for one term of an operator, bounded by the product over k of
+# C(alpha_k+s_k-1, s_k-1), the term count of l_k^[alpha_k] for s_k nonzero
+# entries in row k of B
+TRANSPORT_TERMS_LIMIT = 1 << 14
+
 
 def standard_transpose(xi: DiffOp) -> DiffOp:
-    """Sign-the-basis transposition, renormalized into left-coefficient form."""
+    """Sign-the-basis transposition, renormalized into left-coefficient form
+    by the Leibniz rule (module docstring)."""
     ring = xi.ring
-    out = DiffOp.zero(ring)
-    for alpha, f in xi.terms.items():
-        term = DiffOp.basis(ring, alpha) * f
-        if exponents.degree(alpha) % 2:
-            term = -term
-        out = out + term
-    return out
+    return DiffOp._from_raw(
+        ring, K.diffop_transpose(xi._raw(), ring.characteristic)
+    )
 
 
 def twisted_transpose(twist, xi: DiffOp) -> DiffOp:
@@ -167,13 +175,26 @@ def transport_via_coordinates(m: RingMap, xi: DiffOp) -> DiffOp:
     if m.images == ring.gens():
         return xi
     inv_rows = Matrix(ring.field, m.matrix()).inverse().rows
+    supports = [[j for j, b in enumerate(row) if b] for row in inv_rows]
+    for alpha in xi.terms:
+        size = prod(comb(a + len(s) - 1, a) for a, s in zip(alpha, supports))
+        if size > TRANSPORT_TERMS_LIMIT:
+            raise DomainError(
+                f"the image of d[{','.join(map(str, alpha))}] may have more "
+                f"terms than the guardrail of {TRANSPORT_TERMS_LIMIT}"
+            )
 
     def divided_power(k: int, a: int) -> DiffOp:
-        """l_k^[a], the sum of B[k]^beta d^[beta] over |beta| = a."""
-        return DiffOp.from_terms(ring, {
-            beta: prod(b**e for b, e in zip(inv_rows[k], beta))
-            for beta in exponents.iter_graded(ring.nvars, a)
-        })
+        """l_k^[a], the sum of B[k]^beta d^[beta] over |beta| = a with beta
+        supported where B[k] is nonzero."""
+        row, support = inv_rows[k], supports[k]
+        terms = {}
+        for part in exponents.iter_graded(len(support), a):
+            beta = [0] * ring.nvars
+            for j, e in zip(support, part):
+                beta[j] = e
+            terms[tuple(beta)] = prod(row[j] ** e for j, e in zip(support, part))
+        return DiffOp.from_terms(ring, terms)
 
     out = DiffOp.zero(ring)
     for alpha, f in xi.terms.items():

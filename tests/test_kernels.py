@@ -115,20 +115,37 @@ def test_diffop_apply_matches_reference(p):
         assert K.diffop_apply(xi, f, p) == _ref_apply(xi, f, p)
 
 
+def _assert_mul_by_composition(xi, eta, n, p):
+    prod_op = K.diffop_mul(xi, eta, p)
+    assert all(prod_op.values())
+    bound = max(map(sum, xi), default=0) + max(map(sum, eta), default=0)
+    for mu in _monomials(n, bound):
+        x_mu = {mu: 1}
+        assert K.diffop_apply(prod_op, x_mu, p) == _ref_apply(
+            xi, _ref_apply(eta, x_mu, p), p
+        )
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_diffop_mul_matches_composition(p):
     rng = random.Random(290 + p)
     for _ in range(40):
         n = rng.randint(1, 3)
-        xi, eta = _rand_op(rng, n, p), _rand_op(rng, n, p)
-        prod_op = K.diffop_mul(xi, eta, p)
-        assert all(prod_op.values())
-        bound = max(map(sum, xi), default=0) + max(map(sum, eta), default=0)
-        for mu in _monomials(n, bound):
-            x_mu = {mu: 1}
-            assert K.diffop_apply(prod_op, x_mu, p) == _ref_apply(
-                xi, _ref_apply(eta, x_mu, p), p
-            )
+        _assert_mul_by_composition(_rand_op(rng, n, p), _rand_op(rng, n, p), n, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_diffop_mul_with_polynomial_left_terms(p):
+    """Left terms f*d^[0], alone or beside terms of positive order, multiply
+    the right factor's coefficients directly."""
+    rng = random.Random(390 + p)
+    for _ in range(25):
+        n = rng.randint(1, 3)
+        f = _rand_poly(rng, n, p, terms=4) or {(0,) * n: 1}
+        mixed = {**_rand_op(rng, n, p), (0,) * n: f}
+        eta = _rand_op(rng, n, p)
+        for xi in ({(0,) * n: f}, mixed):
+            _assert_mul_by_composition(xi, eta, n, p)
 
 
 @pytest.mark.parametrize("p", PRIMES)

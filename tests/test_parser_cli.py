@@ -183,6 +183,34 @@ def test_cli_huge_binomials():
     assert (code, out) == (0, f"{math.comb(2000, 1000)}*d[2000]\n")
 
 
+def test_cli_sign_group_reynolds_of_a_huge_order():
+    # -I is monomial: d[N,0] meets one divided power of one linear form
+    group_file = str(GOLDEN / "group_sign.json")
+    assert _run(["--nvars", "2", "group", "--group", group_file,
+                 "reynolds", "d[1000000,0]"]) == (0, "d[1000000,0]\n", "")
+
+
+def test_cli_dense_transport_guardrail(tmp_path):
+    # rotation by a third of a turn: each of its two non-identity elements
+    # has an inverse with one dense row, so d[300,0] meets at most 301 terms
+    group_file = tmp_path / "c3.json"
+    group_file.write_text("[[[1, 0], [0, 1]], [[0, -1], [1, -1]], [[-1, 1], [-1, 0]]]")
+    base = ["--nvars", "2", "group", "--group", str(group_file), "reynolds"]
+    code, out, err = _run(base + ["d[300,0]"])
+    assert (code, err) == (0, "") and out.count("d[") == 301
+    code, out, err = _run(base + ["d[1000000,0]"])
+    assert (code, out) == (3, "")
+    assert "guardrail" in err and "Traceback" not in err
+
+
+def test_cli_coefficient_past_the_printing_limit():
+    # every binomial factor is small, but the product's coefficient is not
+    for args in (["normalize", "d[100]^60"], ["--json", "normalize", "d[100]^60"]):
+        code, out, err = _run(args)
+        assert (code, out) == (3, "")
+        assert "decimal digits" in err and "Traceback" not in err
+
+
 def test_cli_long_flat_chains():
     # sums, differences, products and power chains evaluate left to right
     assert _run(["normalize", "+".join(["x1"] * 2000)]) == (0, "2000*x1\n", "")

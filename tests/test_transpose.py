@@ -21,6 +21,7 @@ from weylops import (
 from weylops import exponents
 from weylops.diffop import operator_from_monomial_values
 from weylops.poly import RingMap, apply_ring_map
+from weylops.transpose import TRANSPORT_TERMS_LIMIT
 from conftest import make_ring, random_diffop, random_poly
 
 
@@ -47,6 +48,40 @@ def test_standard_properties(rng):
             assert phi(xi).order() == xi.order()
             if char:
                 assert phi(xi).level() == xi.level()
+
+
+def _standard_transpose_oracle(xi):
+    """The transposition term by term: the sum of (-1)^|alpha| d^[alpha]*f,
+    each product normal-ordered by the general operator product."""
+    out = DiffOp.zero(xi.ring)
+    for alpha, f in xi.terms.items():
+        term = DiffOp.basis(xi.ring, alpha) * f
+        out = out + (-term if sum(alpha) % 2 else term)
+    return out
+
+
+@st.composite
+def _operator(draw):
+    """An operator of order <= 4 with coefficients of degree <= 3 over a
+    ring of 1 to 3 variables in characteristic 0, 2, 3, 5 or 1000003."""
+    char = draw(st.sampled_from([0, 2, 3, 5, 1000003]))
+    R = make_ring(char, draw(st.integers(1, 3)))
+    entry = st.integers(0, char - 1) if char else st.fractions(
+        min_value=-4, max_value=4, max_denominator=3)
+    terms = draw(st.dictionaries(
+        st.sampled_from(list(exponents.iter_up_to_degree(R.nvars, 4))),
+        st.dictionaries(
+            st.sampled_from(list(exponents.iter_up_to_degree(R.nvars, 3))),
+            entry, min_size=1, max_size=3),
+        max_size=4,
+    ))
+    return DiffOp.from_terms(R, {a: R.from_terms(f) for a, f in terms.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(_operator())
+def test_standard_transpose_matches_term_by_term_products(xi):
+    assert standard_transpose(xi) == _standard_transpose_oracle(xi)
 
 
 def test_twisted_examples():
@@ -216,6 +251,34 @@ def test_transport_rejects_nonlinear_and_singular():
         transport_via_coordinates(RingMap(R, [x**2]), d)
     with pytest.raises(DomainError):
         transport_via_coordinates(RingMap(R, [R.zero()]), d)
+
+
+def test_transport_builds_only_supported_divided_powers():
+    """A monomial matrix sends d^[alpha] to one term however large alpha is.
+    The guardrail bounds the product over k of the term counts of
+    l_k^[alpha_k]: one dense row of a shear passes at a large order, two
+    dense rows are refused before any product once the product is past it."""
+    R = make_ring(0, 2)
+    sign = RingMap.from_matrix(R, [[-1, 0], [0, -1]])
+    big = DiffOp.basis(R, (10**6, 3))
+    assert transport_via_coordinates(sign, big) == -big
+    shear = RingMap.from_matrix(R, [[1, 1], [0, 1]])
+    assert len(transport_via_coordinates(shear, DiffOp.basis(R, (300, 0))).terms) == 301
+    # B = [[2, -1], [-1, 1]]: both rows dense, so d^[a, b] meets (a+1)(b+1)
+    # term pairs; 129^2 is past the guardrail, and so is the sum it is in
+    dense = RingMap.from_matrix(R, [[1, 1], [1, 2]])
+    assert len(transport_via_coordinates(dense, DiffOp.basis(R, (20, 20))).terms) == 41
+    for xi in (DiffOp.basis(R, (128, 128)),
+               DiffOp.basis(R, (1, 0)) + DiffOp.basis(R, (128, 128))):
+        with pytest.raises(DomainError, match="guardrail"):
+            transport_via_coordinates(dense, xi)
+    # three dense rows: (5, 5, 5) meets at most 21^3 term pairs, (6, 6, 6) 28^3
+    assert 21**3 <= TRANSPORT_TERMS_LIMIT < 28**3
+    R3 = make_ring(0, 3)
+    cyclic = RingMap.from_matrix(R3, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    assert len(transport_via_coordinates(cyclic, DiffOp.basis(R3, (5, 5, 5))).terms) == 136
+    with pytest.raises(DomainError, match="guardrail"):
+        transport_via_coordinates(cyclic, DiffOp.basis(R3, (6, 6, 6)))
 
 
 def test_charp_coordinate_invariance_gl2f2(rng):
