@@ -20,8 +20,10 @@ from math import prod
 
 from .errors import DomainError
 from .field import FieldSpec
-from .levelmatrix import SIZE_LIMIT
 from .linalg import Matrix, annihilator_of_columns
+
+# largest algebra dimension d, and largest d*d for the order filtration
+SIZE_LIMIT = 256
 
 
 class ArtinianAlgebra:

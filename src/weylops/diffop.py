@@ -307,11 +307,11 @@ def level_by_commutation_oracle(xi: DiffOp, e: int, degree_bound: int = 3) -> bo
 
 
 def operator_from_monomial_values(ring: PolyRing, values) -> DiffOp:
-    """Reconstruct the normal form of an operator from monomial values.
+    """Reconstruct the normal form of an operator from monomial values: the
+    test oracle for ``levelmatrix.to_operator`` and the transport.
 
-    ``values`` maps exponent tuples to the polynomial the operator returns
-    on the corresponding monomial.  The index set must be downward closed
-    (every componentwise-smaller exponent present); the divided-power
+    ``values`` maps exponent tuples to the operator's values on those
+    monomials.  The index set must be downward closed; the divided-power
     coefficients then satisfy a triangular system with unit diagonal that
     is solved by increasing total degree.
     """

@@ -6,16 +6,26 @@ over that subring form a matrix ring of size p^(e*n).  Entries are kept
 as p^e-th roots, i.e. ordinary polynomials: taking p^e-th powers is a
 ring isomorphism onto the subring for a perfect prime field, so addition
 and multiplication of root entries compute the true entries exactly and
-no twisted arithmetic is needed.  Reassembly applies the power.
+no twisted arithmetic is needed.
+
+Back to operators by two closed formulas.  Over F_p the p^e-th power of a
+root term c*x^mu is c*x^(p^e*mu), so column lam reassembles into the value
+xi(x^lam) by scaling exponents.  On the box that value is the sum over
+alpha <= lam of C(lam, alpha) f_alpha x^(lam-alpha), and binomial
+inversion gives f_alpha = sum over lam <= alpha of (-1)^|alpha-lam|
+C(alpha, lam) x^(alpha-lam) xi(x^lam), with integer coefficients, so in
+every characteristic.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .diffop import DiffOp, operator_from_monomial_values
+from . import _kernels as K
+from .diffop import DiffOp
 from .errors import DomainError
-from .poly import Polynomial, PolyRing, frobenius_decompose
+from .exponents import iter_leq, subtract
+from .poly import Polynomial, PolyRing, frobenius_decompose, frobenius_reassemble
 
 SIZE_LIMIT = 256
 
@@ -23,7 +33,7 @@ SIZE_LIMIT = 256
 class FrobeniusBasis:
     """The monomial basis {x^lam : 0 <= lam_i < p^e} in lex order."""
 
-    __slots__ = ("ring", "e", "monomials", "_index")
+    __slots__ = ("ring", "e", "monomials")
 
     def __init__(self, ring: PolyRing, e: int):
         p = ring.characteristic
@@ -33,24 +43,14 @@ class FrobeniusBasis:
             raise DomainError("level e must be a natural number")
         size = p ** (e * ring.nvars)
         if size > SIZE_LIMIT:
-            raise DomainError(
-                f"basis size {size} exceeds the guardrail of {SIZE_LIMIT}"
-            )
-        q = p**e
+            raise DomainError(f"basis size {size} exceeds the guardrail of {SIZE_LIMIT}")
         self.ring = ring
         self.e = e
-        self.monomials = sorted(product(range(q), repeat=ring.nvars))
-        self._index = {lam: i for i, lam in enumerate(self.monomials)}
+        self.monomials = sorted(product(range(p**e), repeat=ring.nvars))
 
     @property
     def size(self) -> int:
         return len(self.monomials)
-
-    def index(self, lam) -> int:
-        try:
-            return self._index[tuple(lam)]
-        except KeyError:
-            raise DomainError(f"{lam} is not a basis exponent at level {self.e}")
 
     def __eq__(self, other):
         return (
@@ -94,13 +94,8 @@ class LevelMatrix:
     @classmethod
     def identity(cls, basis: FrobeniusBasis) -> LevelMatrix:
         one, zero = basis.ring.one(), basis.ring.zero()
-        return cls(
-            basis,
-            [
-                [one if i == j else zero for j in range(basis.size)]
-                for i in range(basis.size)
-            ],
-        )
+        n = range(basis.size)
+        return cls(basis, [[one if i == j else zero for j in n] for i in n])
 
     def _check(self, other: LevelMatrix):
         if self.basis != other.basis:
@@ -108,28 +103,21 @@ class LevelMatrix:
 
     def __add__(self, other: LevelMatrix) -> LevelMatrix:
         self._check(other)
-        return LevelMatrix(
-            self.basis,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-        )
+        rows = zip(self.entries, other.entries)
+        return LevelMatrix(self.basis, [[a + b for a, b in zip(ra, rb)] for ra, rb in rows])
 
     def __mul__(self, other: LevelMatrix) -> LevelMatrix:
+        """Product that never multiplies by a zero entry (matrices are sparse)."""
         self._check(other)
-        n = self.basis.size
-        zero = self.ring.zero()
-        cols = list(zip(*other.entries))
+        right = [[(c, b) for c, b in enumerate(row) if b] for row in other.entries]
         out = []
         for row in self.entries:
-            out_row = []
-            for col in cols:
-                acc = zero
-                for a, b in zip(row, col):
-                    acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
+            acc = [self.ring.zero()] * len(row)
+            for a, pairs in zip(row, right):
+                if a:
+                    for c, b in pairs:
+                        acc[c] = acc[c] + a * b
+            out.append(acc)
         return LevelMatrix(self.basis, out)
 
     def __eq__(self, other):
@@ -156,31 +144,30 @@ def to_matrix(xi: DiffOp, e: int) -> LevelMatrix:
     if xi.level() > e:
         raise DomainError(f"operator has level {xi.level()} > {e}")
     basis = FrobeniusBasis(xi.ring, e)
-    zero = xi.ring.zero()
-    entries = [[zero] * basis.size for _ in range(basis.size)]
-    for c, lam in enumerate(basis.monomials):
-        value = xi.apply(xi.ring.monomial(lam))
-        if value.is_zero():
-            continue
-        for lam_r, g in frobenius_decompose(value, e).items():
-            entries[basis.index(lam_r)][c] = g
+    zero, monomials = xi.ring.zero(), basis.monomials
+    cols = [frobenius_decompose(xi.apply(xi.ring.monomial(lam)), e) for lam in monomials]
+    entries = [[col.get(lam_r, zero) for col in cols] for lam_r in monomials]
     return LevelMatrix(basis, entries)
 
 
 def to_operator(m: LevelMatrix) -> DiffOp:
-    """Inverse of :func:`to_matrix`: reassemble columns into monomial
-    values and solve for the normal form over the basis box."""
-    ring = m.ring
-    q = ring.characteristic**m.e
+    """Inverse of :func:`to_matrix`: reassemble each column into the value
+    on its basis monomial, then invert binomially (module docstring)."""
+    ring, monomials, p = m.ring, m.basis.monomials, m.ring.characteristic
     values = {}
-    for c, lam in enumerate(m.basis.monomials):
-        acc = ring.zero()
-        for r, lam_r in enumerate(m.basis.monomials):
-            g = m.entries[r][c]
-            if not g.is_zero():
-                acc = acc + (g**q) * ring.monomial(lam_r)
-        values[lam] = acc
-    return operator_from_monomial_values(ring, values)
+    for lam, col in zip(monomials, zip(*m.entries)):
+        pieces = {lam_r: g for lam_r, g in zip(monomials, col) if g}
+        values[lam] = frobenius_reassemble(ring, pieces, m.e).terms
+    terms = {}
+    for alpha in monomials:
+        acc = {}
+        for lam in iter_leq(alpha):
+            c = (-1) ** (sum(alpha) - sum(lam)) * K.binom_product(alpha, lam, p) % p
+            if c and values[lam]:
+                shift = {subtract(alpha, lam): c}
+                acc = K.poly_add(acc, K.poly_mul(values[lam], shift, p), p)
+        terms[alpha] = Polynomial(ring, acc)
+    return DiffOp.from_terms(ring, terms)
 
 
 def matrix_mul_consistency(xi: DiffOp, eta: DiffOp, e: int) -> bool:

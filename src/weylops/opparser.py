@@ -98,6 +98,15 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def natural(self) -> int:
+        """Consume a number token; past Python's digit limit, a parse error."""
+        tok = self.advance()
+        try:
+            return int(tok.text)
+        except ValueError:
+            raise ParseError(f"number of {len(tok.text)} digits is too long",
+                             tok.line, tok.column) from None
+
     def error(self, message):
         tok = self.current
         raise ParseError(message, tok.line, tok.column)
@@ -156,23 +165,20 @@ class _Parser:
                 if tok.kind == "op" and tok.text == "-":
                     self.error("negative exponent")
                 self.error("exponent must be a natural number")
-            self.advance()
-            exponents.append(int(tok.text))
+            exponents.append(self.natural())
         return ("pow", base, exponents) if exponents else base
 
     def parse_atom(self):
         tok = self.current
         if tok.kind == "num":
-            self.advance()
+            num = self.natural()
             nxt = self.current
             if nxt.kind == "op" and nxt.text == "/":
                 self.advance()
-                den = self.current
-                if den.kind != "num":
+                if self.current.kind != "num":
                     self.error("expected a natural number after '/'")
-                self.advance()
-                return ("rat", int(tok.text), int(den.text))
-            return ("int", int(tok.text))
+                return ("rat", num, self.natural())
+            return ("int", num)
         if tok.kind == "dsym":
             self.advance()
             body = _DSYM_BODY.match(tok.text)

@@ -343,12 +343,17 @@ def frobenius_decompose(f: Polynomial, e: int) -> dict:
 
 
 def frobenius_reassemble(ring: PolyRing, pieces: dict, e: int) -> Polynomial:
-    """Inverse of :func:`frobenius_decompose`."""
+    """Inverse of :func:`frobenius_decompose`.  Over F_p, g^(p^e) scales
+    exponents, so a root term c*x^mu of piece lambda lands at
+    c*x^(p^e*mu + lambda); pieces keyed outside the digit box may meet."""
     p = ring.characteristic
     if p == 0:
         raise DomainError("requires characteristic p > 0")
     q = p**e
-    out = ring.zero()
+    out = {}
     for lam, g in pieces.items():
-        out = out + (g**q) * ring.monomial(lam)
-    return out
+        ring.monomial(lam)  # refuses a wrong arity or a negative exponent
+        for mu, c in g.terms.items():
+            exp = tuple(q * m + b for m, b in zip(mu, lam))
+            out[exp] = (out.get(exp, 0) + c) % p
+    return Polynomial(ring, {exp: c for exp, c in out.items() if c})

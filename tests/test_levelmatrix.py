@@ -7,12 +7,15 @@ from weylops import (
     DomainError,
     FrobeniusBasis,
     LevelMatrix,
+    Polynomial,
+    frobenius_reassemble,
     matrix_mul_consistency,
     standard_transpose,
     to_matrix,
     to_operator,
 )
-from conftest import make_ring, random_diffop
+from weylops.diffop import operator_from_monomial_values
+from conftest import make_ring, random_diffop, random_poly
 from conftest import random_level_bounded_op
 
 
@@ -139,3 +142,96 @@ def test_malformed_matrix_rejected():
         LevelMatrix(basis, [[R.one()]])
     with pytest.raises(DomainError):
         LevelMatrix(basis, [[R.one(), 1], [R.zero(), R.zero()]])
+
+
+# -- closed forms against the previous generic paths --------------------------
+
+# the (p, e, n) shapes of the benchmark's level-matrix jobs
+LEVEL_SHAPES = ((2, 1, 3), (2, 2, 2), (3, 1, 2), (3, 2, 1), (5, 1, 2), (3, 1, 3))
+
+
+def _dense_mul(self, other):
+    """The previous ``LevelMatrix.__mul__``: every entry product, zeros too."""
+    self._check(other)
+    n = self.basis.size
+    zero = self.ring.zero()
+    cols = list(zip(*other.entries))
+    out = []
+    for row in self.entries:
+        out_row = []
+        for col in cols:
+            acc = zero
+            for a, b in zip(row, col):
+                acc = acc + a * b
+            out_row.append(acc)
+        out.append(out_row)
+    return LevelMatrix(self.basis, out)
+
+
+def _to_operator_by_solving(m):
+    """The previous ``to_operator``: reassemble by powers, then solve the
+    triangular system of monomial values."""
+    ring = m.ring
+    q = ring.characteristic**m.e
+    values = {}
+    for c, lam in enumerate(m.basis.monomials):
+        acc = ring.zero()
+        for r, lam_r in enumerate(m.basis.monomials):
+            g = m.entries[r][c]
+            if not g.is_zero():
+                acc = acc + (g**q) * ring.monomial(lam_r)
+        values[lam] = acc
+    return operator_from_monomial_values(ring, values)
+
+
+def _random_matrix(rng, basis, density):
+    zero = basis.ring.zero()
+    return LevelMatrix(basis, [
+        [random_poly(rng, basis.ring, max_degree=2, max_terms=1)
+         if rng.random() < density else zero for _ in range(basis.size)]
+        for _ in range(basis.size)
+    ])
+
+
+def test_sparse_product_matches_dense_product(rng, monkeypatch):
+    products = []
+    for p, e, n in LEVEL_SHAPES:
+        basis = FrobeniusBasis(make_ring(p, n), e)
+        for density in (0.1, 1.0):
+            a = _random_matrix(rng, basis, density)
+            b = _random_matrix(rng, basis, density)
+            products.append((a, b, _dense_mul(a, b)))
+    multiply = Polynomial.__mul__
+
+    def nonzero_factors_only(f, g):
+        assert f and g, "level matrix product formed a zero factor"
+        return multiply(f, g)
+
+    monkeypatch.setattr(Polynomial, "__mul__", nonzero_factors_only)
+    for a, b, expected in products:
+        assert a * b == expected
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_to_operator_matches_solving(rng, p):
+    for e, n in ((1, 1), (1, 2), (2, 1)):
+        basis = FrobeniusBasis(make_ring(p, n), e)
+        if basis.size > 25:
+            continue
+        for density in (0.2, 0.6):
+            m = _random_matrix(rng, basis, density)
+            assert to_operator(m) == _to_operator_by_solving(m)
+
+
+def test_reassembly_matches_powers(rng):
+    for p, e, n in ((2, 1, 2), (2, 2, 1), (3, 1, 2), (5, 1, 1)):
+        R = make_ring(p, n)
+        q = p**e
+        for _ in range(10):
+            # keys inside the digit box and beyond it, where pieces meet
+            pieces = {tuple(rng.randrange(2 * q) for _ in range(n)):
+                      random_poly(rng, R, max_degree=3) for _ in range(4)}
+            expected = R.zero()
+            for lam, g in pieces.items():
+                expected = expected + (g**q) * R.monomial(lam)
+            assert frobenius_reassemble(R, pieces, e) == expected

@@ -1,0 +1,82 @@
+"""Exact elimination against sympy's DomainMatrix over QQ and GF(p)."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from sympy.polys.domains import GF, QQ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
+
+from weylops import DomainError, FieldSpec, Matrix
+
+CHARS = (0, 2, 3, 5, 1000003)
+
+
+def _domain(p):
+    return GF(p) if p else QQ
+
+
+def _from_sympy(p, rows):
+    if p:
+        return [[GF(p).to_int(v) % p for v in r] for r in rows]
+    return [[Fraction(int(v.numerator), int(v.denominator)) for v in r] for r in rows]
+
+
+def _matrices(rng, p):
+    """Seeded small matrices: random, rank-deficient products, and square
+    ones made singular by a repeated combination of rows."""
+    def entry():
+        if p:
+            return rng.randrange(p)
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    def rand(r, c):
+        return [[entry() for _ in range(c)] for _ in range(r)]
+
+    F = FieldSpec(p)
+    out = []
+    for _ in range(3):
+        out.append(rand(rng.randint(1, 4), rng.randint(1, 5)))
+        u, v = rand(1, rng.randint(2, 5))[0], rand(1, rng.randint(2, 5))[0]
+        out.append([[F.mul(a, b) for b in v] for a in u])  # rank <= 1
+        n = rng.randint(1, 4)
+        out.append(rand(n, n))
+        square = rand(n + 1, n + 1)
+        square[-1] = [F.add(F.mul(2, a), b) for a, b in zip(square[0], square[-2])]
+        out.append(square)
+    out.append([[0] * 3 for _ in range(2)])
+    return out
+
+
+def _row_space(F, vectors):
+    if not vectors:
+        return []
+    red, pivots = Matrix(F, vectors).rref()
+    return red.rows[: len(pivots)]
+
+
+@pytest.mark.parametrize("p", CHARS)
+def test_elimination_matches_sympy(p):
+    F, K = FieldSpec(p), _domain(p)
+    rng = random.Random(6000 + p)
+    for rows in _matrices(rng, p):
+        ours = Matrix(F, rows)
+        theirs = DomainMatrix([[K.convert(v) for v in r] for r in rows],
+                              (ours.nrows, ours.ncols), K)
+        red, pivots = ours.rref()
+        sred, spivots = theirs.rref()
+        assert (red.rows, pivots) == (_from_sympy(p, sred.to_list()), list(spivots))
+        assert ours.rank() == theirs.rank()
+        kernel = ours.nullspace()
+        assert len(kernel) == ours.ncols - theirs.rank()
+        assert _row_space(F, kernel) == _row_space(F, _from_sympy(p, theirs.nullspace().to_list()))
+        if ours.nrows != ours.ncols:
+            continue
+        try:
+            expected = _from_sympy(p, theirs.inv().to_list())
+        except DMNonInvertibleMatrixError:
+            with pytest.raises(DomainError):
+                ours.inverse()
+        else:
+            assert ours.inverse().rows == expected

@@ -170,6 +170,17 @@ def test_cli_size_limits():
         assert "guardrail" in err and "Traceback" not in err
 
 
+def test_cli_long_number_literals():
+    # Python refuses to convert more than 4300 digits; that is a parse error
+    digits = "7" * 5000
+    for expr, column in ((digits, 1), (f"{digits}/3", 1), (f"1/{digits}", 3),
+                         (f"x1^{digits}", 4)):
+        code, out, err = _run(["normalize", expr])
+        assert (code, out) == (2, "")
+        assert f"number of 5000 digits is too long (line 1, column {column})" in err
+        assert "Traceback" not in err
+
+
 def test_cli_huge_binomials():
     # C(2*10^8, 10^8) is 4 mod 5 by Lucas' theorem; over Q it is refused
     assert _run(["--char", "5", "normalize", "d[100000000]*d[100000000]"]) == (
