@@ -11,6 +11,15 @@ Bracketing against the variable generators suffices for the filtration
 because the commutator is a derivation in the ring argument; that identity
 is itself unit-tested rather than assumed silently.  On matrix units the
 bracket is an index shift and the socle adjoint an anti-transpose.
+
+The order of one endomorphism needs no filtration: xi has order <= n
+exactly when ad_x^beta(xi) = 0 for every |beta| = n+1, and the ad_{x_i}
+commute, so :func:`order` and membership shift xi's coordinates one
+bracket at a time and visit each beta once.  The filtration itself does
+one elimination per level from 1 up: the annihilator of level 0 is
+written down from the disjoint supports of the multiplication operators,
+and the nonzero rows of each level's reduced form are the annihilator
+carried to the next.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from math import prod
 
 from .errors import DomainError
 from .field import FieldSpec
-from .linalg import Matrix, annihilator_of_columns
+from .linalg import Matrix, rref_kernel
 
 # largest algebra dimension d, and largest d*d for the order filtration
 SIZE_LIMIT = 256
@@ -109,31 +118,22 @@ class OrderFiltration:
     """Computed chain of order-filtration subspaces of the endomorphisms.
 
     ``bases[n]`` is a matrix whose columns span the n-th space in the
-    vectorized (column-major by matrix column) coordinates; ``dims`` are
+    vectorized (row-major, see :func:`vectorize`) coordinates; ``dims`` are
     their dimensions and ``stabilized_at`` the first n with no growth.
     """
 
-    __slots__ = ("algebra", "bases", "annihilators", "dims", "stabilized_at")
+    __slots__ = ("algebra", "bases", "dims", "stabilized_at")
 
-    def __init__(self, algebra, bases, annihilators, dims, stabilized_at):
+    def __init__(self, algebra, bases, dims, stabilized_at):
         self.algebra = algebra
         self.bases = bases
-        self.annihilators = annihilators
         self.dims = dims
         self.stabilized_at = stabilized_at
 
     def contains(self, xi: Matrix, n: int) -> bool:
-        """Membership of an endomorphism in the order <= n subspace."""
-        if n < 0:
-            return vectorize(xi) == [self.algebra.field.zero()] * (
-                self.algebra.dim**2
-            )
-        n = min(n, len(self.bases) - 1)
-        ann = self.annihilators[n]
-        if ann is None:
-            return True
-        F = self.algebra.field
-        return all(F.is_zero(v) for v in ann.matvec(vectorize(xi)))
+        """Membership of an endomorphism in the order <= n subspace, for
+        any n (below 0 only 0 is contained); brackets stop at depth n+1."""
+        return all(m <= n for m in _nonzero_depths(self.algebra, xi, max(n + 1, 0)))
 
     def graded_piece(self, n: int):
         """Vectors spanning a complement of level n-1 inside level n."""
@@ -158,6 +158,12 @@ def unvectorize(field: FieldSpec, vec, dim: int) -> Matrix:
     return Matrix(field, [vec[i * dim : (i + 1) * dim] for i in range(dim)])
 
 
+def _refuse_large(A: ArtinianAlgebra):
+    if A.dim**2 > SIZE_LIMIT:
+        raise DomainError(f"endomorphism space of dimension {A.dim**2} exceeds "
+                          f"the guardrail of {SIZE_LIMIT}")
+
+
 def _bracket_pairs(A: ArtinianAlgebra, i: int):
     """Per vectorized E_{mu,nu}, the coordinates of the two terms of
     E_{mu,nu} x_i - x_i E_{mu,nu} = E_{mu,nu-e_i} - E_{mu+e_i,nu}; a term
@@ -172,6 +178,50 @@ def _bracket_pairs(A: ArtinianAlgebra, i: int):
     ]
 
 
+def _nonzero_depths(A: ArtinianAlgebra, xi: Matrix, limit: int):
+    """Yield |beta| for each nonzero ad_x^beta(xi) with |beta| <= limit,
+    depth first, so a caller that stops at the first depth above n does
+    no more brackets than the path there.
+
+    The ad_{x_i} commute, so beta is reached only from beta - e_i with i
+    its last variable: a vector bracketed last by x_i is bracketed next by
+    x_i and the later variables only, and each beta is visited once.  A
+    zero bracket is dropped, since everything above it is zero too.
+    """
+    d, F = A.dim, A.field
+    _refuse_large(A)
+    if xi.nrows != d or xi.ncols != d:
+        raise DomainError("endomorphism has the wrong size")
+    if xi.field != F:
+        raise DomainError("endomorphism field mismatch")
+    add, sub, zero = F.add, F.sub, F.zero()
+    pairs = [_bracket_pairs(A, i) for i in range(A.nvars)]
+    vec = {c: v for c, v in enumerate(vectorize(xi)) if v}
+    stack = [(0, 0, vec)] if vec else []
+    while stack:
+        depth, last, vec = stack.pop()
+        yield depth
+        if depth == limit:
+            continue
+        for i in range(last, A.nvars):
+            out = {}
+            for c, v in vec.items():
+                a, b = pairs[i][c]
+                out[a] = add(out.get(a, zero), v)
+                out[b] = sub(out.get(b, zero), v)
+            out.pop(d * d, None)
+            out = {c: v for c, v in out.items() if v}
+            if out:
+                stack.append((depth + 1, i, out))
+
+
+def order(A: ArtinianAlgebra, xi: Matrix) -> int:
+    """Order of an endomorphism: the largest |beta| with ad_x^beta(xi) != 0,
+    or -1 for xi = 0.  Refuses d*d above the guardrail before any work."""
+    # every level of the filtration adds a dimension, so orders are below d*d
+    return max(_nonzero_depths(A, xi, A.dim**2), default=-1)
+
+
 def order_filtration(A: ArtinianAlgebra, n_max: int | None = None) -> OrderFiltration:
     """The increasing chain of order subspaces inside the endomorphisms.
 
@@ -183,45 +233,44 @@ def order_filtration(A: ArtinianAlgebra, n_max: int | None = None) -> OrderFiltr
     """
     F = A.field
     d = A.dim
-    if d * d > SIZE_LIMIT:
-        raise DomainError(f"endomorphism space of dimension {d * d} exceeds "
-                          f"the guardrail of {SIZE_LIMIT}")
+    _refuse_large(A)
     if n_max is None:
         n_max = 2 * d
 
-    mult_basis = Matrix.from_columns(
-        F,
-        [
-            vectorize(A.multiplication_operator({mu: 1}))
-            for mu in A.basis
-        ],
-    )
-    bases = [mult_basis]
-    annihilators = [annihilator_of_columns(mult_basis)]
+    columns = [vectorize(A.multiplication_operator({mu: 1})) for mu in A.basis]
+    bases = [Matrix.from_columns(F, columns)]
     dims = [d]  # x^mu sends 1 to x^mu, so these operators are independent
+    # x^mu is the 0/1 vector on {(nu+mu, nu)}; these supports are disjoint,
+    # so e_s - e_last(S) per support S and e_t per coordinate outside them
+    # all span the annihilator, already reduced
+    zero, one = F.zero(), F.one()
+    supports = [[c for c, v in enumerate(col) if v] for col in columns]
+    covered = {c for S in supports for c in S}
+    ann = [{s: one, S[-1]: F.neg(one)} for S in supports for s in S[:-1]]
+    ann += [{t: one} for t in range(d * d) if t not in covered]
+    ann = [[r.get(c, zero) for c in range(d * d)] for r in ann]
     bracket_pairs = [_bracket_pairs(A, i) for i in range(A.nvars)]
 
     stabilized_at = None
     for n in range(1, n_max + 1):
-        ann = annihilators[-1]
-        if ann is None:
-            stabilized_at = n - 1 if stabilized_at is None else stabilized_at
+        if not ann:
+            stabilized_at = n - 1
             break
-        # ann applied to the brackets, one block of rows per variable
-        padded = [row + [F.zero()] for row in ann.rows]
-        rows = [[F.sub(r[a], r[b]) for a, b in pairs]
-                for pairs in bracket_pairs for r in padded]
-        kernel = Matrix(F, rows).nullspace()
+        # ann applied to the brackets, one block of rows per variable; the
+        # nonzero rows of its reduced form span the next annihilator
+        padded = [row + [zero] for row in ann]
+        red, pivots = Matrix(F, [[F.sub(r[a], r[b]) for a, b in pairs]
+                                 for pairs in bracket_pairs for r in padded]).rref()
+        kernel = rref_kernel(red, pivots)
         if not kernel:
             raise DomainError("order filtration lost the ring itself")
-        basis = Matrix.from_columns(F, kernel)
-        bases.append(basis)
-        annihilators.append(annihilator_of_columns(basis))
+        bases.append(Matrix.from_columns(F, kernel))
+        ann = red.rows[: len(pivots)]
         dims.append(len(kernel))
         if dims[-1] == dims[-2]:
             stabilized_at = n - 1
             break
-    return OrderFiltration(A, bases, annihilators, dims, stabilized_at)
+    return OrderFiltration(A, bases, dims, stabilized_at)
 
 
 def socle_adjoint(A: ArtinianAlgebra, xi: Matrix, unit=None) -> Matrix:
@@ -252,7 +301,6 @@ def socle_adjoint(A: ArtinianAlgebra, xi: Matrix, unit=None) -> Matrix:
 
 def verify_order_preservation(A: ArtinianAlgebra, xi: Matrix, n: int) -> bool:
     """Check the adjoint of an order <= n operator again has order <= n."""
-    filt = order_filtration(A, n_max=max(n, 0))
-    if not filt.contains(xi, n):
+    if order(A, xi) > n:
         raise DomainError(f"operator is not in the order <= {n} subspace")
-    return filt.contains(socle_adjoint(A, xi), n)
+    return order(A, socle_adjoint(A, xi)) <= n

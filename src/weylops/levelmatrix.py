@@ -83,6 +83,13 @@ class LevelMatrix:
         self.basis = basis
         self.entries = entries
 
+    @classmethod
+    def _from_rows(cls, basis: FrobeniusBasis, entries) -> LevelMatrix:
+        """Wrap rows this module built itself, skipping the entry checks."""
+        m = object.__new__(cls)
+        m.basis, m.entries = basis, entries
+        return m
+
     @property
     def e(self) -> int:
         return self.basis.e
@@ -95,7 +102,7 @@ class LevelMatrix:
     def identity(cls, basis: FrobeniusBasis) -> LevelMatrix:
         one, zero = basis.ring.one(), basis.ring.zero()
         n = range(basis.size)
-        return cls(basis, [[one if i == j else zero for j in n] for i in n])
+        return cls._from_rows(basis, [[one if i == j else zero for j in n] for i in n])
 
     def _check(self, other: LevelMatrix):
         if self.basis != other.basis:
@@ -104,7 +111,9 @@ class LevelMatrix:
     def __add__(self, other: LevelMatrix) -> LevelMatrix:
         self._check(other)
         rows = zip(self.entries, other.entries)
-        return LevelMatrix(self.basis, [[a + b for a, b in zip(ra, rb)] for ra, rb in rows])
+        return LevelMatrix._from_rows(
+            self.basis, [[a + b for a, b in zip(ra, rb)] for ra, rb in rows]
+        )
 
     def __mul__(self, other: LevelMatrix) -> LevelMatrix:
         """Product that never multiplies by a zero entry (matrices are sparse)."""
@@ -118,7 +127,7 @@ class LevelMatrix:
                     for c, b in pairs:
                         acc[c] = acc[c] + a * b
             out.append(acc)
-        return LevelMatrix(self.basis, out)
+        return LevelMatrix._from_rows(self.basis, out)
 
     def __eq__(self, other):
         return (
@@ -147,7 +156,7 @@ def to_matrix(xi: DiffOp, e: int) -> LevelMatrix:
     zero, monomials = xi.ring.zero(), basis.monomials
     cols = [frobenius_decompose(xi.apply(xi.ring.monomial(lam)), e) for lam in monomials]
     entries = [[col.get(lam_r, zero) for col in cols] for lam_r in monomials]
-    return LevelMatrix(basis, entries)
+    return LevelMatrix._from_rows(basis, entries)
 
 
 def to_operator(m: LevelMatrix) -> DiffOp:

@@ -152,17 +152,7 @@ class Matrix:
 
     def nullspace(self):
         """Basis of the right kernel, as a list of vectors."""
-        F = self.field
-        red, pivots = self.rref()
-        free = [c for c in range(self.ncols) if c not in pivots]
-        basis = []
-        for fc in free:
-            vec = [F.zero()] * self.ncols
-            vec[fc] = F.one()
-            for r, pc in enumerate(pivots):
-                vec[pc] = F.neg(red.rows[r][fc])
-            basis.append(vec)
-        return basis
+        return rref_kernel(*self.rref())
 
     def inverse(self) -> Matrix:
         if self.nrows != self.ncols:
@@ -189,13 +179,19 @@ class Matrix:
         return f"<Matrix {self.nrows}x{self.ncols} [{body}]>"
 
 
-def annihilator_of_columns(m: Matrix) -> Matrix | None:
-    """Rows spanning the functionals vanishing on the column span of m.
-
-    Returns None when the columns already span the whole space (so the
-    annihilator is trivial).
-    """
-    left_kernel = m.transpose().nullspace()
-    if not left_kernel:
-        return None
-    return Matrix(m.field, left_kernel)
+def rref_kernel(red: Matrix, pivots):
+    """Right kernel basis read off a reduced row echelon form and its pivot
+    columns: one vector per free column, with -1 times that column of the
+    pivot rows in the pivot coordinates."""
+    F = red.field
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(red.ncols):
+        if fc in pivot_set:
+            continue
+        vec = [F.zero()] * red.ncols
+        vec[fc] = F.one()
+        for r, pc in enumerate(pivots):
+            vec[pc] = F.neg(red.rows[r][fc])
+        basis.append(vec)
+    return basis

@@ -13,8 +13,7 @@ from weylops import (
     socle_adjoint,
     verify_order_preservation,
 )
-from weylops.artinian import unvectorize, vectorize
-from weylops.linalg import annihilator_of_columns
+from weylops.artinian import order, unvectorize, vectorize
 
 
 def _random_endo(rng, A):
@@ -274,6 +273,15 @@ def test_vectorize_round_trip():
     assert unvectorize(A.field, vectorize(m), 4) == m
 
 
+def _annihilator_of_columns(m):
+    """Rows spanning the functionals vanishing on the column span of m, or
+    None when the columns span the whole space."""
+    left_kernel = m.transpose().nullspace()
+    if not left_kernel:
+        return None
+    return Matrix(m.field, left_kernel)
+
+
 def _dense_order_filtration(A):
     """The filtration by dense linear algebra: the bracket with each x_i as a
     d^2 x d^2 matrix, and each level the kernel of ann * B over all B."""
@@ -290,13 +298,13 @@ def _dense_order_filtration(A):
     basis = Matrix.from_columns(
         F, [vectorize(A.multiplication_operator({mu: 1})) for mu in A.basis]
     )
-    bases, anns = [basis], [annihilator_of_columns(basis)]
+    bases, anns = [basis], [_annihilator_of_columns(basis)]
     for _ in range(2 * d):
         if anns[-1] is None:
             break
         rows = [row for B in brackets for row in (anns[-1] * B).rows]
         bases.append(Matrix.from_columns(F, Matrix(F, rows).nullspace()))
-        anns.append(annihilator_of_columns(bases[-1]))
+        anns.append(_annihilator_of_columns(bases[-1]))
         if bases[-1].ncols == bases[-2].ncols:
             break
     return bases, anns
@@ -312,8 +320,17 @@ def test_filtration_matches_dense_oracle(exps, char):
     filt = order_filtration(A)
     bases, anns = _dense_order_filtration(A)
     assert filt.bases == bases
-    assert filt.annihilators == anns
     assert filt.dims == [b.ncols for b in bases]
+    # membership by brackets agrees with the dense annihilator of each level
+    F, rng = A.field, random.Random(f"{exps}:{char}")
+    vecs = [v for n in range(len(bases)) for v in filt.graded_piece(n)]
+    vecs += [vectorize(_random_endo(rng, A)) for _ in range(6)]
+    for vec in vecs:
+        xi, support = unvectorize(F, vec, A.dim), [c for c, v in enumerate(vec) if v]
+        dense = [ann is None or all(F.is_zero(sum(row[c] * vec[c] for c in support))
+                                    for row in ann.rows) for ann in anns]
+        assert [filt.contains(xi, n) for n in range(len(anns))] == dense
+        assert order(A, xi) == (dense.index(True) if support else -1)
 
 
 def _greedy_graded_piece(filt, n):
@@ -359,3 +376,42 @@ def test_size_limit_checked_before_work():
         ArtinianAlgebra((10**9,), FieldSpec(5))
     # d = 16 is the largest accepted size
     assert ArtinianAlgebra((4, 4), FieldSpec(5)).dim == 16
+
+
+def test_membership_past_a_truncated_chain():
+    """The truncated derivative on k[x]/(x^4) has order 4; a chain cut at
+    level 1 still answers for every n."""
+    A = ArtinianAlgebra((4,), FieldSpec(0))
+    D = _derivative_operator(A)
+    filt = order_filtration(A, n_max=1)
+    assert len(filt.bases) == 2
+    assert order(A, D) == 4
+    assert filt.contains(D, 4)
+    assert filt.contains(D, 5)
+    assert not filt.contains(D, 3)
+
+
+def test_membership_edge_cases():
+    A = ArtinianAlgebra((2, 2), FieldSpec(0))
+    filt = order_filtration(A, n_max=0)
+    zero = A.multiplication_operator({})
+    assert filt.contains(zero, -1) and filt.contains(zero, -5)
+    assert not filt.contains(A.variable_operator(1), -1)
+    assert filt.contains(A.variable_operator(1), 0)
+    assert order(A, zero) == -1 and order(A, A.variable_operator(1)) == 0
+    with pytest.raises(DomainError, match="wrong size"):
+        filt.contains(Matrix(A.field, [[1, 0], [0, 1]]), 2)
+    with pytest.raises(DomainError, match="wrong size"):
+        filt.contains(Matrix(A.field, [[0] * 5] * 5), -1)
+    with pytest.raises(DomainError, match="wrong size"):
+        order(A, Matrix(A.field, [[1]]))
+    with pytest.raises(DomainError, match="field mismatch"):
+        filt.contains(Matrix(FieldSpec(5), [[1] * 4] * 4), 1)
+
+
+def test_order_preservation_size_limit_checked_before_work():
+    A = ArtinianAlgebra((17,), FieldSpec(0))
+    with pytest.raises(DomainError, match="guardrail"):
+        verify_order_preservation(A, Matrix.identity(A.field, A.dim), 1)
+    with pytest.raises(DomainError, match="guardrail"):
+        order(A, Matrix.identity(A.field, A.dim))

@@ -1,8 +1,10 @@
 """Operator normal form: application, products, brackets, order, level."""
 
 import random
+from math import factorial, prod
 
 import pytest
+import sympy
 
 from weylops import (
     DiffOp,
@@ -26,6 +28,34 @@ def test_apply_examples():
 
     f = x**3 + x - 1
     assert DiffOp.basis(R, (0,)).apply(f) == f
+
+
+def _sympy_expr(f, gens):
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator)
+         * prod(g**e for g, e in zip(gens, exp)) for exp, c in f.terms.items()),
+        sympy.Integer(0),
+    )
+
+
+def test_apply_matches_sympy_derivatives():
+    """In characteristic 0, d[alpha] is the alpha-th derivative divided by
+    alpha!; sympy differentiates, the kernel does not."""
+    rng = random.Random(20261018)
+    for nvars in (1, 2, 3):
+        R = make_ring(0, nvars)
+        gens = sympy.symbols(f"x0:{nvars}")
+        for _ in range(10):
+            xi = random_diffop(rng, R, max_order=4, max_terms=3)
+            f = random_poly(rng, R, max_degree=6, max_terms=4)
+            target = _sympy_expr(f, gens)
+            expected = sympy.Integer(0)
+            for alpha, coeff in xi.terms.items():
+                specs = [(g, a) for g, a in zip(gens, alpha) if a]
+                der = sympy.diff(target, *specs) if specs else target
+                denom = prod(factorial(a) for a in alpha)
+                expected += _sympy_expr(coeff, gens) * der / denom
+            assert sympy.expand(expected - _sympy_expr(xi.apply(f), gens)) == 0
 
 
 def test_apply_is_left_linear_over_coefficients(rng):
