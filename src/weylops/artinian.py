@@ -16,10 +16,9 @@ The order of one endomorphism needs no filtration: xi has order <= n
 exactly when ad_x^beta(xi) = 0 for every |beta| = n+1, and the ad_{x_i}
 commute, so :func:`order` and membership shift xi's coordinates one
 bracket at a time and visit each beta once.  The filtration itself does
-one elimination per level from 1 up: the annihilator of level 0 is
-written down from the disjoint supports of the multiplication operators,
-and the nonzero rows of each level's reduced form are the annihilator
-carried to the next.
+one elimination per level: the annihilator of level 0 is the kernel of
+the multiplication operators' coordinate rows, and the nonzero rows of
+each level's reduced form are the annihilator carried to the next.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from math import prod
 
 from .errors import DomainError
 from .field import FieldSpec
-from .linalg import Matrix, rref_kernel
+from .linalg import Matrix, rref, rref_kernel
 
 # largest algebra dimension d, and largest d*d for the order filtration
 SIZE_LIMIT = 256
@@ -143,9 +142,8 @@ class OrderFiltration:
         lower, upper = self.bases[n - 1], self.bases[n]
         # the pivots of [lower | upper] in the upper block are the columns
         # outside the span of all columns before them
-        _, pivots = Matrix(
-            self.algebra.field, [lo + up for lo, up in zip(lower.rows, upper.rows)]
-        ).rref()
+        _, pivots = rref(self.algebra.field,
+                         [lo + up for lo, up in zip(lower.rows, upper.rows)])
         return [upper.column(c - lower.ncols) for c in pivots if c >= lower.ncols]
 
 
@@ -240,15 +238,8 @@ def order_filtration(A: ArtinianAlgebra, n_max: int | None = None) -> OrderFiltr
     columns = [vectorize(A.multiplication_operator({mu: 1})) for mu in A.basis]
     bases = [Matrix.from_columns(F, columns)]
     dims = [d]  # x^mu sends 1 to x^mu, so these operators are independent
-    # x^mu is the 0/1 vector on {(nu+mu, nu)}; these supports are disjoint,
-    # so e_s - e_last(S) per support S and e_t per coordinate outside them
-    # all span the annihilator, already reduced
-    zero, one = F.zero(), F.one()
-    supports = [[c for c, v in enumerate(col) if v] for col in columns]
-    covered = {c for S in supports for c in S}
-    ann = [{s: one, S[-1]: F.neg(one)} for S in supports for s in S[:-1]]
-    ann += [{t: one} for t in range(d * d) if t not in covered]
-    ann = [[r.get(c, zero) for c in range(d * d)] for r in ann]
+    ann = rref_kernel(F, *rref(F, columns))
+    zero = F.zero()
     bracket_pairs = [_bracket_pairs(A, i) for i in range(A.nvars)]
 
     stabilized_at = None
@@ -259,13 +250,13 @@ def order_filtration(A: ArtinianAlgebra, n_max: int | None = None) -> OrderFiltr
         # ann applied to the brackets, one block of rows per variable; the
         # nonzero rows of its reduced form span the next annihilator
         padded = [row + [zero] for row in ann]
-        red, pivots = Matrix(F, [[F.sub(r[a], r[b]) for a, b in pairs]
-                                 for pairs in bracket_pairs for r in padded]).rref()
-        kernel = rref_kernel(red, pivots)
+        red, pivots = rref(F, [[F.sub(r[a], r[b]) for a, b in pairs]
+                               for pairs in bracket_pairs for r in padded])
+        kernel = rref_kernel(F, red, pivots)
         if not kernel:
             raise DomainError("order filtration lost the ring itself")
         bases.append(Matrix.from_columns(F, kernel))
-        ann = red.rows[: len(pivots)]
+        ann = red[: len(pivots)]
         dims.append(len(kernel))
         if dims[-1] == dims[-2]:
             stabilized_at = n - 1

@@ -2,6 +2,8 @@
 
 Small matrices only (the Artinian and group modules work at dimensions
 well under a hundred), so plain Gauss-Jordan with exact pivots is enough.
+Elimination is :func:`rref` on plain row lists of field values, with
+:func:`rref_kernel` reading a kernel basis off it; :class:`Matrix` wraps both.
 """
 
 from __future__ import annotations
@@ -121,56 +123,26 @@ class Matrix:
 
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column list)."""
-        F = self.field
-        rows = [list(r) for r in self.rows]
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            pivot = next(
-                (i for i in range(r, self.nrows) if not F.is_zero(rows[i][c])),
-                None,
-            )
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            inv = F.inv(rows[r][c])
-            rows[r] = [F.mul(inv, v) for v in rows[r]]
-            for i in range(self.nrows):
-                if i != r and not F.is_zero(rows[i][c]):
-                    factor = rows[i][c]
-                    rows[i] = [
-                        F.sub(v, F.mul(factor, w)) for v, w in zip(rows[i], rows[r])
-                    ]
-            pivots.append(c)
-            r += 1
-            if r == self.nrows:
-                break
-        return Matrix(F, rows), pivots
+        red, pivots = rref(self.field, self.rows)
+        return Matrix(self.field, red), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(rref(self.field, self.rows)[1])
 
     def nullspace(self):
         """Basis of the right kernel, as a list of vectors."""
-        return rref_kernel(*self.rref())
+        return rref_kernel(self.field, *rref(self.field, self.rows))
 
     def inverse(self) -> Matrix:
         if self.nrows != self.ncols:
             raise DomainError("only square matrices can be inverted")
-        n = self.nrows
-        aug = Matrix(
-            self.field,
-            [
-                row + ident_row
-                for row, ident_row in zip(
-                    self.rows, Matrix.identity(self.field, n).rows
-                )
-            ],
-        )
-        red, pivots = aug.rref()
+        F, n = self.field, self.nrows
+        zero, one = F.zero(), F.one()
+        red, pivots = rref(F, [row + [one if j == i else zero for j in range(n)]
+                               for i, row in enumerate(self.rows)])
         if pivots[:n] != list(range(n)):
             raise DomainError("matrix is singular")
-        return Matrix(self.field, [r[n:] for r in red.rows])
+        return Matrix(F, [r[n:] for r in red])
 
     def __repr__(self):
         body = "; ".join(
@@ -179,19 +151,47 @@ class Matrix:
         return f"<Matrix {self.nrows}x{self.ncols} [{body}]>"
 
 
-def rref_kernel(red: Matrix, pivots):
-    """Right kernel basis read off a reduced row echelon form and its pivot
-    columns: one vector per free column, with -1 times that column of the
-    pivot rows in the pivot coordinates."""
-    F = red.field
+def rref(F: FieldSpec, rows):
+    """Gauss-Jordan elimination of a nonempty list of equal-length rows of
+    values of F: the reduced row echelon form as new rows, and its pivot
+    columns.  The input rows are left unchanged."""
+    rows = [list(r) for r in rows]
+    nrows, ncols = len(rows), len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next(
+            (i for i in range(r, nrows) if not F.is_zero(rows[i][c])), None
+        )
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, v) for v in rows[r]]
+        for i in range(nrows):
+            if i != r and not F.is_zero(rows[i][c]):
+                factor = rows[i][c]
+                rows[i] = [F.sub(v, F.mul(factor, w)) for v, w in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def rref_kernel(F: FieldSpec, rows, pivots):
+    """Right kernel basis read off the rows of a reduced row echelon form
+    and its pivot columns: one vector per free column, with -1 times that
+    column of the pivot rows in the pivot coordinates."""
+    ncols = len(rows[0])
     pivot_set = set(pivots)
     basis = []
-    for fc in range(red.ncols):
+    for fc in range(ncols):
         if fc in pivot_set:
             continue
-        vec = [F.zero()] * red.ncols
+        vec = [F.zero()] * ncols
         vec[fc] = F.one()
         for r, pc in enumerate(pivots):
-            vec[pc] = F.neg(red.rows[r][fc])
+            vec[pc] = F.neg(rows[r][fc])
         basis.append(vec)
     return basis

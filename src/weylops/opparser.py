@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 
 from .diffop import DiffOp
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .poly import PolyRing
 
 _TOKEN_RE = re.compile(
@@ -42,6 +42,9 @@ _DSYM_BODY = re.compile(r"d\[([0-9, ]*)\]\Z")
 
 # Deepest nesting of parentheses and unary minus signs the parser accepts.
 MAX_DEPTH = 100
+
+# Largest estimated term pairs e * t * C(e+t-1, t) of a parsed power base^e.
+POWER_PAIRS_LIMIT = 1 << 16
 
 
 class _Token:
@@ -266,9 +269,30 @@ def evaluate(node, ring: PolyRing) -> DiffOp:
     if kind == "pow":
         acc = evaluate(node[1], ring)
         for e in node[2]:
+            _refuse_large_power(acc, e)
             acc = acc**e
         return acc
     raise ParseError(f"unknown AST node {kind!r}")
+
+
+def _refuse_large_power(base: DiffOp, e: int):
+    """Refuse base^e, before any product, when the base has t >= 2 terms and
+    e * t * C(e+t-1, t) exceeds POWER_PAIRS_LIMIT.  Multiplying in one factor
+    at a time meets t * C(e+t-1, t) term pairs if the k-th power has the
+    C(k+t-1, t-1) terms of a commutative one, and normal ordering an order-1
+    base gives each pair up to e terms.  A single-term base is never refused,
+    so ``d[1000]^2`` is one product of two monomials."""
+    t = sum(len(f.terms) for f in base.terms.values())
+    if t < 2 or e < 2:
+        return
+    c = 1
+    for i in range(1, t + 1):
+        c = c * (e + i - 1) // i  # C(e+i-1, i), increasing in i
+        if e * t * c > POWER_PAIRS_LIMIT:
+            raise DomainError(
+                f"a power of an operator with {t} terms exceeds the guardrail "
+                f"of {POWER_PAIRS_LIMIT} estimated term pairs"
+            )
 
 
 def parse_operator(src: str, ring: PolyRing) -> DiffOp:

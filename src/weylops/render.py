@@ -28,12 +28,8 @@ def _too_many_digits() -> DomainError:
     )
 
 
-def _sorted_poly_exponents(terms):
+def _sorted_exponents(terms):
     return sorted(terms, key=lambda e: (sum(e), e), reverse=True)
-
-
-def _sorted_op_exponents(terms):
-    return sorted(terms, key=lambda a: (sum(a), a), reverse=True)
 
 
 def _monomial_str(ring, exp) -> str:
@@ -52,7 +48,7 @@ def render_poly(f) -> str:
         return "0"
     ring = f.ring
     chunks = []
-    for exp in _sorted_poly_exponents(f.terms):
+    for exp in _sorted_exponents(f.terms):
         c = f.terms[exp]
         mono = _monomial_str(ring, exp)
         try:
@@ -83,7 +79,7 @@ def render_op(xi) -> str:
         return "0"
     ring = xi.ring
     chunks = []
-    for alpha in _sorted_op_exponents(xi.terms):
+    for alpha in _sorted_exponents(xi.terms):
         coeff = xi.terms[alpha]
         if sum(alpha) == 0:
             # the order-0 part joins the sum as plain polynomial terms
@@ -113,7 +109,7 @@ def poly_terms_json(f) -> list:
     try:
         return [
             {"exponent": list(exp), "coefficient": str(f.terms[exp])}
-            for exp in _sorted_poly_exponents(f.terms)
+            for exp in _sorted_exponents(f.terms)
         ]
     except ValueError:
         raise _too_many_digits() from None
@@ -142,7 +138,7 @@ def op_json(xi) -> dict:
                 "exponent": list(alpha),
                 "coefficient": poly_terms_json(xi.terms[alpha]),
             }
-            for alpha in _sorted_op_exponents(xi.terms)
+            for alpha in _sorted_exponents(xi.terms)
         ],
     }
 

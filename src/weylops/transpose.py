@@ -77,21 +77,16 @@ def twisted_transpose(twist, xi: DiffOp) -> DiffOp:
             )
         images.append(-DiffOp.partial(ring, i) + f)
 
-    image_cache: dict[tuple, DiffOp] = {}
-
     def basis_image(alpha) -> DiffOp:
-        op = image_cache.get(alpha)
-        if op is None:
-            op = DiffOp.constant(ring, 1)
-            for i, a in enumerate(alpha):
-                if a:
-                    op = op * images[i] ** a
-            denom = 1
-            for a in alpha:
-                denom *= factorial(a)
-            if denom != 1:
-                op = DiffOp.from_poly(ring.constant(f"1/{denom}")) * op
-            image_cache[alpha] = op
+        op = DiffOp.constant(ring, 1)
+        for i, a in enumerate(alpha):
+            if a:
+                op = op * images[i] ** a
+        denom = 1
+        for a in alpha:
+            denom *= factorial(a)
+        if denom != 1:
+            op = DiffOp.from_poly(ring.constant(f"1/{denom}")) * op
         return op
 
     out = DiffOp.zero(ring)

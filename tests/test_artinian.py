@@ -284,17 +284,31 @@ def _annihilator_of_columns(m):
 
 def _dense_order_filtration(A):
     """The filtration by dense linear algebra: the bracket with each x_i as a
-    d^2 x d^2 matrix, and each level the kernel of ann * B over all B."""
+    d^2 x d^2 matrix B, and each level the kernel of ann * B over all B.  B
+    is kept as the nonzero entries of each column: the column of the matrix
+    unit E_jk is E_jk X - X E_jk, row k of X placed in row j minus column j
+    of X placed in column k."""
     F, d = A.field, A.dim
-    units = []
-    for k in range(d * d):
-        vec = [F.zero()] * (d * d)
-        vec[k] = F.one()
-        units.append(unvectorize(F, vec, d))
     brackets = []
     for i in range(A.nvars):
-        X = A.variable_operator(i)
-        brackets.append(Matrix.from_columns(F, [vectorize(E * X - X * E) for E in units]))
+        X = A.variable_operator(i).rows
+        B = []
+        for j in range(d):
+            for k in range(d):
+                col = {}
+                for b in range(d):
+                    col[j * d + b] = F.add(col.get(j * d + b, F.zero()), X[k][b])
+                for a in range(d):
+                    col[a * d + k] = F.sub(col.get(a * d + k, F.zero()), X[a][j])
+                B.append([(c, v) for c, v in col.items() if not F.is_zero(v)])
+        brackets.append(B)
+
+    def times(row, column):
+        acc = F.zero()
+        for c, v in column:
+            acc = F.add(acc, F.mul(row[c], v))
+        return acc
+
     basis = Matrix.from_columns(
         F, [vectorize(A.multiplication_operator({mu: 1})) for mu in A.basis]
     )
@@ -302,7 +316,8 @@ def _dense_order_filtration(A):
     for _ in range(2 * d):
         if anns[-1] is None:
             break
-        rows = [row for B in brackets for row in (anns[-1] * B).rows]
+        rows = [[times(row, column) for column in B]
+                for B in brackets for row in anns[-1].rows]
         bases.append(Matrix.from_columns(F, Matrix(F, rows).nullspace()))
         anns.append(_annihilator_of_columns(bases[-1]))
         if bases[-1].ncols == bases[-2].ncols:

@@ -9,6 +9,7 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
 from weylops import DomainError, FieldSpec, Matrix
+from weylops.linalg import rref, rref_kernel
 
 CHARS = (0, 2, 3, 5, 1000003)
 
@@ -80,3 +81,20 @@ def test_elimination_matches_sympy(p):
                 ours.inverse()
         else:
             assert ours.inverse().rows == expected
+
+
+@pytest.mark.parametrize("p", CHARS)
+def test_row_list_elimination_matches_sympy(p):
+    F, K = FieldSpec(p), _domain(p)
+    rng = random.Random(6000 + p)
+    for rows in _matrices(rng, p):
+        before = [list(r) for r in rows]
+        red, pivots = rref(F, rows)
+        assert rows == before  # the filtration reuses its input rows
+        theirs = DomainMatrix([[K.convert(v) for v in r] for r in rows],
+                              (len(rows), len(rows[0])), K)
+        sred, spivots = theirs.rref()
+        assert (red, pivots) == (_from_sympy(p, sred.to_list()), list(spivots))
+        kernel = rref_kernel(F, red, pivots)
+        assert len(kernel) == len(rows[0]) - theirs.rank()
+        assert _row_space(F, kernel) == _row_space(F, _from_sympy(p, theirs.nullspace().to_list()))

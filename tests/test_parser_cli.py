@@ -8,7 +8,7 @@ import pytest
 
 from weylops import DiffOp, ParseError, parse_operator, parse_polynomial
 from weylops.cli import main
-from weylops.opparser import MAX_DEPTH
+from weylops.opparser import MAX_DEPTH, POWER_PAIRS_LIMIT
 from weylops.render import render_op, render_poly
 from conftest import CHARACTERISTICS, make_ring, random_diffop
 
@@ -192,6 +192,26 @@ def test_cli_huge_binomials():
     assert "guardrail" in err and "Traceback" not in err
     code, out, _ = _run(["normalize", "d[1000]^2"])
     assert (code, out) == (0, f"{math.comb(2000, 1000)}*d[2000]\n")
+
+
+def test_cli_power_guardrail():
+    # base^e with t >= 2 terms is refused once e * t * C(e+t-1, t) > 2^16,
+    # before any product; single-term bases keep their outcomes above
+    assert POWER_PAIRS_LIMIT == 1 << 16
+    for args, refused in ((["normalize", "(x1+1)^39"], False),
+                          (["normalize", "(x1+1)^40"], True),
+                          (["normalize", "(x1+1)^2000"], True),
+                          (["normalize", "(x1+1)^100000"], True),
+                          (["--nvars", "2", "normalize", "(x1+x2+1)^18"], False),
+                          (["--nvars", "2", "normalize", "(x1+x2+1)^19"], True),
+                          (["normalize", "(x1+1)^2^19"], True),
+                          (["normalize", "(x1+1)^1"], False)):
+        code, out, err = _run(args)
+        if refused:
+            assert (code, out) == (3, "")
+            assert "guardrail" in err and "Traceback" not in err
+        else:
+            assert (code, err) == (0, "") and out
 
 
 def test_cli_sign_group_reynolds_of_a_huge_order():
