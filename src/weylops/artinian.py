@@ -15,20 +15,25 @@ bracket is an index shift and the socle adjoint an anti-transpose.
 The order of one endomorphism needs no filtration: xi has order <= n
 exactly when ad_x^beta(xi) = 0 for every |beta| = n+1, and the ad_{x_i}
 commute, so :func:`order` and membership shift xi's coordinates one
-bracket at a time and visit each beta once.  The filtration itself does
-one elimination per level: the annihilator of level 0 is the kernel of
-the multiplication operators' coordinate rows, and the nonzero rows of
-each level's reduced form are the annihilator carried to the next.
+bracket at a time and visit each beta once.  The filtration itself is a
+tensor product: R is the tensor product of the k[x_i]/(x_i^a_i), and level
+n of End_k(R) is the sum over i_1+...+i_m = n of the tensor products of the
+one-variable levels i_1, ..., i_m.  Each one-variable filtration splits
+into the 2a-1 degree blocks mu - nu of its matrix units (ad_x raises the
+degree by one and level 0 is graded), so each of its levels is one small
+elimination per block.  Ordering each factor's basis by level, the
+Kronecker products of one vector per variable, with level the sum of
+their levels, are a basis adapted to the whole filtration.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from math import prod
+from itertools import accumulate, product
+from math import lcm, prod
 
 from .errors import DomainError
 from .field import FieldSpec
-from .linalg import Matrix, rref, rref_kernel
+from .linalg import Matrix, rref
 
 # largest algebra dimension d, and largest d*d for the order filtration
 SIZE_LIMIT = 256
@@ -116,18 +121,30 @@ class ArtinianAlgebra:
 class OrderFiltration:
     """Computed chain of order-filtration subspaces of the endomorphisms.
 
-    ``bases[n]`` is a matrix whose columns span the n-th space in the
-    vectorized (row-major, see :func:`vectorize`) coordinates; ``dims`` are
-    their dimensions and ``stabilized_at`` the first n with no growth.
+    The chain is stored as its graded pieces: vectors in the vectorized
+    (row-major, see :func:`vectorize`) coordinates, those of piece n
+    spanning a complement of level n-1 in level n.  ``dims`` are the level
+    dimensions and ``stabilized_at`` the first n with no growth, or None
+    when the chain was cut first.  ``bases`` builds, when read, a matrix
+    per level whose columns span it.
     """
 
-    __slots__ = ("algebra", "bases", "dims", "stabilized_at")
+    __slots__ = ("algebra", "_pieces", "dims", "stabilized_at")
 
-    def __init__(self, algebra, bases, dims, stabilized_at):
+    def __init__(self, algebra, pieces, stabilized_at):
         self.algebra = algebra
-        self.bases = bases
-        self.dims = dims
+        self._pieces = pieces
+        self.dims = list(accumulate(len(piece) for piece in pieces))
         self.stabilized_at = stabilized_at
+
+    @property
+    def bases(self):
+        """Each level as a matrix whose columns span it, built when read."""
+        F, columns, out = self.algebra.field, [], []
+        for piece in self._pieces:
+            columns += piece
+            out.append(Matrix.from_columns(F, columns))
+        return out
 
     def contains(self, xi: Matrix, n: int) -> bool:
         """Membership of an endomorphism in the order <= n subspace, for
@@ -135,16 +152,9 @@ class OrderFiltration:
         return all(m <= n for m in _nonzero_depths(self.algebra, xi, max(n + 1, 0)))
 
     def graded_piece(self, n: int):
-        """Vectors spanning a complement of level n-1 inside level n."""
-        if n == 0:
-            return [self.bases[0].column(j) for j in range(self.bases[0].ncols)]
-        n = min(n, len(self.bases) - 1)
-        lower, upper = self.bases[n - 1], self.bases[n]
-        # the pivots of [lower | upper] in the upper block are the columns
-        # outside the span of all columns before them
-        _, pivots = rref(self.algebra.field,
-                         [lo + up for lo, up in zip(lower.rows, upper.rows)])
-        return [upper.column(c - lower.ncols) for c in pivots if c >= lower.ncols]
+        """Vectors spanning a complement of level n-1 inside level n; an n
+        past the last level computed reads the last one."""
+        return [list(v) for v in self._pieces[min(n, len(self._pieces) - 1)]]
 
 
 def vectorize(m: Matrix):
@@ -220,6 +230,58 @@ def order(A: ArtinianAlgebra, xi: Matrix) -> int:
     return max(_nonzero_depths(A, xi, A.dim**2), default=-1)
 
 
+def _one_variable_levels(F: FieldSpec, a: int):
+    """A basis of End_k(k[x]/(x^a)) adapted to its order filtration, as
+    pairs (level, {(mu, nu): c}) of the entries of each vector on the
+    matrix units E_{mu,nu}, in increasing level.
+
+    Level n is the kernel of ad_x^(n+1), and ad_x sends the degree block
+    mu - nu = delta to block delta+1, so each block's annihilator at level
+    n is block delta+1's at level n-1 composed with ad_x.  Level -1 is 0,
+    so every annihilator starts as the identity.  The pivot columns of a
+    block's annihilator only shrink from one level to the next, and the
+    kernel vectors of the columns that turn free span a complement of the
+    lower level.
+    """
+    zero, one = F.zero(), F.one()
+    # the columns nu of block delta, whose entries are E_{nu+delta,nu}
+    cols = {delta: range(max(0, -delta), min(a, a - delta)) for delta in range(1 - a, a)}
+    ann = {delta: ([[one if i == j else zero for j in range(len(c))]
+                    for i in range(len(c))], range(len(c)))
+           for delta, c in cols.items()}
+    out, n = [], 0
+    while any(pivots for _, pivots in ann.values()):
+        reduced = {}
+        for delta, c in cols.items():
+            above = ann[delta + 1][0] if delta + 1 < a else []
+            if above:
+                # [E_{mu,nu}, x] = E_{mu,nu-1} - E_{mu+1,nu}, both in block delta+1
+                lo = cols[delta + 1].start
+                red, pivots = rref(F, [
+                    [F.sub(r[nu - 1 - lo] if nu else zero,
+                           r[nu - lo] if nu + delta + 1 < a else zero) for nu in c]
+                    for r in above])
+                red = red[: len(pivots)]
+            else:
+                red, pivots = [], []
+            reduced[delta] = red, pivots
+            for fc in ann[delta][1]:
+                if fc in pivots:
+                    continue
+                vec = {(c[fc] + delta, c[fc]): one}
+                for row, pc in zip(red, pivots):
+                    if not F.is_zero(row[fc]):
+                        vec[c[pc] + delta, c[pc]] = F.neg(row[fc])
+                if not F.is_modular:
+                    # integer entries keep later products of these vectors cheap
+                    scale = lcm(*(v.denominator for v in vec.values()))
+                    vec = {k: v * scale for k, v in vec.items()}
+                out.append((n, vec))
+        ann = reduced
+        n += 1
+    return out
+
+
 def order_filtration(A: ArtinianAlgebra, n_max: int | None = None) -> OrderFiltration:
     """The increasing chain of order subspaces inside the endomorphisms.
 
@@ -228,6 +290,12 @@ def order_filtration(A: ArtinianAlgebra, n_max: int | None = None) -> OrderFiltr
     one level down.  Stops at stabilization or at ``n_max`` (default twice
     the algebra dimension).  Refuses algebras whose d*d endomorphism
     coordinates exceed the guardrail, before building anything.
+
+    The graded pieces are the Kronecker products of one-variable adapted
+    basis vectors (:func:`_one_variable_levels`), by the sum of their
+    levels.  E_{mu,nu} has coordinate index(mu)*d + index(nu), and the lex
+    index is a sum of per-variable shares, so a product's coordinates are
+    sums of one share per factor.
     """
     F = A.field
     d = A.dim
@@ -235,33 +303,29 @@ def order_filtration(A: ArtinianAlgebra, n_max: int | None = None) -> OrderFiltr
     if n_max is None:
         n_max = 2 * d
 
-    columns = [vectorize(A.multiplication_operator({mu: 1})) for mu in A.basis]
-    bases = [Matrix.from_columns(F, columns)]
-    dims = [d]  # x^mu sends 1 to x^mu, so these operators are independent
-    ann = rref_kernel(F, *rref(F, columns))
-    zero = F.zero()
-    bracket_pairs = [_bracket_pairs(A, i) for i in range(A.nvars)]
-
-    stabilized_at = None
-    for n in range(1, n_max + 1):
-        if not ann:
-            stabilized_at = n - 1
-            break
-        # ann applied to the brackets, one block of rows per variable; the
-        # nonzero rows of its reduced form span the next annihilator
-        padded = [row + [zero] for row in ann]
-        red, pivots = rref(F, [[F.sub(r[a], r[b]) for a, b in pairs]
-                               for pairs in bracket_pairs for r in padded])
-        kernel = rref_kernel(F, red, pivots)
-        if not kernel:
-            raise DomainError("order filtration lost the ring itself")
-        bases.append(Matrix.from_columns(F, kernel))
-        ann = red[: len(pivots)]
-        dims.append(len(kernel))
-        if dims[-1] == dims[-2]:
-            stabilized_at = n - 1
-            break
-    return OrderFiltration(A, bases, dims, stabilized_at)
+    factors = []
+    for i, a in enumerate(A.exponents):
+        stride = prod(A.exponents[i + 1 :])
+        factors.append([(level, [((mu * d + nu) * stride, c) for (mu, nu), c in vec.items()])
+                        for level, vec in _one_variable_levels(F, a)])
+    top = sum(levels[-1][0] for levels in factors)
+    last = max(0, min(top, n_max))
+    pieces = [[] for _ in range(last + 1)]
+    zero, one, mul = F.zero(), F.one(), F.mul
+    for combo in product(*factors):
+        level = sum(lv for lv, _ in combo)
+        if level > last:
+            continue
+        terms = [(0, one)]
+        for _, entries in combo:
+            terms = [(at + share, mul(c, v)) for at, c in terms for share, v in entries]
+        vec = [zero] * (d * d)
+        for at, c in terms:
+            vec[at] = c
+        pieces[level].append(vec)
+    # level top is the whole space; like the chain it replaces, it is
+    # recorded as stable only when n_max leaves room for level top+1
+    return OrderFiltration(A, pieces, top if n_max > top else None)
 
 
 def socle_adjoint(A: ArtinianAlgebra, xi: Matrix, unit=None) -> Matrix:

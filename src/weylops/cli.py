@@ -183,25 +183,26 @@ def artinian_cmd(cfg: SessionConfig, exps, n_max):
     A = art.ArtinianAlgebra(exponents, FieldSpec(cfg.characteristic))
     filt = art.order_filtration(A, n_max=n_max)
     d = A.dim
-    adjoint_cols = []
-    for k in range(d * d):
-        e_vec = [0] * (d * d)
-        e_vec[k] = 1
-        xi = art.unvectorize(A.field, [A.field.coerce(v) for v in e_vec], d)
-        adjoint_cols.append(art.vectorize(art.socle_adjoint(A, xi)))
-    adjoint = Matrix.from_columns(A.field, adjoint_cols)
-    payload = {
-        "schema": render.SCHEMA,
-        "kind": "artinian",
-        "characteristic": cfg.characteristic,
-        "exponents": list(exponents),
-        "dimension": d,
-        "filtration_dims": filt.dims,
-        "stabilized_at": filt.stabilized_at,
-        "pairing": render.scalar_matrix_json(A.gram()),
-        "adjoint": render.scalar_matrix_json(adjoint),
-    }
     if cfg.json_output:
+        # the adjoint of every matrix unit; text output does not print it
+        adjoint_cols = []
+        for k in range(d * d):
+            e_vec = [0] * (d * d)
+            e_vec[k] = 1
+            xi = art.unvectorize(A.field, [A.field.coerce(v) for v in e_vec], d)
+            adjoint_cols.append(art.vectorize(art.socle_adjoint(A, xi)))
+        adjoint = Matrix.from_columns(A.field, adjoint_cols)
+        payload = {
+            "schema": render.SCHEMA,
+            "kind": "artinian",
+            "characteristic": cfg.characteristic,
+            "exponents": list(exponents),
+            "dimension": d,
+            "filtration_dims": filt.dims,
+            "stabilized_at": filt.stabilized_at,
+            "pairing": render.scalar_matrix_json(A.gram()),
+            "adjoint": render.scalar_matrix_json(adjoint),
+        }
         click.echo(json.dumps(payload, indent=2))
     else:
         click.echo(f"algebra dimension {d}, basis of {len(A.basis)} monomials")

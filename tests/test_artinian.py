@@ -13,7 +13,14 @@ from weylops import (
     socle_adjoint,
     verify_order_preservation,
 )
-from weylops.artinian import order, unvectorize, vectorize
+from weylops.artinian import (
+    _bracket_pairs,
+    _one_variable_levels,
+    order,
+    unvectorize,
+    vectorize,
+)
+from weylops.linalg import rref, rref_kernel
 
 
 def _random_endo(rng, A):
@@ -334,7 +341,7 @@ def test_filtration_matches_dense_oracle(exps, char):
     A = ArtinianAlgebra(exps, FieldSpec(char))
     filt = order_filtration(A)
     bases, anns = _dense_order_filtration(A)
-    assert filt.bases == bases
+    assert _spans(filt.bases) == _spans(bases)
     assert filt.dims == [b.ncols for b in bases]
     # membership by brackets agrees with the dense annihilator of each level
     F, rng = A.field, random.Random(f"{exps}:{char}")
@@ -346,6 +353,123 @@ def test_filtration_matches_dense_oracle(exps, char):
                                     for row in ann.rows) for ann in anns]
         assert [filt.contains(xi, n) for n in range(len(anns))] == dense
         assert order(A, xi) == (dense.index(True) if support else -1)
+
+
+def _eliminated_order_filtration(A, n_max=None):
+    """The filtration by one elimination per level on (nvars * rank) x d*d
+    rows: the annihilator of level n-1 applied to the brackets with every
+    x_i; the free columns of the reduced form give level n and its nonzero
+    rows the next annihilator.  Returns (bases, dims, stabilized_at)."""
+    F = A.field
+    d = A.dim
+    if n_max is None:
+        n_max = 2 * d
+
+    columns = [vectorize(A.multiplication_operator({mu: 1})) for mu in A.basis]
+    bases = [Matrix.from_columns(F, columns)]
+    dims = [d]  # x^mu sends 1 to x^mu, so these operators are independent
+    ann = rref_kernel(F, *rref(F, columns))
+    zero = F.zero()
+    bracket_pairs = [_bracket_pairs(A, i) for i in range(A.nvars)]
+
+    stabilized_at = None
+    for n in range(1, n_max + 1):
+        if not ann:
+            stabilized_at = n - 1
+            break
+        # ann applied to the brackets, one block of rows per variable; the
+        # nonzero rows of its reduced form span the next annihilator
+        padded = [row + [zero] for row in ann]
+        red, pivots = rref(F, [[F.sub(r[a], r[b]) for a, b in pairs]
+                               for pairs in bracket_pairs for r in padded])
+        kernel = rref_kernel(F, red, pivots)
+        if not kernel:
+            raise DomainError("order filtration lost the ring itself")
+        bases.append(Matrix.from_columns(F, kernel))
+        ann = red[: len(pivots)]
+        dims.append(len(kernel))
+        if dims[-1] == dims[-2]:
+            stabilized_at = n - 1
+            break
+    return bases, dims, stabilized_at
+
+
+def _spans(bases):
+    """Each level's span as the nonzero rows of its reduced row form."""
+    out = []
+    for b in bases:
+        red, pivots = rref(b.field, b.transpose().rows)
+        out.append(red[: len(pivots)])
+    return out
+
+
+def _kernel_span_contains(F, kernel):
+    """Membership of a vector, given as its nonzero entries {c: v}, in the
+    span of an ``rref_kernel`` basis.  Such a basis is reduced in reversed
+    column order: each vector's last nonzero entry is a 1 in its free
+    column, where every other vector is 0.  So a vector lies in the span
+    exactly when it is the sum of its free-column entries times the basis
+    vectors (and a yes is a proof either way)."""
+    by_free = {}
+    for k in kernel:
+        entries = [(c, v) for c, v in enumerate(k) if not F.is_zero(v)]
+        by_free[entries[-1][0]] = entries
+
+    def contains(vec):
+        total = {}
+        for fc, a in vec.items():
+            for c, v in by_free.get(fc, ()):
+                total[c] = F.add(total.get(c, F.zero()), F.mul(a, v))
+        return {c: v for c, v in total.items() if not F.is_zero(v)} == vec
+
+    return contains
+
+
+def _assert_matches_elimination(A, n_max=None):
+    """Same levels as the per-level elimination: equal dims, and each
+    level's vectors lie in the eliminated level (so the spans are equal);
+    every vector of graded piece n has order exactly n."""
+    F = A.field
+    filt = order_filtration(A, n_max=n_max)
+    bases, dims, stabilized_at = _eliminated_order_filtration(A, n_max=n_max)
+    assert (filt.dims, filt.stabilized_at) == (dims, stabilized_at)
+    # level 0 is the multiplication operators, in basis order
+    assert filt.graded_piece(0) == [bases[0].column(j) for j in range(A.dim)]
+    below = []
+    for n in range(len(dims)):
+        for vec in filt.graded_piece(n):
+            assert order(A, unvectorize(F, vec, A.dim)) == n
+            below.append({c: v for c, v in enumerate(vec) if not F.is_zero(v)})
+        if n:
+            contains = _kernel_span_contains(
+                F, [bases[n].column(j) for j in range(bases[n].ncols)])
+            assert all(contains(vec) for vec in below)
+
+
+@pytest.mark.parametrize(
+    "exps, char",
+    [((3, 3), 0), ((3, 3), 2), ((3, 3), 3), ((3, 3), 5), ((2, 2, 2), 0),
+     ((2, 2, 2), 2), ((2, 2, 2), 5), ((2, 4), 2), ((2, 4), 5)],
+)
+def test_tensor_filtration_matches_elimination(exps, char):
+    _assert_matches_elimination(ArtinianAlgebra(exps, FieldSpec(char)))
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+def test_one_variable_blocks_match_elimination(char):
+    F = FieldSpec(char)
+    for a in range(1, 9):
+        _assert_matches_elimination(ArtinianAlgebra((a,), F))
+        levels = _one_variable_levels(F, a)
+        assert [n for n, _ in levels] == sorted(n for n, _ in levels)
+        # each vector lies in one degree block mu - nu
+        assert all(len({mu - nu for mu, nu in vec}) == 1 for _, vec in levels)
+
+
+def test_cut_chains_match_elimination():
+    for exps, char in (((2, 3), 5), ((3, 2), 2), ((1, 3), 0)):
+        for n_max in (-1, 0, 1, 4, 100):
+            _assert_matches_elimination(ArtinianAlgebra(exps, FieldSpec(char)), n_max)
 
 
 def _greedy_graded_piece(filt, n):
@@ -382,6 +506,41 @@ def test_graded_piece_matches_greedy_rank_loop():
 )
 def test_filtration_dims_pinned_by_the_dense_path(exps, char, dims):
     assert order_filtration(ArtinianAlgebra(exps, FieldSpec(char))).dims == dims
+
+
+@pytest.mark.parametrize(
+    "exps, char, dims, stabilized_at",
+    [
+        ((4, 4), 0, [16, 40, 73, 107, 144, 176, 206, 226, 240, 248, 253, 255, 256], 12),
+        ((4, 4), 2, [16, 48, 96, 160, 208, 240, 256], 6),
+        ((2, 2, 2, 2), 0, [16, 48, 104, 160, 209, 237, 251, 255, 256], 8),
+        ((2, 2, 2, 2), 2, [16, 80, 176, 240, 256], 4),
+    ],
+)
+def test_largest_filtrations_pinned_by_elimination(exps, char, dims, stabilized_at):
+    filt = order_filtration(ArtinianAlgebra(exps, FieldSpec(char)))
+    assert (filt.dims, filt.stabilized_at) == (dims, stabilized_at)
+
+
+def _kron(F, *factors):
+    rows = [[F.one()]]
+    for m in factors:
+        rows = [[F.mul(a, b) for a in ra for b in rb] for ra in rows for rb in m.rows]
+    return Matrix(F, rows)
+
+
+def test_socle_adjoint_of_a_kronecker_product_factorizes(rng):
+    """The lex reversal of a product basis reverses each factor, so the
+    adjoint of a tensor product is the tensor product of the one-variable
+    anti-transposes."""
+    for exps, char in (((2, 3), 0), ((3, 2), 5), ((2, 2, 2), 2)):
+        F = FieldSpec(char)
+        A = ArtinianAlgebra(exps, F)
+        factors = [ArtinianAlgebra((a,), F) for a in exps]
+        for _ in range(4):
+            ms = [_random_endo(rng, B) for B in factors]
+            assert socle_adjoint(A, _kron(F, *ms)) == _kron(
+                F, *(socle_adjoint(B, m) for B, m in zip(factors, ms)))
 
 
 def test_size_limit_checked_before_work():
