@@ -10,17 +10,19 @@ anti-automorphism fixing the multiplication operators.
 Bracketing against the variable generators suffices for the filtration
 because the commutator is a derivation in the ring argument; that identity
 is itself unit-tested rather than assumed silently.  On matrix units the
-bracket is an index shift and the socle adjoint an anti-transpose.
+bracket is an index shift and the socle adjoint an anti-transpose, both
+stride arithmetic on the row-major coordinate index(mu)*d + index(nu), so
+the bracket walk and :func:`adjoint_table` build no lookup tables.
 
 The order of one endomorphism needs no filtration: xi has order <= n
 exactly when ad_x^beta(xi) = 0 for every |beta| = n+1, and the ad_{x_i}
-commute, so :func:`order` and membership shift xi's coordinates one
-bracket at a time and visit each beta once.  The filtration itself is a
-tensor product: R is the tensor product of the k[x_i]/(x_i^a_i), and level
-n of End_k(R) is the sum over i_1+...+i_m = n of the tensor products of the
-one-variable levels i_1, ..., i_m.  Each one-variable filtration splits
-into the 2a-1 degree blocks mu - nu of its matrix units (ad_x raises the
-degree by one and level 0 is graded), so each of its levels is one small
+commute, so :func:`order` and membership shift xi's nonzero coordinates
+one bracket at a time and visit each beta once.  The filtration itself is
+a tensor product: R is the tensor product of the k[x_i]/(x_i^a_i), and
+level n of End_k(R) is the sum over i_1+...+i_m = n of the tensor products
+of the one-variable levels i_1, ..., i_m.  Each one-variable filtration
+splits into the 2a-1 degree blocks mu - nu of its matrix units (ad_x raises
+the degree by one and level 0 is graded), so each of its levels is one small
 elimination per block.  Ordering each factor's basis by level, the
 Kronecker products of one vector per variable, with level the sum of
 their levels, are a basis adapted to the whole filtration.
@@ -152,9 +154,14 @@ class OrderFiltration:
         return all(m <= n for m in _nonzero_depths(self.algebra, xi, max(n + 1, 0)))
 
     def graded_piece(self, n: int):
-        """Vectors spanning a complement of level n-1 inside level n; an n
-        past the last level computed reads the last one."""
-        return [list(v) for v in self._pieces[min(n, len(self._pieces) - 1)]]
+        """Vectors spanning a complement of level n-1 inside level n: none
+        for n < 0 or past a stabilized top.  Past the last level of a chain
+        cut by ``n_max`` the piece is unknown, and refused."""
+        if 0 <= n < len(self._pieces):
+            return [list(v) for v in self._pieces[n]]
+        if n < 0 or self.stabilized_at is not None:
+            return []
+        raise DomainError(f"order {n} is past the last level computed")
 
 
 def vectorize(m: Matrix):
@@ -172,20 +179,6 @@ def _refuse_large(A: ArtinianAlgebra):
                           f"the guardrail of {SIZE_LIMIT}")
 
 
-def _bracket_pairs(A: ArtinianAlgebra, i: int):
-    """Per vectorized E_{mu,nu}, the coordinates of the two terms of
-    E_{mu,nu} x_i - x_i E_{mu,nu} = E_{mu,nu-e_i} - E_{mu+e_i,nu}; a term
-    outside the box is absent and gets the padding coordinate d*d.  In the
-    lex-ordered box, adding e_i moves a basis index by the stride of x_i."""
-    d, top, stride = A.dim, A.exponents[i] - 1, prod(A.exponents[i + 1 :])
-    return [
-        (j * d + k - stride if nu[i] else d * d,
-         (j + stride) * d + k if mu[i] < top else d * d)
-        for j, mu in enumerate(A.basis)
-        for k, nu in enumerate(A.basis)
-    ]
-
-
 def _nonzero_depths(A: ArtinianAlgebra, xi: Matrix, limit: int):
     """Yield |beta| for each nonzero ad_x^beta(xi) with |beta| <= limit,
     depth first, so a caller that stops at the first depth above n does
@@ -195,6 +188,11 @@ def _nonzero_depths(A: ArtinianAlgebra, xi: Matrix, limit: int):
     its last variable: a vector bracketed last by x_i is bracketed next by
     x_i and the later variables only, and each beta is visited once.  A
     zero bracket is dropped, since everything above it is zero too.
+
+    E_{mu,nu} x_i - x_i E_{mu,nu} = E_{mu,nu-e_i} - E_{mu+e_i,nu}, and e_i
+    moves a lex index by the stride s of x_i: from c = index(mu)*d +
+    index(nu) the terms sit at c - s when nu_i > 0 and at c + s*d when
+    mu_i < a_i - 1, reading mu_i and nu_i as base-a_i digits at s.
     """
     d, F = A.dim, A.field
     _refuse_large(A)
@@ -203,8 +201,8 @@ def _nonzero_depths(A: ArtinianAlgebra, xi: Matrix, limit: int):
     if xi.field != F:
         raise DomainError("endomorphism field mismatch")
     add, sub, zero = F.add, F.sub, F.zero()
-    pairs = [_bracket_pairs(A, i) for i in range(A.nvars)]
-    vec = {c: v for c, v in enumerate(vectorize(xi)) if v}
+    shifts = [(prod(A.exponents[i + 1 :]), a) for i, a in enumerate(A.exponents)]
+    vec = {j * d + k: v for j, row in enumerate(xi.rows) for k, v in enumerate(row) if v}
     stack = [(0, 0, vec)] if vec else []
     while stack:
         depth, last, vec = stack.pop()
@@ -212,12 +210,14 @@ def _nonzero_depths(A: ArtinianAlgebra, xi: Matrix, limit: int):
         if depth == limit:
             continue
         for i in range(last, A.nvars):
+            s, a = shifts[i]
             out = {}
             for c, v in vec.items():
-                a, b = pairs[i][c]
-                out[a] = add(out.get(a, zero), v)
-                out[b] = sub(out.get(b, zero), v)
-            out.pop(d * d, None)
+                j, k = divmod(c, d)
+                if k // s % a:
+                    out[c - s] = add(out.get(c - s, zero), v)
+                if j // s % a < a - 1:
+                    out[c + s * d] = sub(out.get(c + s * d, zero), v)
             out = {c: v for c, v in out.items() if v}
             if out:
                 stack.append((depth + 1, i, out))
@@ -352,6 +352,19 @@ def socle_adjoint(A: ArtinianAlgebra, xi: Matrix, unit=None) -> Matrix:
     rows, last = xi.rows, d - 1
     return Matrix(A.field, [[rows[last - j][last - i] for j in range(d)]
                             for i in range(d)])
+
+
+def adjoint_table(A: ArtinianAlgebra) -> Matrix:
+    """The socle adjoint as a d*d x d*d matrix on the vectorized
+    coordinates.  It anti-transposes E_{j,k} to E_{d-1-k,d-1-j}, so column
+    c = j*d + k has its one 1 at row d*d - 1 - k*d - j.  Refuses d*d above
+    the guardrail before building anything."""
+    _refuse_large(A)
+    d, F = A.dim, A.field
+    rows = [[F.zero()] * (d * d) for _ in range(d * d)]
+    for c in range(d * d):
+        rows[d * d - 1 - c % d * d - c // d][c] = F.one()
+    return Matrix(F, rows)
 
 
 def verify_order_preservation(A: ArtinianAlgebra, xi: Matrix, n: int) -> bool:

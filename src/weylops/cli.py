@@ -184,14 +184,6 @@ def artinian_cmd(cfg: SessionConfig, exps, n_max):
     filt = art.order_filtration(A, n_max=n_max)
     d = A.dim
     if cfg.json_output:
-        # the adjoint of every matrix unit; text output does not print it
-        adjoint_cols = []
-        for k in range(d * d):
-            e_vec = [0] * (d * d)
-            e_vec[k] = 1
-            xi = art.unvectorize(A.field, [A.field.coerce(v) for v in e_vec], d)
-            adjoint_cols.append(art.vectorize(art.socle_adjoint(A, xi)))
-        adjoint = Matrix.from_columns(A.field, adjoint_cols)
         payload = {
             "schema": render.SCHEMA,
             "kind": "artinian",
@@ -201,7 +193,7 @@ def artinian_cmd(cfg: SessionConfig, exps, n_max):
             "filtration_dims": filt.dims,
             "stabilized_at": filt.stabilized_at,
             "pairing": render.scalar_matrix_json(A.gram()),
-            "adjoint": render.scalar_matrix_json(adjoint),
+            "adjoint": render.scalar_matrix_json(art.adjoint_table(A)),
         }
         click.echo(json.dumps(payload, indent=2))
     else:
@@ -212,7 +204,7 @@ def artinian_cmd(cfg: SessionConfig, exps, n_max):
         click.echo(f"filtration dims: {dims}{stable}")
         click.echo("socle pairing:")
         for row in A.gram().rows:
-            click.echo("  " + " ".join(A.field.to_str(v) for v in row))
+            click.echo("  " + " ".join(str(v) for v in row))
 
 
 def _load_group(path, field: FieldSpec) -> inv.FiniteGroup:
@@ -259,7 +251,7 @@ def pseudoreflections(obj):
         click.echo(f"{len(refl)} pseudoreflection(s)")
         for g in refl:
             click.echo("  " + "; ".join(
-                " ".join(cfg.ring().field.to_str(v) for v in row)
+                " ".join(str(v) for v in row)
                 for row in g.matrix.rows
             ))
 

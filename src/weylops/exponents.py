@@ -3,14 +3,14 @@
 A multi-exponent is a tuple of naturals of fixed length n (the variable
 count of the ambient ring).  The partial order is componentwise; all
 binomial products are exact integers (Python bigints, so totals well past
-64 are safe).
+64 are safe), refused past the kernels' size guardrail.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import comb
 
+from ._kernels import binom_product
 from .errors import DomainError
 
 
@@ -19,10 +19,6 @@ def check_arity(alpha, nvars: int):
         raise DomainError(
             f"multi-exponent {alpha} has arity {len(alpha)}, expected {nvars}"
         )
-
-
-def add(alpha, beta):
-    return tuple(a + b for a, b in zip(alpha, beta))
 
 
 def subtract(alpha, beta):
@@ -59,20 +55,19 @@ def iter_up_to_degree(nvars: int, max_degree: int):
         yield from iter_graded(nvars, d)
 
 
-def multinomial(alpha, beta) -> int:
-    """alpha! / (beta! (alpha-beta)!) as an exact integer.
+def multinomial(alpha, beta, p: int = 0) -> int:
+    """alpha! / (beta! (alpha-beta)!): an exact integer, or its residue in
+    characteristic p.
 
-    Equals the product of the componentwise binomials.  Rejects beta that
-    is not componentwise below alpha.
+    Equals the product of the componentwise binomials, computed by
+    ``_kernels.binom_product`` (Lucas' theorem mod p, and its size
+    guardrail).  Rejects beta that is not componentwise below alpha.
     """
     if len(alpha) != len(beta):
         raise DomainError("multi-exponent arity mismatch")
     if not leq(beta, alpha):
         raise DomainError(f"{beta} is not componentwise <= {alpha}")
-    out = 1
-    for a, b in zip(alpha, beta):
-        out *= comb(a, b)
-    return out
+    return binom_product(alpha, beta, p)
 
 
 def alternating_multinomial_sum(sigma) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import exponents
 from .errors import DomainError
 
 
@@ -149,18 +150,13 @@ class FieldSpec:
     def is_zero(self, a) -> bool:
         return (a % self.characteristic if self.is_modular else a) == 0
 
-    def to_str(self, a) -> str:
-        return str(a)
-
 
 def multinomial(alpha, beta, spec: FieldSpec):
     """The coefficient alpha! / (beta! (alpha-beta)!) reduced into the field.
 
-    Computed in exact integer arithmetic first and only then reduced, so
-    that characteristic p gives the correct residue (in-field division by
-    factorials would be undefined there).  Requires beta <= alpha
-    componentwise.
+    Computed by :func:`exponents.multinomial`: an exact integer in
+    characteristic 0, the residue by Lucas' theorem in characteristic p
+    (in-field division by factorials would be undefined there).  Requires
+    beta <= alpha componentwise.
     """
-    from . import exponents
-
-    return spec.from_int(exponents.multinomial(alpha, beta))
+    return spec.from_int(exponents.multinomial(alpha, beta, spec.characteristic))

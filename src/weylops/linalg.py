@@ -145,9 +145,7 @@ class Matrix:
         return Matrix(F, [r[n:] for r in red])
 
     def __repr__(self):
-        body = "; ".join(
-            " ".join(self.field.to_str(v) for v in r) for r in self.rows
-        )
+        body = "; ".join(" ".join(str(v) for v in r) for r in self.rows)
         return f"<Matrix {self.nrows}x{self.ncols} [{body}]>"
 
 

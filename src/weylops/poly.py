@@ -282,14 +282,12 @@ class RingMap:
         if len(rows) != n or any(len(r) != n for r in rows):
             raise DomainError(f"matrix must be {n}x{n}")
 
+        units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+
         def images_of(mat):
-            out = []
-            for j in range(n):
-                f = ring.zero()
-                for i in range(n):
-                    f = f + ring.variable(i) * ring.field.coerce(mat[i][j])
-                out.append(f)
-            return out
+            # column j holds the coefficients of the image of x_j
+            return [ring.from_terms({units[i]: mat[i][j] for i in range(n)})
+                    for j in range(n)]
 
         inv = None
         if inverse_rows is not None:

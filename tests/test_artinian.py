@@ -1,6 +1,12 @@
 """Order filtration and socle adjoint on monomial quotients."""
 
+import io
+import json
 import random
+from contextlib import redirect_stdout
+from functools import cache
+from itertools import product
+from math import prod
 
 import pytest
 
@@ -14,12 +20,14 @@ from weylops import (
     verify_order_preservation,
 )
 from weylops.artinian import (
-    _bracket_pairs,
+    SIZE_LIMIT,
     _one_variable_levels,
+    adjoint_table,
     order,
     unvectorize,
     vectorize,
 )
+from weylops.cli import main
 from weylops.linalg import rref, rref_kernel
 
 
@@ -355,6 +363,20 @@ def test_filtration_matches_dense_oracle(exps, char):
         assert order(A, xi) == (dense.index(True) if support else -1)
 
 
+def _bracket_pairs(A: ArtinianAlgebra, i: int):
+    """Per vectorized E_{mu,nu}, the coordinates of the two terms of
+    E_{mu,nu} x_i - x_i E_{mu,nu} = E_{mu,nu-e_i} - E_{mu+e_i,nu}; a term
+    outside the box is absent and gets the padding coordinate d*d.  In the
+    lex-ordered box, adding e_i moves a basis index by the stride of x_i."""
+    d, top, stride = A.dim, A.exponents[i] - 1, prod(A.exponents[i + 1 :])
+    return [
+        (j * d + k - stride if nu[i] else d * d,
+         (j + stride) * d + k if mu[i] < top else d * d)
+        for j, mu in enumerate(A.basis)
+        for k, nu in enumerate(A.basis)
+    ]
+
+
 def _eliminated_order_filtration(A, n_max=None):
     """The filtration by one elimination per level on (nvars * rank) x d*d
     rows: the annihilator of level n-1 applied to the brackets with every
@@ -394,6 +416,12 @@ def _eliminated_order_filtration(A, n_max=None):
     return bases, dims, stabilized_at
 
 
+@cache
+def _eliminated(exps, char, n_max=None):
+    """``_eliminated_order_filtration`` once per algebra and cut."""
+    return _eliminated_order_filtration(ArtinianAlgebra(exps, FieldSpec(char)), n_max)
+
+
 def _spans(bases):
     """Each level's span as the nonzero rows of its reduced row form."""
     out = []
@@ -431,7 +459,7 @@ def _assert_matches_elimination(A, n_max=None):
     every vector of graded piece n has order exactly n."""
     F = A.field
     filt = order_filtration(A, n_max=n_max)
-    bases, dims, stabilized_at = _eliminated_order_filtration(A, n_max=n_max)
+    bases, dims, stabilized_at = _eliminated(A.exponents, F.characteristic, n_max)
     assert (filt.dims, filt.stabilized_at) == (dims, stabilized_at)
     # level 0 is the multiplication operators, in basis order
     assert filt.graded_piece(0) == [bases[0].column(j) for j in range(A.dim)]
@@ -589,3 +617,92 @@ def test_order_preservation_size_limit_checked_before_work():
         verify_order_preservation(A, Matrix.identity(A.field, A.dim), 1)
     with pytest.raises(DomainError, match="guardrail"):
         order(A, Matrix.identity(A.field, A.dim))
+
+
+def test_graded_piece_outside_the_chain():
+    """No piece below level 0 or past a stabilized top; past a chain cut by
+    n_max the piece is unknown and refused."""
+    filt = order_filtration(ArtinianAlgebra((2,), FieldSpec(0)))
+    assert (filt.dims, filt.stabilized_at) == ([2, 3, 4], 2)
+    assert len(filt.graded_piece(2)) == 1
+    assert filt.graded_piece(3) == filt.graded_piece(5) == []
+    assert filt.graded_piece(-1) == filt.graded_piece(-3) == []
+    cut = order_filtration(ArtinianAlgebra((4,), FieldSpec(0)), n_max=1)
+    assert cut.stabilized_at is None and len(cut.graded_piece(1)) == 3
+    assert cut.graded_piece(-1) == []
+    with pytest.raises(DomainError, match="past the last level"):
+        cut.graded_piece(2)
+
+
+def _unit_by_unit_adjoint_table(A):
+    """The adjoint table column by column: the socle adjoint of each matrix
+    unit, vectorized."""
+    F, d = A.field, A.dim
+    columns = []
+    for c in range(d * d):
+        vec = [F.zero()] * (d * d)
+        vec[c] = F.one()
+        columns.append(vectorize(socle_adjoint(A, unvectorize(F, vec, d))))
+    return Matrix.from_columns(F, columns)
+
+
+def test_adjoint_table_matches_unit_by_unit_adjoints():
+    # every shape of dimension <= 8 with exponents >= 2, and three with a 1
+    shapes = [exps for m in (1, 2, 3) for exps in product(range(2, 9), repeat=m)
+              if prod(exps) <= 8]
+    for exps in shapes + [(1,), (1, 4), (2, 1, 3)]:
+        for char in (0, 5):
+            A = ArtinianAlgebra(exps, FieldSpec(char))
+            assert adjoint_table(A) == _unit_by_unit_adjoint_table(A), (exps, char)
+    A = ArtinianAlgebra((4, 4), FieldSpec(0))
+    assert adjoint_table(A) == _unit_by_unit_adjoint_table(A)
+
+
+def test_adjoint_table_size_limit_checked_before_work():
+    A = ArtinianAlgebra((17,), FieldSpec(0))
+    assert A.dim**2 > SIZE_LIMIT
+    with pytest.raises(DomainError, match="guardrail"):
+        adjoint_table(A)
+
+
+def test_cli_json_prints_the_adjoint_table():
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["--json", "--char", "5", "artinian", "--exponents", "2,3"])
+    assert code == 0
+    table = _unit_by_unit_adjoint_table(ArtinianAlgebra((2, 3), FieldSpec(5)))
+    assert json.loads(out.getvalue())["adjoint"] == [[str(v) for v in row]
+                                                     for row in table.rows]
+
+
+@pytest.mark.parametrize("exps, char", [((3, 3), 5), ((2, 2, 2), 0), ((2, 2, 2, 2), 2)])
+def test_order_is_the_first_eliminated_level_containing(exps, char):
+    """order(A, xi) against the per-level elimination, on seeded sparse
+    matrices and on combinations of a few of each eliminated level's basis
+    vectors."""
+    A = ArtinianAlgebra(exps, FieldSpec(char))
+    F, d = A.field, A.dim
+    bases, dims, _ = _eliminated(exps, char)
+    contains = [None] + [
+        _kernel_span_contains(F, [b.column(j) for j in range(b.ncols)]) for b in bases[1:]]
+    rng = random.Random(f"order:{exps}:{char}")
+    vecs = []
+    for density in (1.5 / d, 3.0 / d, 0.3):
+        vecs += [[F.coerce(rng.randint(-3, 3)) if rng.random() < density else F.zero()
+                  for _ in range(d * d)] for _ in range(2)]
+    for b in bases:
+        for _ in range(2):
+            picks = rng.sample(range(b.ncols), min(3, b.ncols))
+            weights = [rng.randint(1, 3) for _ in picks]
+            vecs.append([sum(w * row[j] for w, j in zip(weights, picks)) for row in b.rows])
+    for vec in vecs:
+        xi = unvectorize(F, [F.coerce(v) for v in vec], d)
+        entries = {c: v for c, v in enumerate(vectorize(xi)) if not F.is_zero(v)}
+        if not entries:
+            expected = -1
+        elif xi == A.multiplication_operator(
+                {mu: xi.rows[A.index(mu)][0] for mu in A.basis}):
+            expected = 0  # level 0: multiplication by the image of 1
+        else:
+            expected = next(n for n in range(1, len(dims)) if contains[n](entries))
+        assert order(A, xi) == expected

@@ -89,6 +89,17 @@ def test_multinomial_matches_factorial_oracle():
         assert exponents.multinomial(alpha, beta) == _factorial_multinomial(alpha, beta)
 
 
+def test_multinomial_through_the_binomial_kernel():
+    # past the kernels' 2^14-bit guardrail characteristic p reduces by
+    # Lucas' theorem: 10^8 and 5*10^7 end in the base-5 digits 1 and 3
+    assert multinomial((10**8,), (5 * 10**7,), FieldSpec(5)) == 0
+    assert multinomial((20000, 3), (7, 1), FieldSpec(5)) == math.comb(20000, 7) * 3 % 5
+    with pytest.raises(DomainError, match="guardrail"):
+        multinomial((10**8,), (5 * 10**7,), FieldSpec(0))
+    with pytest.raises(DomainError, match="guardrail"):
+        exponents.multinomial((10**8,), (5 * 10**7,))
+
+
 def test_multinomial_symmetry_and_vandermonde():
     rng = random.Random(6)
     for _ in range(100):

@@ -121,6 +121,22 @@ def test_ring_map_inverse_verified():
         RingMap(R, [x * 2], inverse=RingMap(R, [x]))
 
 
+def test_ring_map_from_matrix_images():
+    """Column j of the matrix holds the coefficients of the image of x_j,
+    as the sum of variables times entries."""
+    rng = random.Random(12)
+    for char in (0, 2, 5):
+        for n in (1, 2, 3):
+            R = make_ring(char, n)
+            rows = [[rng.choice((0, 0, 1, -1, 2, Fraction(1, 3)))
+                     for _ in range(n)] for _ in range(n)]
+            expected = [sum((R.variable(i) * R.field.coerce(rows[i][j]) for i in range(n)),
+                            R.zero()) for j in range(n)]
+            assert RingMap.from_matrix(R, rows).images == expected
+    with pytest.raises(DomainError, match="3x3"):
+        RingMap.from_matrix(make_ring(0, 3), [[1, 0], [0, 1]])
+
+
 def test_ring_map_arity_mismatch():
     R = make_ring(0, 2)
     with pytest.raises(DomainError):
