@@ -1,7 +1,8 @@
 """Term kernels.
 
 These are the inner loops of the whole package: sparse polynomial
-arithmetic (``poly_add``, ``poly_neg``, ``poly_scale``, ``poly_mul``), the
+arithmetic (``poly_add``, ``poly_neg``, ``poly_scale``, ``poly_mul``,
+``poly_pow``) and substitution (``poly_substitute``), the
 divided-power derivatives (``partial_apply``, ``diffop_apply``), the
 normal-ordered operator product (``diffop_mul``) and the standard
 transposition (``diffop_transpose``).
@@ -80,6 +81,50 @@ def poly_mul(a, b, p):
                 out[exp] = acc
             else:
                 del out[exp]
+    return out
+
+
+def poly_pow(a, e, p):
+    """a**e for e >= 1, by repeated squaring."""
+    out = None
+    while True:
+        if e & 1:
+            out = a if out is None else poly_mul(out, a, p)
+        e >>= 1
+        if not e:
+            return out
+        a = poly_mul(a, a, p)
+
+
+def poly_substitute(f, images, p, powers):
+    """f with each variable x_i replaced by the polynomial images[i].
+
+    ``powers`` caches images[i]**e under (i, e); substitutions through the
+    same images may share it.
+    """
+    out = {}
+    for exp, c in f.items():
+        term = None
+        for i, e in enumerate(exp):
+            if e:
+                pw = powers.get((i, e))
+                if pw is None:
+                    pw = powers[i, e] = poly_pow(images[i], e, p)
+                term = pw if term is None else poly_mul(term, pw, p)
+        if term is None:
+            term = {exp: 1}  # the constant term; exp is all zeros
+        # c and every coefficient of term are nonzero, so is their product
+        for exp2, v in term.items():
+            v = (v * c) % p if p else v * c
+            acc = out.get(exp2)
+            if acc is None:
+                out[exp2] = v
+                continue
+            acc = (acc + v) % p if p else acc + v
+            if acc:
+                out[exp2] = acc
+            else:
+                del out[exp2]
     return out
 
 

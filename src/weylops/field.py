@@ -88,14 +88,17 @@ class FieldSpec:
 
     # -- element construction ------------------------------------------
 
+    # the methods below test ``self.characteristic`` directly: reading the
+    # ``is_modular`` property costs a call on every scalar operation
+
     def zero(self):
-        return 0 if self.is_modular else Fraction(0)
+        return 0 if self.characteristic else Fraction(0)
 
     def one(self):
-        return 1 if self.is_modular else Fraction(1)
+        return 1 if self.characteristic else Fraction(1)
 
     def from_int(self, n: int):
-        if self.is_modular:
+        if self.characteristic:
             return n % self.characteristic
         return Fraction(n)
 
@@ -111,9 +114,9 @@ class FieldSpec:
         if isinstance(value, int):
             return self.from_int(value)
         if isinstance(value, Fraction):
-            if not self.is_modular:
-                return value
             p = self.characteristic
+            if not p:
+                return value
             den = value.denominator % p
             if den == 0:
                 raise DomainError(
@@ -125,22 +128,26 @@ class FieldSpec:
     # -- arithmetic ----------------------------------------------------
 
     def add(self, a, b):
-        return (a + b) % self.characteristic if self.is_modular else a + b
+        p = self.characteristic
+        return (a + b) % p if p else a + b
 
     def sub(self, a, b):
-        return (a - b) % self.characteristic if self.is_modular else a - b
+        p = self.characteristic
+        return (a - b) % p if p else a - b
 
     def neg(self, a):
-        return (-a) % self.characteristic if self.is_modular else -a
+        p = self.characteristic
+        return (-a) % p if p else -a
 
     def mul(self, a, b):
-        return (a * b) % self.characteristic if self.is_modular else a * b
+        p = self.characteristic
+        return (a * b) % p if p else a * b
 
     def inv(self, a):
         if self.is_zero(a):
             raise DomainError("division by zero")
-        if self.is_modular:
-            p = self.characteristic
+        p = self.characteristic
+        if p:
             return pow(a % p, p - 2, p)
         return 1 / Fraction(a)
 
@@ -148,7 +155,8 @@ class FieldSpec:
         return self.mul(a, self.inv(b))
 
     def is_zero(self, a) -> bool:
-        return (a % self.characteristic if self.is_modular else a) == 0
+        p = self.characteristic
+        return (a % p if p else a) == 0
 
 
 def multinomial(alpha, beta, spec: FieldSpec):

@@ -14,31 +14,54 @@ from .diffop import DiffOp
 from .errors import DomainError
 from .linalg import Matrix
 from .poly import Polynomial, PolyRing, RingMap, apply_ring_map
-from .transpose import standard_transpose, transport_via_coordinates
+from .transpose import standard_transpose, transport_by_rows
+# not called here; perfbench/tests checks that its tracer rebinds this
+# imported name
+from .transpose import transport_via_coordinates  # noqa: F401
 
 
 class GroupElement:
-    """Invertible matrix over the coefficient field."""
+    """Invertible matrix over the coefficient field, with its inverse.
 
-    __slots__ = ("matrix", "_key")
+    The inverse is found once, by elimination, when the element is built
+    from a matrix alone; products and inverses of elements carry theirs
+    along ((gh)^-1 = h^-1 g^-1), so the group operations and the action
+    eliminate nothing.
+    """
+
+    __slots__ = ("matrix", "_inverse", "_key")
 
     def __init__(self, matrix: Matrix):
         if matrix.nrows != matrix.ncols:
             raise DomainError("group elements must be square matrices")
-        if matrix.rank() != matrix.nrows:
-            raise DomainError("group elements must be invertible")
+        try:
+            inverse = matrix.inverse()
+        except DomainError:
+            raise DomainError("group elements must be invertible") from None
+        self._set(matrix, inverse)
+
+    def _set(self, matrix: Matrix, inverse: Matrix):
         self.matrix = matrix
+        self._inverse = inverse
         self._key = tuple(tuple(r) for r in matrix.rows)
+
+    @classmethod
+    def _with_inverse(cls, matrix: Matrix, inverse: Matrix) -> GroupElement:
+        g = cls.__new__(cls)
+        g._set(matrix, inverse)
+        return g
 
     @property
     def n(self) -> int:
         return self.matrix.nrows
 
     def __mul__(self, other: GroupElement) -> GroupElement:
-        return GroupElement(self.matrix * other.matrix)
+        return GroupElement._with_inverse(
+            self.matrix * other.matrix, other._inverse * self._inverse
+        )
 
     def inverse(self) -> GroupElement:
-        return GroupElement(self.matrix.inverse())
+        return GroupElement._with_inverse(self._inverse, self.matrix)
 
     def is_identity(self) -> bool:
         return self.matrix == Matrix.identity(self.matrix.field, self.n)
@@ -52,9 +75,12 @@ class GroupElement:
     def __repr__(self):
         return f"<GroupElement {self.matrix!r}>"
 
-    def ring_map(self, ring: PolyRing) -> RingMap:
+    def _check_ring(self, ring: PolyRing):
         if ring.nvars != self.n or ring.field != self.matrix.field:
             raise DomainError("group element does not act on this ring")
+
+    def ring_map(self, ring: PolyRing) -> RingMap:
+        self._check_ring(ring)
         return RingMap.from_matrix(ring, self.matrix.rows)
 
 
@@ -108,8 +134,10 @@ def act_on_poly(g: GroupElement, f: Polynomial) -> Polynomial:
 
 
 def act_on_op(g: GroupElement, xi: DiffOp) -> DiffOp:
-    """Conjugation action on an operator, in normal form."""
-    return transport_via_coordinates(g.ring_map(xi.ring), xi)
+    """Conjugation action on an operator, in normal form: the transport
+    along g, with g's carried inverse as B."""
+    g._check_ring(xi.ring)
+    return transport_by_rows(xi, g.matrix.rows, g._inverse.rows)
 
 
 def reynolds(G: FiniteGroup, xi: DiffOp) -> DiffOp:

@@ -84,18 +84,13 @@ class Matrix:
         self._check(other)
         if self.ncols != other.nrows:
             raise DomainError("matrix shape mismatch in product")
-        F = self.field
+        # plain sums of the nonzero products; the constructor reduces them
+        # into the field (mod p, or an int 0 to a Fraction)
         bt = list(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in bt:
-                acc = F.zero()
-                for a, b in zip(row, col):
-                    acc = F.add(acc, F.mul(a, b))
-                out_row.append(acc)
-            out.append(out_row)
-        return Matrix(F, out)
+        return Matrix(self.field, [
+            [sum(a * b for a, b in zip(row, col) if a and b) for col in bt]
+            for row in self.rows
+        ])
 
     def __rmul__(self, other):
         return self.scale(other)

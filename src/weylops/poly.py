@@ -192,15 +192,11 @@ class Polynomial:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise DomainError("polynomial powers must be natural numbers")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        if n == 0:
+            return self.ring.one()
+        return Polynomial(
+            self.ring, K.poly_pow(self.terms, n, self.ring.characteristic)
+        )
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -299,22 +295,10 @@ def apply_ring_map(m: RingMap, f: Polynomial) -> Polynomial:
     """Substitution: replace each variable of f by its image under m."""
     if f.ring != m.ring:
         raise DomainError("polynomial does not live in the map's ring")
-    ring = m.ring
-    out = ring.zero()
-    power_cache: dict[tuple[int, int], Polynomial] = {}
-    for exp, c in f.terms.items():
-        term = ring.constant(c)
-        for i, e in enumerate(exp):
-            if e == 0:
-                continue
-            key = (i, e)
-            pw = power_cache.get(key)
-            if pw is None:
-                pw = m.images[i] ** e
-                power_cache[key] = pw
-            term = term * pw
-        out = out + term
-    return out
+    images = [g.terms for g in m.images]
+    return Polynomial(
+        m.ring, K.poly_substitute(f.terms, images, m.ring.characteristic, {})
+    )
 
 
 def frobenius_decompose(f: Polynomial, e: int) -> dict:

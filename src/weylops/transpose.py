@@ -31,7 +31,7 @@ from . import exponents
 from .diffop import DiffOp
 from .errors import DomainError
 from .linalg import Matrix
-from .poly import Polynomial, PolyRing, RingMap, apply_ring_map
+from .poly import Polynomial, PolyRing, RingMap
 
 # most term pairs that the products building prod_k l_k^[alpha_k] may form
 # for one term of an operator, bounded by the product over k of
@@ -161,15 +161,34 @@ def derivation_formula_check(theta: DiffOp, phi) -> bool:
 
 def transport_via_coordinates(m: RingMap, xi: DiffOp) -> DiffOp:
     """Conjugate the operator by the substitution automorphism of m, which
-    must be linear and invertible (the formula is in the module docstring)."""
+    must be linear and invertible (the formula is in the module docstring).
+
+    B is read off ``m.inverse`` when the map carries one (the constructor
+    has verified it), and otherwise found by one elimination.
+    """
     ring = xi.ring
     if m.ring != ring:
         raise DomainError("map/operator ring mismatch")
     if not m.is_linear():
         raise DomainError("transport requires a linear map")
-    if m.images == ring.gens():
+    rows = m.matrix()
+    if m.inverse is not None:
+        inv_rows = m.inverse.matrix()
+    else:
+        inv_rows = Matrix(ring.field, rows).inverse().rows
+    return transport_by_rows(xi, rows, inv_rows)
+
+
+def transport_by_rows(xi: DiffOp, rows, inv_rows) -> DiffOp:
+    """Conjugate the operator by the linear substitution whose matrix has
+    the given rows (the image of x_j is the j-th column combination of the
+    variables), given the rows of its inverse B.  Nothing checks that B
+    inverts the matrix; callers pass a verified pair."""
+    ring = xi.ring
+    n, p = ring.nvars, ring.characteristic
+    if all(v == (1 if i == j else 0)
+           for i, row in enumerate(rows) for j, v in enumerate(row)):
         return xi
-    inv_rows = Matrix(ring.field, m.matrix()).inverse().rows
     supports = [[j for j, b in enumerate(row) if b] for row in inv_rows]
     for alpha in xi.terms:
         size = prod(comb(a + len(s) - 1, a) for a, s in zip(alpha, supports))
@@ -185,17 +204,23 @@ def transport_via_coordinates(m: RingMap, xi: DiffOp) -> DiffOp:
         row, support = inv_rows[k], supports[k]
         terms = {}
         for part in exponents.iter_graded(len(support), a):
-            beta = [0] * ring.nvars
+            beta = [0] * n
             for j, e in zip(support, part):
                 beta[j] = e
             terms[tuple(beta)] = prod(row[j] ** e for j, e in zip(support, part))
         return DiffOp.from_terms(ring, terms)
 
+    # m(f) substitutes for x_j the j-th column of the matrix
+    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    images = [{units[i]: v for i, v in enumerate(col) if v} for col in zip(*rows)]
+    powers = {}
+    zero = (0,) * n
     out = DiffOp.zero(ring)
     for alpha, f in xi.terms.items():
         image = DiffOp.constant(ring, 1)
         for k, a in enumerate(alpha):
             if a:
                 image = image * divided_power(k, a)
-        out = out + DiffOp.from_poly(apply_ring_map(m, f)) * image
+        mf = K.poly_substitute(f.terms, images, p, powers)
+        out = out + DiffOp._from_raw(ring, {zero: mf}) * image
     return out

@@ -73,6 +73,110 @@ def test_pseudoreflection_over_prime_field():
     assert not is_pseudoreflection(GroupElement(Matrix(F3, [[2, 0], [0, 2]])))
 
 
+def _gl2_group(p):
+    """All of GL2(F_p)."""
+    from itertools import product
+    from weylops import FieldSpec
+
+    F = FieldSpec(p)
+    return FiniteGroup([
+        GroupElement(Matrix(F, [[a, b], [c, d]]))
+        for a, b, c, d in product(range(p), repeat=4) if (a * d - b * c) % p
+    ])
+
+
+def _s3_group(field):
+    from itertools import permutations
+
+    return FiniteGroup([
+        GroupElement(Matrix(field, [[int(perm[j] == i) for j in range(3)]
+                                    for i in range(3)]))
+        for perm in permutations(range(3))
+    ])
+
+
+@pytest.mark.parametrize("group", ["gl2f2", "gl2f3", "d4"])
+def test_elements_carry_their_inverses(group):
+    """Every element's stored inverse is the eliminated inverse, also for
+    elements built as products (D4 comes from a closure by products), and
+    products carry h^-1 g^-1."""
+    if group == "d4":
+        G = _dihedral_group(_sign_ring().field)
+    else:
+        G = _gl2_group(2 if group == "gl2f2" else 3)
+    for g in G:
+        assert g.inverse().matrix == g.matrix.inverse()
+        assert g.inverse().inverse().matrix == g.matrix
+        for h in G:
+            gh = g * h
+            assert gh.inverse() == h.inverse() * g.inverse()
+            assert gh.inverse().matrix == gh.matrix.inverse()
+
+
+def test_singular_matrix_is_not_a_group_element():
+    from weylops import FieldSpec
+
+    for F, rows in ((_sign_ring().field, [[1, 2], [2, 4]]),
+                    (FieldSpec(3), [[1, 1], [2, 2]]),
+                    (FieldSpec(2), [[0, 0], [0, 1]])):
+        with pytest.raises(DomainError, match="invertible"):
+            GroupElement(Matrix(F, rows))
+    with pytest.raises(DomainError, match="square"):
+        GroupElement(Matrix(_sign_ring().field, [[1, 0]]))
+
+
+def _count_eliminations(monkeypatch):
+    """Count calls of Matrix.inverse and linalg.rref (which Matrix.rank,
+    nullspace and inverse go through) from here on."""
+    from weylops import linalg
+
+    calls = {"inverse": 0, "rref": 0}
+    inverse, rref = linalg.Matrix.inverse, linalg.rref
+
+    def counted_inverse(self):
+        calls["inverse"] += 1
+        return inverse(self)
+
+    def counted_rref(*args):
+        calls["rref"] += 1
+        return rref(*args)
+
+    monkeypatch.setattr(linalg.Matrix, "inverse", counted_inverse)
+    monkeypatch.setattr(linalg, "rref", counted_rref)
+    return calls
+
+
+def test_group_action_does_no_elimination(rng, monkeypatch):
+    """Reynolds averages, invariance and equivariance checks read the
+    inverses the elements carry: no elimination per action or per group
+    product."""
+    R2, R3 = make_ring(0, 2), make_ring(0, 3)
+    F = R2.field
+    groups = [(_sign_group(F)[0], R2), (_dihedral_group(F), R2),
+              (_s3_group(F), R3)]
+    ops = [(G, random_diffop(rng, R, max_order=2, coeff_degree=2))
+           for G, R in groups for _ in range(3)]
+    calls = _count_eliminations(monkeypatch)
+    for G, xi in ops:
+        avg = reynolds(G, xi)
+        assert is_invariant(G, avg)
+        assert equivariance_check(G, xi)
+    assert calls == {"inverse": 0, "rref": 0}
+
+
+def test_closure_check_eliminates_only_the_identity(monkeypatch):
+    """FiniteGroup builds its identity from a matrix (one elimination) and
+    checks closure under products and inverses with the carried inverses."""
+    elements = {"d4": list(_dihedral_group(_sign_ring().field)),
+                "gl2f3": list(_gl2_group(3))}
+    calls = _count_eliminations(monkeypatch)
+    for elems in elements.values():
+        before = dict(calls)
+        FiniteGroup(elems)
+        assert calls["inverse"] - before["inverse"] <= 1
+        assert calls["rref"] - before["rref"] <= 1
+
+
 def test_group_validation():
     F = _sign_ring().field
     minus = GroupElement(Matrix(F, [[-1, 0], [0, -1]]))

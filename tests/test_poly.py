@@ -119,6 +119,13 @@ def test_ring_map_inverse_verified():
     assert good.inverse is not None
     with pytest.raises(DomainError):
         RingMap(R, [x * 2], inverse=RingMap(R, [x]))
+    # from_matrix verifies inverse_rows the same way (the transport reads it)
+    R2 = make_ring(3, 2)
+    rows = [[1, 1], [0, 1]]
+    assert RingMap.from_matrix(R2, rows, inverse_rows=[[1, 2], [0, 1]]).inverse
+    for wrong in ([[1, 1], [0, 1]], [[1, 0], [0, 1]], [[2, 2], [0, 2]]):
+        with pytest.raises(DomainError, match="does not invert"):
+            RingMap.from_matrix(R2, rows, inverse_rows=wrong)
 
 
 def test_ring_map_from_matrix_images():

@@ -12,6 +12,7 @@ from weylops import (
     DomainError,
     GroupElement,
     Matrix,
+    act_on_op,
     check_graded_sign,
     derivation_formula_check,
     standard_transpose,
@@ -383,6 +384,43 @@ def test_transport_matches_evaluate_and_solve_on_gl2(rng):
             for _ in range(2):
                 xi = random_diffop(rng, R, max_order=3, coeff_degree=2)
                 assert transport_via_coordinates(m, xi) == _transport_oracle(m, xi)
+
+
+def _action_elements(R):
+    """Group elements acting on R: all of GL2(F_p) in characteristic p, and
+    in characteristic 0 the dihedral group of order 8 and some dense
+    matrices, built both from a matrix and as products."""
+    if R.characteristic:
+        return [GroupElement(Matrix(R.field, m.matrix())) for m in _all_gl2(R)]
+    F = R.field
+    rot = GroupElement(Matrix(F, [[0, -1], [1, 0]]))
+    flip = GroupElement(Matrix(F, [[1, 0], [0, -1]]))
+    shear = GroupElement(Matrix(F, [[1, 1], [0, 1]]))
+    dense = GroupElement(Matrix(F, [[2, 1], [Fraction(1, 2), Fraction(-3, 4)]]))
+    d4, r = [], GroupElement(Matrix.identity(F, 2))
+    for _ in range(4):
+        d4 += [r, r * flip]
+        r = r * rot
+    return d4 + [shear, dense, shear * dense, dense.inverse() * shear]
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_action_matches_transport_of_a_ring_map(char):
+    """act_on_op reads the inverse the element carries; transporting along
+    the element's ring map, with or without its inverse supplied, and the
+    evaluate-and-solve oracle give the same operator."""
+    rng = random.Random(7100 + char)
+    R = make_ring(char, 2)
+    for g in _action_elements(R):
+        xi = random_diffop(rng, R, max_order=2, coeff_degree=2, allow_zero=False)
+        moved = act_on_op(g, xi)
+        m = RingMap.from_matrix(R, g.matrix.rows)
+        assert moved == transport_via_coordinates(m, xi)
+        with_inverse = RingMap.from_matrix(
+            R, g.matrix.rows, inverse_rows=g.inverse().matrix.rows
+        )
+        assert moved == transport_via_coordinates(with_inverse, xi)
+        assert moved == _transport_oracle(m, xi)
 
 
 def test_level1_rigidity_coefficient_chain():
