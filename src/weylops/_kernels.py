@@ -3,16 +3,22 @@
 These are the inner loops of the whole package: sparse polynomial
 arithmetic (``poly_add``, ``poly_neg``, ``poly_scale``, ``poly_mul``,
 ``poly_pow``) and substitution (``poly_substitute``), the
-divided-power derivatives (``partial_apply``, ``diffop_apply``), the
+divided-power derivatives (``partial_apply``, ``diffop_apply``), operator
+sums (``diffop_add``, ``diffop_neg``, ``diffop_scale``), the
 normal-ordered operator product (``diffop_mul``) and the standard
 transposition (``diffop_transpose``).
 
 Data layout (no classes here, wrappers live in ``poly``/``diffop``):
 
-* polynomial: dict mapping exponent tuple -> nonzero coefficient
-  (Fraction in characteristic 0, int residue mod p otherwise);
+* polynomial: dict mapping exponent tuple -> nonzero coefficient;
 * operator:   dict mapping exponent tuple -> polynomial dict, the left
   coefficient of the divided-power basis element for that exponent.
+
+In characteristic p a coefficient is an int residue mod p.  In
+characteristic 0 the operator kernels receive the integer numerators of
+an operator whose one common denominator is kept by ``diffop`` (the
+integer core), so their coefficients are ints as well; ``Polynomial``
+still stores ``Fraction`` values, and the polynomial kernels accept them.
 
 ``p`` is the characteristic, 0 meaning the rationals.  All functions
 return canonical dicts (no zero values stored) and never mutate inputs.
@@ -197,6 +203,30 @@ def diffop_apply(xi, f, p):
             continue
         out = poly_add(out, poly_mul(coeff, df, p), p)
     return out
+
+
+def diffop_add(xi, eta, p):
+    out = dict(xi)
+    for alpha, g in eta.items():
+        f = out.get(alpha)
+        if f is None:
+            out[alpha] = g
+            continue
+        h = poly_add(f, g, p)
+        if h:
+            out[alpha] = h
+        else:
+            del out[alpha]
+    return out
+
+
+def diffop_neg(xi, p):
+    return {alpha: poly_neg(f, p) for alpha, f in xi.items()}
+
+
+def diffop_scale(xi, c, p):
+    """c times the operator, for c nonzero in the field."""
+    return {alpha: poly_scale(f, c, p) for alpha, f in xi.items()}
 
 
 def diffop_mul(xi, eta, p):

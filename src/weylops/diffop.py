@@ -11,11 +11,22 @@ Products are renormalized immediately (the basis is free over S, so the
 normal form is canonical and equality is dict equality).  The order and
 level filtrations come with independent oracles based on their defining
 commutator characterizations.
+
+Every operator is stored as an integer core ``(num, den)``: ``num`` maps
+exponent tuples to coefficient dicts of ints and ``den > 0`` is one
+denominator for all of them, with gcd(den, every numerator) == 1 and
+den == 1 for the zero operator (the content/primitive-part form).  Over
+F_p the ints are residues and den is 1.  The core functions below
+(``canonical``, ``core_add``, ``core_neg``, ``core_mul``, ``core_pow``)
+work on such pairs, so the kernels only ever see ints; ``DiffOp.terms``,
+the view with ``Polynomial`` coefficients, is built on first read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 
 from . import _kernels as K
 from . import exponents
@@ -23,31 +34,131 @@ from .errors import DomainError
 from .poly import Polynomial, PolyRing
 
 
-class DiffOp:
-    """Operator in normal form: exponent tuple -> left polynomial coefficient.
+def canonical(num: dict, den: int):
+    """The pair (num, den) with gcd(den, every numerator) divided out."""
+    if den == 1 or not num:
+        return num, 1
+    g = gcd(den, *chain.from_iterable(map(dict.values, num.values())))
+    if g == 1:
+        return num, den
+    return {a: {m: c // g for m, c in f.items()} for a, f in num.items()}, den // g
 
-    Stored coefficients are nonzero polynomials of the ambient ring;
-    instances are immutable and all operations are pure.
+
+def core_add(a, b, p: int):
+    """Sum of two cores."""
+    (xn, xd), (yn, yd) = a, b
+    if xd == yd:
+        return canonical(K.diffop_add(xn, yn, p), xd)
+    g = gcd(xd, yd)
+    den = xd // g * yd
+    return canonical(
+        K.diffop_add(K.diffop_scale(xn, yd // g, p), K.diffop_scale(yn, xd // g, p), p),
+        den,
+    )
+
+
+def core_neg(a, p: int):
+    return K.diffop_neg(a[0], p), a[1]
+
+
+def core_mul(a, b, p: int):
+    """Normal-ordered product of two cores, a first."""
+    return canonical(K.diffop_mul(a[0], b[0], p), a[1] * b[1])
+
+
+def core_pow(a, n: int, p: int, nvars: int):
+    """a**n by squaring; n == 0 gives the constant 1."""
+    if n == 0:
+        zero = (0,) * nvars
+        return {zero: {zero: 1}}, 1
+    result = None
+    while True:
+        if n & 1:
+            result = a if result is None else core_mul(result, a, p)
+        n >>= 1
+        if not n:
+            return result
+        a = core_mul(a, a, p)
+
+
+def _numerators(terms: dict, den: int) -> dict:
+    """Rational coefficients times den, for den a common denominator."""
+    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+
+
+def _poly_core(terms: dict, p: int):
+    """A polynomial's coefficient dict as ints over one denominator."""
+    if p:
+        return terms, 1
+    den = lcm(*(c.denominator for c in terms.values()))
+    return _numerators(terms, den), den
+
+
+def _poly_fractions(num: dict, den: int, p: int) -> dict:
+    """Field values of an int coefficient dict over den (the inverse of
+    :func:`_poly_core`)."""
+    if p:
+        return num
+    if den == 1:
+        return {m: Fraction(c) for m, c in num.items()}
+    return {m: Fraction(c, den) for m, c in num.items()}
+
+
+class DiffOp:
+    """Operator in normal form over an integer core (module docstring).
+
+    ``DiffOp(ring, terms)`` builds one from the field view: exponent tuple
+    -> nonzero polynomial of the ambient ring.  Instances are immutable
+    and all operations are pure.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "num", "den", "_terms")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
-        self.terms = terms
+        if ring.characteristic:
+            self.num = {alpha: f.terms for alpha, f in terms.items()}
+            self.den = 1
+        else:
+            den = lcm(*(c.denominator for f in terms.values() for c in f.terms.values()))
+            self.num = {alpha: _numerators(f.terms, den) for alpha, f in terms.items()}
+            self.den = den
+        self._terms = terms
+
+    @classmethod
+    def _core(cls, ring: PolyRing, core) -> DiffOp:
+        """Wrap a canonical core (num, den)."""
+        op = cls.__new__(cls)
+        op.ring = ring
+        op.num, op.den = core
+        op._terms = None
+        return op
+
+    @property
+    def terms(self) -> dict:
+        """The field view: exponent tuple -> nonzero ``Polynomial``."""
+        terms = self._terms
+        if terms is None:
+            ring, den, p = self.ring, self.den, self.ring.characteristic
+            terms = self._terms = {
+                alpha: Polynomial(ring, _poly_fractions(f, den, p))
+                for alpha, f in self.num.items()
+            }
+        return terms
 
     # -- factories -------------------------------------------------------
 
     @classmethod
     def zero(cls, ring: PolyRing) -> DiffOp:
-        return cls(ring, {})
+        return cls._core(ring, ({}, 1))
 
     @classmethod
     def from_poly(cls, f: Polynomial) -> DiffOp:
         """The multiplication operator by f."""
         if f.is_zero():
             return cls.zero(f.ring)
-        return cls(f.ring, {(0,) * f.ring.nvars: f})
+        num, den = _poly_core(f.terms, f.ring.characteristic)
+        return cls._core(f.ring, ({(0,) * f.ring.nvars: num}, den))
 
     @classmethod
     def constant(cls, ring: PolyRing, c) -> DiffOp:
@@ -60,7 +171,7 @@ class DiffOp:
         exponents.check_arity(alpha, ring.nvars)
         if any(a < 0 for a in alpha):
             raise DomainError(f"negative entry in operator exponent {alpha}")
-        return cls(ring, {alpha: ring.one()})
+        return cls._core(ring, ({alpha: {(0,) * ring.nvars: 1}}, 1))
 
     @classmethod
     def partial(cls, ring: PolyRing, i: int) -> DiffOp:
@@ -88,31 +199,22 @@ class DiffOp:
                     terms[alpha] = f
         return cls(ring, terms)
 
-    # -- raw-dict bridge for the kernels ----------------------------------
-
-    def _raw(self) -> dict:
-        return {alpha: f.terms for alpha, f in self.terms.items()}
-
-    @classmethod
-    def _from_raw(cls, ring: PolyRing, raw: dict) -> DiffOp:
-        return cls(ring, {a: Polynomial(ring, t) for a, t in raw.items()})
-
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     def coefficient(self, alpha) -> Polynomial:
         return self.terms.get(tuple(alpha), self.ring.zero())
 
     def order(self) -> int:
         """Largest |alpha| in the support; -1 for the zero operator."""
-        if not self.terms:
+        if not self.num:
             return -1
-        return max(sum(a) for a in self.terms)
+        return max(sum(a) for a in self.num)
 
     def level(self) -> int:
         """Smallest e with every supported exponent below p^e componentwise.
@@ -125,7 +227,7 @@ class DiffOp:
         if p == 0:
             raise DomainError("level filtration requires characteristic p > 0")
         e = 0
-        for alpha in self.terms:
+        for alpha in self.num:
             for a in alpha:
                 while a > p**e - 1:
                     e += 1
@@ -139,24 +241,24 @@ class DiffOp:
         """For order <= 1: the summand with the constant part removed."""
         if self.order() > 1:
             raise DomainError("derivation part defined for order <= 1 only")
-        return DiffOp(
-            self.ring,
-            {a: f for a, f in self.terms.items() if sum(a) == 1},
-        )
+        return DiffOp._core(self.ring, canonical(
+            {a: f for a, f in self.num.items() if sum(a) == 1}, self.den
+        ))
 
     def is_derivation(self) -> bool:
         """Order <= 1 with no multiplication part (Leibniz rule holds)."""
-        return all(sum(a) == 1 for a in self.terms)
+        return all(sum(a) == 1 for a in self.num)
 
     # -- application and arithmetic ----------------------------------------
 
     def apply(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
             raise DomainError("operator/polynomial ring mismatch")
-        return Polynomial(
-            self.ring,
-            K.diffop_apply(self._raw(), f.terms, self.ring.characteristic),
-        )
+        p = self.ring.characteristic
+        fnum, fden = _poly_core(f.terms, p)
+        return Polynomial(self.ring, _poly_fractions(
+            K.diffop_apply(self.num, fnum, p), self.den * fden, p
+        ))
 
     def __call__(self, f: Polynomial) -> Polynomial:
         return self.apply(f)
@@ -178,20 +280,16 @@ class DiffOp:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for alpha, f in other.terms.items():
-            g = terms.get(alpha)
-            h = f if g is None else g + f
-            if h.is_zero():
-                terms.pop(alpha, None)
-            else:
-                terms[alpha] = h
-        return DiffOp(self.ring, terms)
+        return DiffOp._core(self.ring, core_add(
+            (self.num, self.den), (other.num, other.den), self.ring.characteristic
+        ))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return DiffOp(self.ring, {a: -f for a, f in self.terms.items()})
+        return DiffOp._core(
+            self.ring, core_neg((self.num, self.den), self.ring.characteristic)
+        )
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -207,10 +305,9 @@ class DiffOp:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return DiffOp._from_raw(
-            self.ring,
-            K.diffop_mul(self._raw(), other._raw(), self.ring.characteristic),
-        )
+        return DiffOp._core(self.ring, core_mul(
+            (self.num, self.den), (other.num, other.den), self.ring.characteristic
+        ))
 
     def __rmul__(self, other):
         """other * self for polynomial or scalar left factors."""
@@ -222,15 +319,10 @@ class DiffOp:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise DomainError("operator powers must be natural numbers")
-        result = DiffOp.constant(self.ring, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        ring = self.ring
+        return DiffOp._core(ring, core_pow(
+            (self.num, self.den), n, ring.characteristic, ring.nvars
+        ))
 
     def __eq__(self, other):
         try:
@@ -239,7 +331,7 @@ class DiffOp:
             return False
         if other is None:
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.num == other.num
 
     __hash__ = None
 
@@ -279,7 +371,7 @@ def order_by_bracket_oracle(xi: DiffOp, degree_bound: int = 2) -> int:
     def depth(op: DiffOp) -> int:
         if op.is_zero():
             return -1
-        if all(sum(a) == 0 for a in op.terms):
+        if all(sum(a) == 0 for a in op.num):
             return 0
         return 1 + max(depth(bracket(op, m)) for m in monomials)
 

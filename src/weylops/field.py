@@ -1,11 +1,15 @@
 """Exact coefficient fields: the rationals and prime fields F_p.
 
-Coefficients are stored as plain Python values so the hot kernels can work
-on them without wrapper-object overhead:
+Field values are plain Python values without a wrapper object:
 
 * characteristic 0: `fractions.Fraction` (always in lowest terms,
   positive denominator);
 * characteristic p: `int` residues in ``{0, ..., p-1}``.
+
+Polynomials and matrices store these values.  Operators over Q do not:
+they keep integer numerators over one common denominator (see
+:mod:`weylops.diffop`), so their kernels work on ints, and show field
+values only in their ``terms`` view.
 
 A :class:`FieldSpec` carries the characteristic and mediates every
 arithmetic operation, so modules never hard-code one representation.

@@ -10,7 +10,8 @@ invariants whenever the group order is invertible in the field.
 
 from __future__ import annotations
 
-from .diffop import DiffOp
+from . import _kernels as K
+from .diffop import DiffOp, canonical
 from .errors import DomainError
 from .linalg import Matrix
 from .poly import Polynomial, PolyRing, RingMap, apply_ring_map
@@ -156,10 +157,12 @@ def reynolds(G: FiniteGroup, xi: DiffOp) -> DiffOp:
     total = DiffOp.zero(xi.ring)
     for g in G:
         total = total + act_on_op(g, xi)
-    scale = field.inv(field.from_int(G.order))
-    return DiffOp(
-        xi.ring, {alpha: f * scale for alpha, f in total.terms.items()}
-    )
+    p = field.characteristic
+    if p:
+        core = K.diffop_scale(total.num, pow(G.order, -1, p), p), 1
+    else:
+        core = canonical(total.num, total.den * G.order)
+    return DiffOp._core(xi.ring, core)
 
 
 def is_invariant(G: FiniteGroup, xi: DiffOp) -> bool:

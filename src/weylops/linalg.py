@@ -30,16 +30,29 @@ class Matrix:
         self.ncols = width
 
     @classmethod
+    def _reduced(cls, field: FieldSpec, rows) -> Matrix:
+        """Wrap nonempty equal-length lists of values already in the field,
+        skipping the constructor's checks and coercion."""
+        m = cls.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.nrows = len(rows)
+        m.ncols = len(rows[0])
+        return m
+
+    @classmethod
     def identity(cls, field: FieldSpec, n: int) -> Matrix:
-        return cls(
+        zero, one = field.zero(), field.one()
+        return cls._reduced(
             field,
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)],
+            [[one if i == j else zero for j in range(n)] for i in range(n)],
         )
 
     @classmethod
     def from_columns(cls, field: FieldSpec, cols) -> Matrix:
-        cols = [list(c) for c in cols]
-        return cls(field, [[c[i] for c in cols] for i in range(len(cols[0]))])
+        """The matrix with the given columns: nonempty equal-length vectors
+        of values already in the field, as the package's vectors are."""
+        return cls._reduced(field, [list(r) for r in zip(*cols)])
 
     def column(self, j: int):
         return [r[j] for r in self.rows]
@@ -62,7 +75,7 @@ class Matrix:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DomainError("matrix shape mismatch")
         F = self.field
-        return Matrix(
+        return Matrix._reduced(
             F,
             [
                 [F.add(a, b) for a, b in zip(ra, rb)]
@@ -76,7 +89,7 @@ class Matrix:
     def scale(self, c) -> Matrix:
         F = self.field
         c = F.coerce(c)
-        return Matrix(F, [[F.mul(c, v) for v in r] for r in self.rows])
+        return Matrix._reduced(F, [[F.mul(c, v) for v in r] for r in self.rows])
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -108,7 +121,7 @@ class Matrix:
         return out
 
     def transpose(self) -> Matrix:
-        return Matrix(self.field, list(zip(*self.rows)))
+        return Matrix._reduced(self.field, [list(c) for c in zip(*self.rows)])
 
     def is_zero(self) -> bool:
         F = self.field
@@ -119,7 +132,7 @@ class Matrix:
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column list)."""
         red, pivots = rref(self.field, self.rows)
-        return Matrix(self.field, red), pivots
+        return Matrix._reduced(self.field, red), pivots
 
     def rank(self) -> int:
         return len(rref(self.field, self.rows)[1])
@@ -137,7 +150,7 @@ class Matrix:
                                for i, row in enumerate(self.rows)])
         if pivots[:n] != list(range(n)):
             raise DomainError("matrix is singular")
-        return Matrix(F, [r[n:] for r in red])
+        return Matrix._reduced(F, [r[n:] for r in red])
 
     def __repr__(self):
         body = "; ".join(" ".join(str(v) for v in r) for r in self.rows)

@@ -12,8 +12,9 @@ The product is noncommutative and left-associative.  ``d[a1,...,an]``
 names a divided-power basis operator; ``d1``, ``d2``, ... are sugar for
 the unit exponents (unless shadowed by a declared variable name).
 Rational literals are a single token pair ``NAT/NAT``; there is no
-general division.  The AST is plain tuples and is evaluated into an
-operator over a given ring.  Sums, products and powers are flat n-ary
+general division.  The AST is plain tuples and is evaluated into the
+integer core of an operator over a given ring, ``NAT/NAT`` becoming a
+numerator over a denominator.  Sums, products and powers are flat n-ary
 nodes evaluated left to right, so long chains cost no recursion depth;
 real nesting (parentheses and unary minus) is refused beyond
 ``MAX_DEPTH`` levels.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import re
 
-from .diffop import DiffOp
+from .diffop import DiffOp, canonical, core_add, core_mul, core_neg, core_pow
 from .errors import DomainError, ParseError
 from .poly import PolyRing
 
@@ -224,65 +225,81 @@ def parse(src: str):
 _DSUGAR = re.compile(r"d([1-9][0-9]*)\Z")
 
 
-def evaluate(node, ring: PolyRing) -> DiffOp:
-    """Evaluate an AST into an operator over the given ring."""
-    kind = node[0]
-    if kind == "int":
-        return DiffOp.constant(ring, node[1])
-    if kind == "rat":
-        num, den = node[1], node[2]
-        value = ring.field.div(ring.field.from_int(num), ring.field.from_int(den))
-        return DiffOp.constant(ring, value)
-    if kind == "name":
-        name, line, col = node[1], node[2], node[3]
-        if name in ring.var_names:
-            return DiffOp.from_poly(ring.variable(ring.var_names.index(name)))
-        sugar = _DSUGAR.match(name)
-        if sugar:
-            i = int(sugar.group(1))
-            if 1 <= i <= ring.nvars:
-                return DiffOp.partial(ring, i - 1)
-        raise ParseError(f"unknown identifier {name!r}", line, col)
-    if kind == "dop":
-        alpha, line, col = node[1], node[2], node[3]
-        if len(alpha) != ring.nvars:
-            raise ParseError(
-                f"d[...] needs {ring.nvars} entries, got {len(alpha)}", line, col
-            )
-        return DiffOp.basis(ring, alpha)
-    if kind == "neg":
-        return -evaluate(node[1], ring)
-    if kind == "sum":
-        acc = evaluate(node[1], ring)
-        for negate, term in node[2]:
-            if negate:
-                acc = acc - evaluate(term, ring)
-            else:
-                acc = acc + evaluate(term, ring)
-        return acc
-    if kind == "prod":
-        factors = node[1]
-        acc = evaluate(factors[0], ring)
-        for factor in factors[1:]:
-            acc = acc * evaluate(factor, ring)
-        return acc
-    if kind == "pow":
-        acc = evaluate(node[1], ring)
-        for e in node[2]:
-            _refuse_large_power(acc, e)
-            acc = acc**e
-        return acc
-    raise ParseError(f"unknown AST node {kind!r}")
+def evaluate(node, ring: PolyRing):
+    """Evaluate an AST into the integer core (num, den) of an operator over
+    the given ring (see :mod:`weylops.diffop`); ``a/b`` is the numerator a
+    over the denominator b."""
+    p, n = ring.characteristic, ring.nvars
+    zero = (0,) * n
+
+    def unit(i):
+        return tuple(1 if j == i else 0 for j in range(n))
+
+    def scalar(c, den=1):
+        if p:
+            c %= p
+            return ({zero: {zero: c}}, 1) if c else ({}, 1)
+        return canonical({zero: {zero: c}} if c else {}, den)
+
+    def ev(node):
+        kind = node[0]
+        if kind == "int":
+            return scalar(node[1])
+        if kind == "rat":
+            num, den = node[1], node[2]
+            if (den % p if p else den) == 0:
+                raise DomainError("division by zero")
+            return scalar(num * pow(den, -1, p)) if p else scalar(num, den)
+        if kind == "name":
+            name, line, col = node[1], node[2], node[3]
+            if name in ring.var_names:
+                return {zero: {unit(ring.var_names.index(name)): 1}}, 1
+            sugar = _DSUGAR.match(name)
+            if sugar:
+                i = int(sugar.group(1))
+                if 1 <= i <= n:
+                    return {unit(i - 1): {zero: 1}}, 1
+            raise ParseError(f"unknown identifier {name!r}", line, col)
+        if kind == "dop":
+            alpha, line, col = node[1], node[2], node[3]
+            if len(alpha) != n:
+                raise ParseError(
+                    f"d[...] needs {n} entries, got {len(alpha)}", line, col
+                )
+            return {alpha: {zero: 1}}, 1
+        if kind == "neg":
+            return core_neg(ev(node[1]), p)
+        if kind == "sum":
+            acc = ev(node[1])
+            for negate, term in node[2]:
+                value = ev(term)
+                acc = core_add(acc, core_neg(value, p) if negate else value, p)
+            return acc
+        if kind == "prod":
+            factors = node[1]
+            acc = ev(factors[0])
+            for factor in factors[1:]:
+                acc = core_mul(acc, ev(factor), p)
+            return acc
+        if kind == "pow":
+            acc = ev(node[1])
+            for e in node[2]:
+                _refuse_large_power(acc[0], e)
+                acc = core_pow(acc, e, p, n)
+            return acc
+        raise ParseError(f"unknown AST node {kind!r}")
+
+    return ev(node)
 
 
-def _refuse_large_power(base: DiffOp, e: int):
+def _refuse_large_power(base: dict, e: int):
     """Refuse base^e, before any product, when the base has t >= 2 terms and
     e * t * C(e+t-1, t) exceeds POWER_PAIRS_LIMIT.  Multiplying in one factor
     at a time meets t * C(e+t-1, t) term pairs if the k-th power has the
     C(k+t-1, t-1) terms of a commutative one, and normal ordering an order-1
     base gives each pair up to e terms.  A single-term base is never refused,
     so ``d[1000]^2`` is one product of two monomials."""
-    t = sum(len(f.terms) for f in base.terms.values())
+    t = sum(map(len, base.values()))
     if t < 2 or e < 2:
         return
     c = 1
@@ -296,7 +313,7 @@ def _refuse_large_power(base: DiffOp, e: int):
 
 
 def parse_operator(src: str, ring: PolyRing) -> DiffOp:
-    return evaluate(parse(src), ring)
+    return DiffOp._core(ring, evaluate(parse(src), ring))
 
 
 def parse_polynomial(src: str, ring: PolyRing):

@@ -24,11 +24,11 @@ holds in every characteristic.
 
 from __future__ import annotations
 
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 from . import _kernels as K
 from . import exponents
-from .diffop import DiffOp
+from .diffop import DiffOp, canonical
 from .errors import DomainError
 from .linalg import Matrix
 from .poly import Polynomial, PolyRing, RingMap
@@ -43,9 +43,11 @@ TRANSPORT_TERMS_LIMIT = 1 << 14
 def standard_transpose(xi: DiffOp) -> DiffOp:
     """Sign-the-basis transposition, renormalized into left-coefficient form
     by the Leibniz rule (module docstring)."""
-    ring = xi.ring
-    return DiffOp._from_raw(
-        ring, K.diffop_transpose(xi._raw(), ring.characteristic)
+    # The transposition is an involution that maps integral operators to
+    # integral ones, so a common factor of den and the image's numerators
+    # would divide xi's numerators too: the image core is already canonical.
+    return DiffOp._core(
+        xi.ring, (K.diffop_transpose(xi.num, xi.ring.characteristic), xi.den)
     )
 
 
@@ -77,21 +79,19 @@ def twisted_transpose(twist, xi: DiffOp) -> DiffOp:
             )
         images.append(-DiffOp.partial(ring, i) + f)
 
-    def basis_image(alpha) -> DiffOp:
-        op = DiffOp.constant(ring, 1)
+    # the image of f*d^[alpha] is prod_i images[i]^alpha_i times f over
+    # alpha! * den, with f the term's integer coefficient
+    zero = (0,) * ring.nvars
+    out = DiffOp.zero(ring)
+    for alpha, f in xi.num.items():
+        op = DiffOp._core(ring, canonical(
+            {zero: f}, xi.den * prod(factorial(a) for a in alpha)
+        ))
+        image = None
         for i, a in enumerate(alpha):
             if a:
-                op = op * images[i] ** a
-        denom = 1
-        for a in alpha:
-            denom *= factorial(a)
-        if denom != 1:
-            op = DiffOp.from_poly(ring.constant(f"1/{denom}")) * op
-        return op
-
-    out = DiffOp.zero(ring)
-    for alpha, f in xi.terms.items():
-        out = out + basis_image(alpha) * f
+                image = images[i] ** a if image is None else image * images[i] ** a
+        out = out + (op if image is None else image * op)
     return out
 
 
@@ -183,44 +183,68 @@ def transport_by_rows(xi: DiffOp, rows, inv_rows) -> DiffOp:
     """Conjugate the operator by the linear substitution whose matrix has
     the given rows (the image of x_j is the j-th column combination of the
     variables), given the rows of its inverse B.  Nothing checks that B
-    inverts the matrix; callers pass a verified pair."""
+    inverts the matrix; callers pass a verified pair.
+
+    Over Q both matrices are taken as integer rows over one common
+    denominator each, so the work is on integer cores throughout."""
     ring = xi.ring
     n, p = ring.nvars, ring.characteristic
     if all(v == (1 if i == j else 0)
            for i, row in enumerate(rows) for j, v in enumerate(row)):
         return xi
+    rows, row_den = _integer_rows(rows, p)
+    inv_rows, inv_den = _integer_rows(inv_rows, p)
     supports = [[j for j, b in enumerate(row) if b] for row in inv_rows]
-    for alpha in xi.terms:
+    for alpha in xi.num:
         size = prod(comb(a + len(s) - 1, a) for a, s in zip(alpha, supports))
         if size > TRANSPORT_TERMS_LIMIT:
             raise DomainError(
                 f"the image of d[{','.join(map(str, alpha))}] may have more "
                 f"terms than the guardrail of {TRANSPORT_TERMS_LIMIT}"
             )
+    zero = (0,) * n
 
     def divided_power(k: int, a: int) -> DiffOp:
         """l_k^[a], the sum of B[k]^beta d^[beta] over |beta| = a with beta
-        supported where B[k] is nonzero."""
+        supported where B[k] is nonzero: the integer row's powers over
+        inv_den^a."""
         row, support = inv_rows[k], supports[k]
         terms = {}
         for part in exponents.iter_graded(len(support), a):
             beta = [0] * n
             for j, e in zip(support, part):
                 beta[j] = e
-            terms[tuple(beta)] = prod(row[j] ** e for j, e in zip(support, part))
-        return DiffOp.from_terms(ring, terms)
+            c = prod(row[j] ** e for j, e in zip(support, part))
+            terms[tuple(beta)] = {zero: c % p if p else c}
+        return DiffOp._core(ring, canonical(terms, inv_den ** a))
 
-    # m(f) substitutes for x_j the j-th column of the matrix
+    # m(f) substitutes for x_j the j-th integer column; a monomial of degree
+    # e then picks up row_den^-e, so each coefficient is lifted to the top
+    # degree t of f and the image is over row_den^t
     units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
     images = [{units[i]: v for i, v in enumerate(col) if v} for col in zip(*rows)]
     powers = {}
-    zero = (0,) * n
+    one = DiffOp._core(ring, ({zero: {zero: 1}}, 1))
     out = DiffOp.zero(ring)
-    for alpha, f in xi.terms.items():
-        image = DiffOp.constant(ring, 1)
+    for alpha, f in xi.num.items():
+        image = one
         for k, a in enumerate(alpha):
             if a:
                 image = image * divided_power(k, a)
-        mf = K.poly_substitute(f.terms, images, p, powers)
-        out = out + DiffOp._from_raw(ring, {zero: mf}) * image
-    return out
+        mf_den = 1
+        if row_den != 1:
+            top = max(map(sum, f))
+            f = {mu: c * row_den ** (top - sum(mu)) for mu, c in f.items()}
+            mf_den = row_den ** top
+        mf = canonical({zero: K.poly_substitute(f, images, p, powers)}, mf_den)
+        out = out + DiffOp._core(ring, mf) * image
+    return DiffOp._core(ring, canonical(out.num, out.den * xi.den))
+
+
+def _integer_rows(rows, p: int):
+    """Matrix rows as int rows over one common denominator; over F_p the
+    residues themselves over 1."""
+    if p:
+        return rows, 1
+    den = lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den

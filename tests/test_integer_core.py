@@ -1,0 +1,269 @@
+"""The integer core of operators over Q against a Fraction-valued oracle.
+
+Over Q an operator is stored as integer numerators over one denominator
+(``DiffOp.num``, ``DiffOp.den``).  The oracle here is the product the
+package used before that: the same term kernels run on ``Fraction``
+coefficients, which they accept unchanged.  Every result is also checked
+for the canonical form: int numerators, den > 0, gcd(den, numerators) == 1,
+and den == 1 for the zero operator.
+"""
+
+from fractions import Fraction
+from math import factorial, gcd, prod
+
+from hypothesis import given, settings, strategies as st
+
+import weylops._kernels as K
+from weylops import (
+    DiffOp,
+    FiniteGroup,
+    GroupElement,
+    Matrix,
+    bracket,
+    parse_operator,
+    reynolds,
+    standard_transpose,
+    twisted_transpose,
+)
+from weylops.render import render_op
+from conftest import make_ring
+
+RINGS = {n: make_ring(0, n) for n in (1, 2, 3)}
+
+
+def _fractions(max_den=12):
+    return st.builds(Fraction, st.integers(-12, 12).filter(bool),
+                     st.integers(1, max_den))
+
+
+def _polys(ring, max_degree=3, max_terms=3):
+    exps = st.tuples(*[st.integers(0, max_degree)] * ring.nvars)
+    return st.dictionaries(exps, _fractions(), max_size=max_terms).map(ring.from_terms)
+
+
+def _ops(ring, max_order=2):
+    alphas = st.tuples(*[st.integers(0, max_order)] * ring.nvars)
+    return st.dictionaries(alphas, _polys(ring), max_size=3).map(
+        lambda terms: DiffOp.from_terms(ring, terms))
+
+
+@st.composite
+def _op_pairs(draw):
+    ring = RINGS[draw(st.sampled_from(sorted(RINGS)))]
+    return draw(_ops(ring)), draw(_ops(ring))
+
+
+# -- the Fraction-valued oracle ----------------------------------------------
+
+
+def _view(op) -> dict:
+    """An operator as {alpha: {mu: Fraction}}."""
+    return {alpha: dict(f.terms) for alpha, f in op.terms.items()}
+
+
+def _fraction_mul(a: dict, b: dict) -> dict:
+    return K.diffop_mul(a, b, 0)
+
+
+def _fraction_add(a: dict, b: dict) -> dict:
+    return K.diffop_add(a, b, 0)
+
+
+def _fraction_scale(a: dict, c) -> dict:
+    return K.diffop_scale(a, Fraction(c), 0) if c else {}
+
+
+def _fraction_twisted(twist, xi: dict, n: int) -> dict:
+    """Sum over the terms f*d^[alpha] of prod_i (-d_i + f_i)^alpha_i * f
+    over alpha!, all on Fraction dicts."""
+    zero = (0,) * n
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    images = [_fraction_add({units[i]: {zero: Fraction(-1)}}, {zero: dict(f.terms)}
+                            if f.terms else {}) for i, f in enumerate(twist)]
+    out = {}
+    for alpha, f in xi.items():
+        image = {zero: {zero: Fraction(1)}}
+        for i, a in enumerate(alpha):
+            for _ in range(a):
+                image = _fraction_mul(image, images[i])
+        term = _fraction_mul(image, {zero: f})
+        out = _fraction_add(out, _fraction_scale(
+            term, Fraction(1, prod(factorial(a) for a in alpha))))
+    return out
+
+
+def _assert_canonical(op):
+    nums = [c for f in op.num.values() for c in f.values()]
+    assert all(type(c) is int and c for c in nums)
+    assert all(op.num.values())
+    assert type(op.den) is int and op.den > 0
+    assert gcd(op.den, *nums) == 1
+    if op.is_zero():
+        assert op.den == 1
+
+
+def _check(op, expected: dict):
+    _assert_canonical(op)
+    assert _view(op) == expected
+
+
+# -- properties ---------------------------------------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(_op_pairs())
+def test_arithmetic_matches_fraction_oracle(pair):
+    xi, eta = pair
+    a, b = _view(xi), _view(eta)
+    _assert_canonical(xi)
+    _check(xi * eta, _fraction_mul(a, b))
+    _check(bracket(xi, eta), _fraction_add(
+        _fraction_mul(a, b), _fraction_scale(_fraction_mul(b, a), -1)))
+    _check(xi + eta, _fraction_add(a, b))
+    _check(xi - eta, _fraction_add(a, _fraction_scale(b, -1)))
+    _check(-xi, _fraction_scale(a, -1))
+    _check(xi - xi, {})
+    _check(xi * 0, {})
+
+
+@settings(max_examples=25, deadline=None)
+@given(_op_pairs(), st.data())
+def test_transposes_and_apply_match_fraction_oracle(pair, data):
+    xi, _ = pair
+    ring = xi.ring
+    a = _view(xi)
+    _check(standard_transpose(xi), K.diffop_transpose(a, 0))
+    twist = [data.draw(_polys(make_ring(0, 1), max_degree=2)) for _ in range(ring.nvars)]
+    # each twist polynomial involves only its own variable
+    twist = [ring.from_terms({tuple(e[0] if j == i else 0 for j in range(ring.nvars)): c
+                              for e, c in f.terms.items()})
+             for i, f in enumerate(twist)]
+    _check(twisted_transpose(twist, xi), _fraction_twisted(twist, a, ring.nvars))
+    f = data.draw(_polys(ring, max_degree=4, max_terms=4))
+    assert xi.apply(f).terms == K.diffop_apply(a, dict(f.terms), 0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_op_pairs())
+def test_parser_matches_fraction_oracle(pair):
+    xi, eta = pair
+    ring = xi.ring
+    a, b = _view(xi), _view(eta)
+    _check(parse_operator(render_op(xi), ring), a)
+    text = f"({render_op(xi)})*({render_op(eta)}) - 2/6*({render_op(eta)})"
+    _check(parse_operator(text, ring), _fraction_add(
+        _fraction_mul(a, b), _fraction_scale(b, Fraction(-1, 3))))
+    _check(parse_operator(f"({render_op(xi)}) - ({render_op(xi)})", ring), {})
+
+
+def _sign_oracle(a: dict) -> dict:
+    """Reynolds average under {I, -I}: the terms x^mu d^[alpha] with
+    |mu| + |alpha| even."""
+    out = {}
+    for alpha, f in a.items():
+        kept = {mu: c for mu, c in f.items() if (sum(mu) + sum(alpha)) % 2 == 0}
+        if kept:
+            out[alpha] = kept
+    return out
+
+
+def _swap_oracle(a: dict) -> dict:
+    """Reynolds average under {I, M}, M = [[0, 2], [1/2, 0]]: conjugation
+    sends c x^mu d^[alpha] to c 2^(mu_1 - mu_0 + alpha_0 - alpha_1)
+    x^(mu_1, mu_0) d^[(alpha_1, alpha_0)]."""
+    moved = {}
+    for (a0, a1), f in a.items():
+        moved[a1, a0] = {(m1, m0): c * Fraction(2) ** (m1 - m0 + a0 - a1)
+                         for (m0, m1), c in f.items()}
+    return _fraction_scale(_fraction_add(a, moved), Fraction(1, 2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_ops(RINGS[2], max_order=3))
+def test_reynolds_matches_closed_forms(xi):
+    F = xi.ring.field
+    ident = GroupElement(Matrix.identity(F, 2))
+    sign = FiniteGroup([ident, GroupElement(Matrix(F, [[-1, 0], [0, -1]]))])
+    swap = FiniteGroup([ident, GroupElement(Matrix(F, [[0, 2], ["1/2", 0]]))])
+    a = _view(xi)
+    _check(reynolds(sign, xi), _sign_oracle(a))
+    _check(reynolds(swap, xi), _swap_oracle(a))
+
+
+def test_cancellation_resets_the_denominator():
+    R = RINGS[2]
+    half_x = parse_operator("1/2*x1*d1 + 1/3", R)
+    assert (half_x.num, half_x.den) == ({(1, 0): {(1, 0): 3}, (0, 0): {(0, 0): 2}}, 6)
+    zero = half_x - parse_operator("3/6*x1*d1 + 2/6", R)
+    assert (zero.num, zero.den) == ({}, 1)
+    # a sum whose surviving numerators share a factor with the denominator
+    half = parse_operator("1/6*d1 + 1/6*d2", R) + parse_operator("-1/6*d1 + 1/3*d2", R)
+    assert (half.num, half.den) == ({(0, 1): {(0, 0): 1}}, 2)
+    # terms kept by derivation_part may share a factor with the denominator
+    part = parse_operator("1/2*d1 + 1/3", R).derivation_part()
+    assert (part.num, part.den) == ({(1, 0): {(0, 0): 1}}, 2)
+
+
+# -- the kernels only ever see ints over Q --------------------------------------
+
+
+def test_operator_kernels_receive_only_ints_over_q(monkeypatch):
+    """Products, powers, brackets, both transposes, the parser and the
+    transport hand the operator kernels integer numerators only."""
+    seen = {"diffop_mul": 0, "diffop_transpose": 0}
+
+    def ints_only(*ops):
+        for op in ops:
+            for f in op.values():
+                assert all(type(c) is int for c in f.values())
+
+    def wrap(name):
+        kernel = getattr(K, name)
+
+        def guarded(*args):
+            seen[name] += 1
+            ints_only(*args[:-1])
+            return kernel(*args)
+
+        monkeypatch.setattr(K, name, guarded)
+
+    wrap("diffop_mul")
+    wrap("diffop_transpose")
+    R = RINGS[2]
+    F = R.field
+    xi = parse_operator("1/2*x1*d1 + 2/3*x2^2*d[0,2] - 5/4", R)
+    eta = parse_operator("(3/5*x1 + d2)^3", R)
+    twist = [R.from_terms({(1, 0): Fraction(1, 3)}), R.from_terms({(0, 2): 7})]
+    standard_transpose(xi * eta)
+    bracket(xi, eta)
+    twisted_transpose(twist, xi)
+    swap = FiniteGroup([GroupElement(Matrix.identity(F, 2)),
+                        GroupElement(Matrix(F, [[0, 2], ["1/2", 0]]))])
+    reynolds(swap, xi)
+    assert seen["diffop_mul"] > 0 and seen["diffop_transpose"] > 0
+
+
+def test_powers_start_from_the_base(monkeypatch):
+    """x^n by squaring does no product with the constant 1: the cube is
+    two products, the square one, the first power none."""
+    calls = []
+    kernel = K.diffop_mul
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(K, "diffop_mul", counted)
+    c = parse_operator("x1*d2 + 1/2*d1", RINGS[2])
+    for n, products in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3)):
+        calls.clear()
+        power = c ** n
+        assert len(calls) == products
+        assert power == _power_oracle(c, n)
+
+
+def _power_oracle(c, n):
+    out = {(0,) * c.ring.nvars: {(0,) * c.ring.nvars: Fraction(1)}}
+    for _ in range(n):
+        out = _fraction_mul(out, _view(c))
+    return DiffOp(c.ring, {a: c.ring.from_terms(f) for a, f in out.items()})

@@ -98,3 +98,29 @@ def test_row_list_elimination_matches_sympy(p):
         kernel = rref_kernel(F, red, pivots)
         assert len(kernel) == len(rows[0]) - theirs.rank()
         assert _row_space(F, kernel) == _row_space(F, _from_sympy(p, theirs.nullspace().to_list()))
+
+
+@pytest.mark.parametrize("p", (0, 5))
+def test_arithmetic_results_are_not_coerced_again(p, monkeypatch):
+    """Sums, scalings, transposes, column builds, identities, inverses and
+    echelon forms wrap rows already in the field; only a scale factor and
+    the single reducing pass of a product go through ``coerce``."""
+    F = FieldSpec(p)
+    a = Matrix(F, [[1, 2], [3, 4]])
+    b = Matrix(F, [[0, "1/3"], [-1, 2]])
+    calls = []
+    coerce = FieldSpec.coerce
+
+    def counted(self, value):
+        calls.append(value)
+        return coerce(self, value)
+
+    monkeypatch.setattr(FieldSpec, "coerce", counted)
+    results = [a + b, a - b, a.transpose(), Matrix.from_columns(F, a.rows),
+               Matrix.identity(F, 2), a.inverse(), a.rref()[0]]
+    assert calls == [-1]  # the factor of the scaling inside a - b
+    results.append(a * b)
+    assert len(calls) == 1 + 4  # one reducing pass over the product's cells
+    kind = int if p else Fraction
+    assert all(type(v) is kind for m in results for row in m.rows for v in row)
+    assert a.inverse() * a == Matrix.identity(F, 2)

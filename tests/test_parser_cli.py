@@ -170,6 +170,22 @@ def test_cli_size_limits():
         assert "guardrail" in err and "Traceback" not in err
 
 
+def test_rational_literal_edge_cases():
+    R = make_ring(0, 1)
+    code, out, err = _run(["normalize", "1/0"])
+    assert (code, out) == (3, "") and "division by zero" in err
+    assert _run(["--char", "5", "normalize", "1/10*x1"])[0] == 3
+    assert _run(["--char", "5", "normalize", "1/3*x1"]) == (0, "2*x1\n", "")
+    for text in ("0/7*x1", "0/7"):
+        zero = parse_operator(text, R)
+        assert zero.is_zero() and zero.den == 1
+    assert render_op(parse_operator("6/4*d1", R)) == "3/2*d[1]"
+    three_halves = parse_operator("6/4", R)
+    assert (three_halves.num, three_halves.den) == ({(0,): {(0,): 3}}, 2)
+    cancelled = parse_operator("-3/6*x1*d1 + 1/2*x1*d1", R)
+    assert cancelled.is_zero() and cancelled.den == 1
+
+
 def test_cli_long_number_literals():
     # Python refuses to convert more than 4300 digits; that is a parse error
     digits = "7" * 5000
