@@ -22,16 +22,26 @@ still stores ``Fraction`` values, and the polynomial kernels accept them.
 
 ``p`` is the characteristic, 0 meaning the rationals.  All functions
 return canonical dicts (no zero values stored) and never mutate inputs.
+
+One bound, ``WORK_LIMIT`` coefficient products, holds in every kernel
+whose output can outgrow its inputs: ``diffop_mul`` counts
+|f|*|g|*prod_i min(alpha_i+1, top_i(g)+1) per pair of terms f*d^[alpha],
+g*d^[beta] (|f|*|g| for alpha = 0), ``diffop_transpose`` counts
+|f|*prod_i min(alpha_i+1, top_i(f)+1) per term, and ``poly_pow`` and
+``poly_substitute`` count |a|*|b| per product.  Past the bound a call raises
+``DomainError`` before the work it counts.  ``poly_mul`` checks nothing.
 """
 
 from itertools import product as _product
-from math import comb as _comb
+from math import comb as _comb, prod as _prod
 
 from .errors import DomainError
 
 KERNEL_BACKEND = "python"
 # largest exact binomial coefficient, in bits, that the kernels build
 BINOM_BITS_LIMIT = 1 << 14
+# most coefficient products one kernel call may form (module docstring)
+WORK_LIMIT = 1 << 17
 
 
 def poly_add(a, b, p):
@@ -90,16 +100,28 @@ def poly_mul(a, b, p):
     return out
 
 
+def _refuse(what):
+    raise DomainError(f"{what} needs more coefficient products than the "
+                      f"guardrail of {WORK_LIMIT}")
+
+
+def _bounded_mul(a, b, p):
+    """poly_mul, refused before it forms more than WORK_LIMIT products."""
+    if len(a) * len(b) > WORK_LIMIT:
+        _refuse("a polynomial product")
+    return poly_mul(a, b, p)
+
+
 def poly_pow(a, e, p):
     """a**e for e >= 1, by repeated squaring."""
     out = None
     while True:
         if e & 1:
-            out = a if out is None else poly_mul(out, a, p)
+            out = a if out is None else _bounded_mul(out, a, p)
         e >>= 1
         if not e:
             return out
-        a = poly_mul(a, a, p)
+        a = _bounded_mul(a, a, p)
 
 
 def poly_substitute(f, images, p, powers):
@@ -116,7 +138,7 @@ def poly_substitute(f, images, p, powers):
                 pw = powers.get((i, e))
                 if pw is None:
                     pw = powers[i, e] = poly_pow(images[i], e, p)
-                term = pw if term is None else poly_mul(term, pw, p)
+                term = pw if term is None else _bounded_mul(term, pw, p)
         if term is None:
             term = {exp: 1}  # the constant term; exp is all zeros
         # c and every coefficient of term are nonzero, so is their product
@@ -240,14 +262,19 @@ def diffop_mul(xi, eta, p):
     some gamma_i exceeds every exponent of x_i in g.
     """
     out = {}
+    work = 0
     # per term of eta, one past the top exponent of each variable in g
     terms = [(beta, g, [max(c) + 1 for c in zip(*g)]) for beta, g in eta.items()]
     for alpha, f in xi.items():
+        size = len(f)
         if not any(alpha):
             # f*d^[0] is already normal-ordered against every g*d^[beta]; the
             # loop below gives the same f*g at beta, but only after copying g
             # through partial_apply and a binomial per pair
             for beta, g, _ in terms:
+                work += size * len(g)
+                if work > WORK_LIMIT:
+                    _refuse("an operator product")
                 contrib = poly_mul(f, g, p)
                 if contrib:
                     acc = out.get(beta)
@@ -255,7 +282,11 @@ def diffop_mul(xi, eta, p):
             continue
         alpha_ends = [a + 1 for a in alpha]
         for beta, g, g_ends in terms:
-            for gamma in _product(*map(range, map(min, alpha_ends, g_ends))):
+            ends = list(map(min, alpha_ends, g_ends))
+            work += size * len(g) * _prod(ends)
+            if work > WORK_LIMIT:
+                _refuse("an operator product")
+            for gamma in _product(*map(range, ends)):
                 dg = partial_apply(gamma, g, p)
                 if not dg:
                     continue
@@ -282,11 +313,14 @@ def diffop_transpose(xi, p):
     gamma stops at the top exponents of f.
     """
     out = {}
+    work = 0
     for alpha, f in xi.items():
         odd = sum(alpha) % 2
-        alpha_ends = [a + 1 for a in alpha]
-        f_ends = [max(c) + 1 for c in zip(*f)]
-        for gamma in _product(*map(range, map(min, alpha_ends, f_ends))):
+        ends = [min(a + 1, max(c) + 1) for a, c in zip(alpha, zip(*f))]
+        work += len(f) * _prod(ends)
+        if work > WORK_LIMIT:
+            _refuse("a transposition")
+        for gamma in _product(*map(range, ends)):
             df = partial_apply(gamma, f, p)
             if not df:
                 continue

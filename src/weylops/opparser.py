@@ -17,7 +17,8 @@ integer core of an operator over a given ring, ``NAT/NAT`` becoming a
 numerator over a denominator.  Sums, products and powers are flat n-ary
 nodes evaluated left to right, so long chains cost no recursion depth;
 real nesting (parentheses and unary minus) is refused beyond
-``MAX_DEPTH`` levels.
+``MAX_DEPTH`` levels.  Nothing here estimates what evaluation costs: the
+term kernels refuse work past ``_kernels.WORK_LIMIT`` themselves.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ _TOKEN_RE = re.compile(
   | (?P<dsym>d\[[^\]]*\])
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op>[-+*^/()])
+  | (?P<bad>.)
 """,
     re.VERBOSE,
 )
@@ -44,43 +46,25 @@ _DSYM_BODY = re.compile(r"d\[([0-9, ]*)\]\Z")
 # Deepest nesting of parentheses and unary minus signs the parser accepts.
 MAX_DEPTH = 100
 
-# Largest estimated term pairs e * t * C(e+t-1, t) of a parsed power base^e.
-POWER_PAIRS_LIMIT = 1 << 16
 
-
-class _Token:
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind, text, line, column):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.column = column
-
-    def __repr__(self):
-        return f"Token({self.kind}, {self.text!r})"
+def _error_at(message, src, offset):
+    """A ParseError placed at the 1-based line and column of src[offset]."""
+    line = src.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - src.rfind("\n", 0, offset))
 
 
 def tokenize(src: str):
+    """The tokens of src as (kind, text, offset) tuples, ending with an
+    ("end", "", len(src)) token."""
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {src[pos]!r}", line, col)
+    for m in _TOKEN_RE.finditer(src):
         kind = m.lastgroup
-        text = m.group()
-        if kind != "ws":
-            tokens.append(_Token(kind, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(_Token("end", "", line, col))
+        if kind == "ws":
+            continue
+        if kind == "bad":
+            raise _error_at(f"unexpected character {m.group()!r}", src, m.start())
+        tokens.append((kind, m.group(), m.start()))
+    tokens.append(("end", "", len(src)))
     return tokens
 
 
@@ -88,69 +72,64 @@ _ATOM_STARTERS = {"num", "ident", "dsym"}
 
 
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    """Recursive descent over the tokens of src; ``tok`` is the next one."""
+
+    def __init__(self, src):
+        self.src = src
+        self.tokens = tokenize(src)
         self.pos = 0
+        self.tok = self.tokens[0]
         self.depth = 0
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def advance(self):
+        tok = self.tok
         self.pos += 1
+        self.tok = self.tokens[self.pos]
         return tok
 
     def natural(self) -> int:
         """Consume a number token; past Python's digit limit, a parse error."""
-        tok = self.advance()
+        _, text, offset = self.advance()
         try:
-            return int(tok.text)
+            return int(text)
         except ValueError:
-            raise ParseError(f"number of {len(tok.text)} digits is too long",
-                             tok.line, tok.column) from None
+            raise _error_at(f"number of {len(text)} digits is too long",
+                            self.src, offset) from None
 
     def error(self, message):
-        tok = self.current
-        raise ParseError(message, tok.line, tok.column)
+        raise _error_at(message, self.src, self.tok[2])
 
     def enter(self):
         self.depth += 1
         if self.depth > MAX_DEPTH:
             self.error(f"nesting deeper than {MAX_DEPTH} levels")
 
-    def expect_op(self, text):
-        tok = self.current
-        if tok.kind != "op" or tok.text != text:
-            self.error(f"expected {text!r}")
-        return self.advance()
+    # Only an op token's text can be one of the operator characters, so the
+    # checks below compare text alone.
 
     # expr := product (('+'|'-') product)*
     def parse_expr(self):
         first = self.parse_product()
         rest = []
-        while self.current.kind == "op" and self.current.text in "+-":
-            op = self.advance().text
-            rest.append((op == "-", self.parse_product()))
+        while self.tok[1] == "+" or self.tok[1] == "-":
+            negate = self.advance()[1] == "-"
+            rest.append((negate, self.parse_product()))
         return ("sum", first, rest) if rest else first
 
     # product := unary (['*'] unary)*
     def parse_product(self):
         factors = [self.parse_unary()]
         while True:
-            tok = self.current
-            if tok.kind == "op" and tok.text == "*":
+            kind, text, _ = self.tok
+            if text == "*":
                 self.advance()
-            elif not (
-                tok.kind in _ATOM_STARTERS or (tok.kind == "op" and tok.text == "(")
-            ):
+            elif kind not in _ATOM_STARTERS and text != "(":
                 return ("prod", factors) if len(factors) > 1 else factors[0]
             factors.append(self.parse_unary())
 
     # unary := '-' unary | power
     def parse_unary(self):
-        if self.current.kind == "op" and self.current.text == "-":
+        if self.tok[1] == "-":
             self.advance()
             self.enter()
             node = ("neg", self.parse_unary())
@@ -162,63 +141,64 @@ class _Parser:
     def parse_power(self):
         base = self.parse_atom()
         exponents = []
-        while self.current.kind == "op" and self.current.text == "^":
+        while self.tok[1] == "^":
             self.advance()
-            tok = self.current
-            if tok.kind != "num":
-                if tok.kind == "op" and tok.text == "-":
+            if self.tok[0] != "num":
+                if self.tok[1] == "-":
                     self.error("negative exponent")
                 self.error("exponent must be a natural number")
             exponents.append(self.natural())
         return ("pow", base, exponents) if exponents else base
 
     def parse_atom(self):
-        tok = self.current
-        if tok.kind == "num":
+        kind, text, offset = self.tok
+        if kind == "num":
             num = self.natural()
-            nxt = self.current
-            if nxt.kind == "op" and nxt.text == "/":
+            if self.tok[1] == "/":
                 self.advance()
-                if self.current.kind != "num":
+                if self.tok[0] != "num":
                     self.error("expected a natural number after '/'")
                 return ("rat", num, self.natural())
             return ("int", num)
-        if tok.kind == "dsym":
+        if kind == "dsym":
             self.advance()
-            body = _DSYM_BODY.match(tok.text)
+            body = _DSYM_BODY.match(text)
             if body is None:
-                raise ParseError("malformed d[...] symbol", tok.line, tok.column)
+                raise _error_at("malformed d[...] symbol", self.src, offset)
             inner = body.group(1).strip()
             if not inner:
-                raise ParseError("empty d[...] symbol", tok.line, tok.column)
+                raise _error_at("empty d[...] symbol", self.src, offset)
             try:
                 alpha = tuple(int(part) for part in inner.split(","))
             except ValueError:
-                raise ParseError(
-                    "d[...] entries must be naturals", tok.line, tok.column
+                raise _error_at(
+                    "d[...] entries must be naturals", self.src, offset
                 ) from None
-            return ("dop", alpha, tok.line, tok.column)
-        if tok.kind == "ident":
+            return ("dop", alpha, self.src, offset)
+        if kind == "ident":
             self.advance()
-            return ("name", tok.text, tok.line, tok.column)
-        if tok.kind == "op" and tok.text == "(":
+            return ("name", text, self.src, offset)
+        if text == "(":
             self.advance()
             self.enter()
             node = self.parse_expr()
-            self.expect_op(")")
+            if self.tok[1] != ")":
+                self.error("expected ')'")
+            self.advance()
             self.depth -= 1
             return node
-        if tok.kind == "op" and tok.text == "/":
+        if text == "/":
             self.error("'/' is only allowed inside rational literals")
-        self.error(f"unexpected token {tok.text!r}" if tok.text else "unexpected end of input")
+        self.error(f"unexpected token {text!r}" if text else "unexpected end of input")
 
 
 def parse(src: str):
-    """Parse source text into an AST of nested tuples."""
-    parser = _Parser(tokenize(src))
+    """Parse source text into an AST of nested tuples; name and d[...] nodes
+    carry the source and their offset, to place the errors evaluation finds."""
+    parser = _Parser(src)
     node = parser.parse_expr()
-    if parser.current.kind != "end":
-        parser.error(f"trailing input {parser.current.text!r}")
+    if parser.tok[0] != "end":
+        parser.error(f"trailing input {parser.tok[1]!r}")
     return node
 
 
@@ -251,7 +231,7 @@ def evaluate(node, ring: PolyRing):
                 raise DomainError("division by zero")
             return scalar(num * pow(den, -1, p)) if p else scalar(num, den)
         if kind == "name":
-            name, line, col = node[1], node[2], node[3]
+            name = node[1]
             if name in ring.var_names:
                 return {zero: {unit(ring.var_names.index(name)): 1}}, 1
             sugar = _DSUGAR.match(name)
@@ -259,12 +239,12 @@ def evaluate(node, ring: PolyRing):
                 i = int(sugar.group(1))
                 if 1 <= i <= n:
                     return {unit(i - 1): {zero: 1}}, 1
-            raise ParseError(f"unknown identifier {name!r}", line, col)
+            raise _error_at(f"unknown identifier {name!r}", node[2], node[3])
         if kind == "dop":
-            alpha, line, col = node[1], node[2], node[3]
+            alpha = node[1]
             if len(alpha) != n:
-                raise ParseError(
-                    f"d[...] needs {n} entries, got {len(alpha)}", line, col
+                raise _error_at(
+                    f"d[...] needs {n} entries, got {len(alpha)}", node[2], node[3]
                 )
             return {alpha: {zero: 1}}, 1
         if kind == "neg":
@@ -284,32 +264,11 @@ def evaluate(node, ring: PolyRing):
         if kind == "pow":
             acc = ev(node[1])
             for e in node[2]:
-                _refuse_large_power(acc[0], e)
                 acc = core_pow(acc, e, p, n)
             return acc
         raise ParseError(f"unknown AST node {kind!r}")
 
     return ev(node)
-
-
-def _refuse_large_power(base: dict, e: int):
-    """Refuse base^e, before any product, when the base has t >= 2 terms and
-    e * t * C(e+t-1, t) exceeds POWER_PAIRS_LIMIT.  Multiplying in one factor
-    at a time meets t * C(e+t-1, t) term pairs if the k-th power has the
-    C(k+t-1, t-1) terms of a commutative one, and normal ordering an order-1
-    base gives each pair up to e terms.  A single-term base is never refused,
-    so ``d[1000]^2`` is one product of two monomials."""
-    t = sum(map(len, base.values()))
-    if t < 2 or e < 2:
-        return
-    c = 1
-    for i in range(1, t + 1):
-        c = c * (e + i - 1) // i  # C(e+i-1, i), increasing in i
-        if e * t * c > POWER_PAIRS_LIMIT:
-            raise DomainError(
-                f"a power of an operator with {t} terms exceeds the guardrail "
-                f"of {POWER_PAIRS_LIMIT} estimated term pairs"
-            )
 
 
 def parse_operator(src: str, ring: PolyRing) -> DiffOp:

@@ -9,12 +9,15 @@ p^e-th powers.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from . import _kernels as K
 from . import exponents
 from .errors import DomainError
 from .field import FieldSpec
+
+_IDENT = "[A-Za-z_][A-Za-z_0-9]*"
 
 
 class PolyRing:
@@ -31,6 +34,9 @@ class PolyRing:
             var_names = tuple(var_names)
         if len(var_names) != nvars or len(set(var_names)) != nvars:
             raise DomainError("var_names must be distinct and match nvars")
+        for name in var_names:  # each must read back as one identifier
+            if not (isinstance(name, str) and re.fullmatch(_IDENT, name)):
+                raise DomainError(f"variable name {name!r} is not an identifier {_IDENT}")
         self.field = field
         self.nvars = nvars
         self.var_names = var_names

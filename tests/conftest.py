@@ -1,12 +1,16 @@
-"""Shared deterministic random generators for the property suites."""
+"""Shared deterministic random generators for the property suites, and
+the in-process CLI runner."""
 
+import io
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 from hypothesis import settings
 
 from weylops import DiffOp, FieldSpec, PolyRing
+from weylops.cli import main
 
 # Property tests draw the same examples on every run (seeded from each
 # test's own source), so the suite's wall time is comparable between runs.
@@ -14,6 +18,14 @@ settings.register_profile("weylops", derandomize=True)
 settings.load_profile("weylops")
 
 CHARACTERISTICS = (0, 2, 3, 5)
+
+
+def run_cli(args):
+    """Run the CLI in this process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(args)
+    return code, out.getvalue(), err.getvalue()
 
 
 def make_ring(char: int, nvars: int, names=None) -> PolyRing:

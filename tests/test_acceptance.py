@@ -34,7 +34,6 @@ from weylops import (
 )
 from weylops import exponents
 from weylops.artinian import unvectorize
-from weylops.cli import main as cli_main
 from weylops.invariants import FiniteGroup, GroupElement, act_on_op, equivariance_check
 from weylops.poly import RingMap
 from weylops.render import render_op
@@ -43,6 +42,7 @@ from conftest import (
     random_diffop,
     random_exponent,
     random_poly,
+    run_cli,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -373,16 +373,6 @@ def test_c10_invariant_ring_golden():
             assert is_invariant(G, standard_transpose(avg))
 
 
-def _run_cli(args):
-    import io
-    from contextlib import redirect_stderr, redirect_stdout
-
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli_main(args)
-    return code, out.getvalue()
-
-
 def test_c11_cli_round_trip_and_golden():
     with criterion(11, "parse/render round trip on 500 operators; JSON "
                        "output matches committed golden bytes"):
@@ -415,7 +405,7 @@ def test_c11_cli_round_trip_and_golden():
               "--to", "x1^2*x2 + x2^3"]),
         ]
         for name, args in goldens:
-            code, out = _run_cli(args)
+            code, out, _ = run_cli(args)
             assert code == 0
             assert out == (GOLDEN / name).read_text()
             json.loads(out)

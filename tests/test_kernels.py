@@ -218,3 +218,30 @@ def test_pure_kernels_strip_zeros():
     assert K.poly_mul(a, b, p) == {(2,): 2, (1,): 2, (0,): 2}
     for result in (K.poly_mul(a, b, p), K.poly_neg(a, p)):
         assert all(v for v in result.values())
+
+
+def test_work_bound_counts_before_the_work(monkeypatch):
+    """Each kernel refuses once its count of coefficient products passes
+    WORK_LIMIT, and answers at the limit itself."""
+    f = {(0,): 1, (1,): 2}
+    g = {(0,): 1, (1,): 1, (2,): 1}
+    cases = (
+        # |f|*|g|*min(3+1, 2+1) for the pair at alpha = 3, |f|*|g| at alpha = 0
+        (lambda: K.diffop_mul({(3,): f, (0,): f}, {(1,): g}, 5), 2 * 3 * 3 + 2 * 3),
+        # |g|*min(3+1, 2+1) for the one term
+        (lambda: K.diffop_transpose({(3,): g}, 5), 3 * 3),
+        # (x+1)^4: the squarings (x+1)*(x+1) and (x+1)^2*(x+1)^2
+        (lambda: K.poly_pow({(1,): 1, (0,): 1}, 4, 0), 3 * 3),
+        # x*y under x -> x + y, y -> x + 1 + y: the product of the two images
+        (lambda: K.poly_substitute({(1, 1): 1}, [{(1, 0): 1, (0, 1): 1},
+                                                 {(1, 0): 1, (0, 0): 1, (0, 1): 1}],
+                                   0, {}), 2 * 3),
+    )
+    for run, work in cases:
+        expected = run()
+        monkeypatch.setattr(K, "WORK_LIMIT", work)
+        assert run() == expected
+        monkeypatch.setattr(K, "WORK_LIMIT", work - 1)
+        with pytest.raises(DomainError, match="guardrail"):
+            run()
+        monkeypatch.undo()

@@ -2,15 +2,17 @@
 
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from weylops import DiffOp, ParseError, parse_operator, parse_polynomial
-from weylops.cli import main
-from weylops.opparser import MAX_DEPTH, POWER_PAIRS_LIMIT
+from weylops import DiffOp, DomainError, ParseError, parse_operator, parse_polynomial
+from weylops.opparser import MAX_DEPTH
 from weylops.render import render_op, render_poly
-from conftest import CHARACTERISTICS, make_ring, random_diffop
+from conftest import CHARACTERISTICS, make_ring, random_diffop, run_cli
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -74,6 +76,18 @@ def test_parse_errors_carry_position():
         parse_operator("x1 x2 +", R)
 
 
+def test_parse_errors_on_a_later_line():
+    R = make_ring(0, 1)
+    for text, message in (("x1 +\n  y9", "unknown identifier 'y9' (line 2, column 3)"),
+                          ("x1 *\n\n d1 ?", "unexpected character '?' (line 3, column 5)"),
+                          ("x1 +\n d[1,2]", "d[...] needs 1 entries, got 2 "
+                                             "(line 2, column 2)"),
+                          ("(x1\n", "expected ')' (line 2, column 1)")):
+        with pytest.raises(ParseError) as info:
+            parse_operator(text, R)
+        assert str(info.value) == message
+
+
 def test_parse_polynomial_rejects_operators():
     R = make_ring(0, 1)
     assert parse_polynomial("x1^2 - 1", R) == R.variable(0) ** 2 - 1
@@ -105,77 +119,67 @@ def test_render_zero_and_signs():
     assert render_poly(R.constant("-1/2") * x + 1) == "-1/2*x1 + 1"
 
 
-def _run(args):
-    import io
-    from contextlib import redirect_stdout, redirect_stderr
-
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(args)
-    return code, out.getvalue(), err.getvalue()
-
-
 def test_cli_normalize_text():
-    code, out, _ = _run(["normalize", "d1*x1"])
+    code, out, _ = run_cli(["normalize", "d1*x1"])
     assert code == 0
     assert out == "x1*d[1] + 1\n"
 
 
 def test_cli_transpose_text():
-    code, out, _ = _run(["transpose", "d1"])
+    code, out, _ = run_cli(["transpose", "d1"])
     assert code == 0
     assert out == "-d[1]\n"
 
 
 def test_cli_apply_text():
-    code, out, _ = _run(["apply", "d[2]", "--to", "x1^4"])
+    code, out, _ = run_cli(["apply", "d[2]", "--to", "x1^4"])
     assert code == 0
     assert out == "6*x1^2\n"
 
 
 def test_cli_twisted_transpose():
-    code, out, _ = _run(["transpose", "d1", "--twist", "x1^2"])
+    code, out, _ = run_cli(["transpose", "d1", "--twist", "x1^2"])
     assert code == 0
     assert out == "-d[1] + x1^2\n"
 
 
 def test_cli_order_level_bracket():
-    assert _run(["order", "x1*d[1] + d[3]"]) == (0, "3\n", "")
-    code, out, _ = _run(["--char", "2", "level", "d[2]"])
+    assert run_cli(["order", "x1*d[1] + d[3]"]) == (0, "3\n", "")
+    code, out, _ = run_cli(["--char", "2", "level", "d[2]"])
     assert (code, out) == (0, "2\n")
-    code, out, _ = _run(["bracket", "d1", "x1"])
+    code, out, _ = run_cli(["bracket", "d1", "x1"])
     assert (code, out) == (0, "1\n")
 
 
 def test_cli_exit_codes(tmp_path):
-    assert _run(["normalize", "d1*"])[0] == 2  # parse error
-    assert _run(["level", "d1"])[0] == 3  # char-0 precondition
-    assert _run(["--char", str(10**25), "normalize", "x1"])[0] == 3  # too large
-    assert _run(["transpose", "--twist", "x1", "d1", "--char", "2"])[0] == 1
-    code, _, err = _run(["--char", "2", "transpose", "d1", "--twist", "x1"])
+    assert run_cli(["normalize", "d1*"])[0] == 2  # parse error
+    assert run_cli(["level", "d1"])[0] == 3  # char-0 precondition
+    assert run_cli(["--char", str(10**25), "normalize", "x1"])[0] == 3  # too large
+    assert run_cli(["transpose", "--twist", "x1", "d1", "--char", "2"])[0] == 1
+    code, _, err = run_cli(["--char", "2", "transpose", "d1", "--twist", "x1"])
     assert code == 3  # no twists in characteristic p
-    assert _run(["nosuchcommand"])[0] == 1
+    assert run_cli(["nosuchcommand"])[0] == 1
     bad = tmp_path / "bad.json"
     bad.write_text("[not json")
-    assert _run(["group", "--group", str(bad), "pseudoreflections"])[0] == 2
+    assert run_cli(["group", "--group", str(bad), "pseudoreflections"])[0] == 2
 
 
 def test_cli_size_limits():
     # d[N] only meets the two lowest divided powers of x1, however large N is
-    assert _run(["normalize", "d[100000000]*x1"]) == (
+    assert run_cli(["normalize", "d[100000000]*x1"]) == (
         0, "x1*d[100000000] + d[99999999]\n", "")
     for exps in ("40,40", "17", "1000000000"):
-        code, out, err = _run(["artinian", "--exponents", exps])
+        code, out, err = run_cli(["artinian", "--exponents", exps])
         assert (code, out) == (3, "")
         assert "guardrail" in err and "Traceback" not in err
 
 
 def test_rational_literal_edge_cases():
     R = make_ring(0, 1)
-    code, out, err = _run(["normalize", "1/0"])
+    code, out, err = run_cli(["normalize", "1/0"])
     assert (code, out) == (3, "") and "division by zero" in err
-    assert _run(["--char", "5", "normalize", "1/10*x1"])[0] == 3
-    assert _run(["--char", "5", "normalize", "1/3*x1"]) == (0, "2*x1\n", "")
+    assert run_cli(["--char", "5", "normalize", "1/10*x1"])[0] == 3
+    assert run_cli(["--char", "5", "normalize", "1/3*x1"]) == (0, "2*x1\n", "")
     for text in ("0/7*x1", "0/7"):
         zero = parse_operator(text, R)
         assert zero.is_zero() and zero.den == 1
@@ -191,7 +195,7 @@ def test_cli_long_number_literals():
     digits = "7" * 5000
     for expr, column in ((digits, 1), (f"{digits}/3", 1), (f"1/{digits}", 3),
                          (f"x1^{digits}", 4)):
-        code, out, err = _run(["normalize", expr])
+        code, out, err = run_cli(["normalize", expr])
         assert (code, out) == (2, "")
         assert f"number of 5000 digits is too long (line 1, column {column})" in err
         assert "Traceback" not in err
@@ -199,42 +203,54 @@ def test_cli_long_number_literals():
 
 def test_cli_huge_binomials():
     # C(2*10^8, 10^8) is 4 mod 5 by Lucas' theorem; over Q it is refused
-    assert _run(["--char", "5", "normalize", "d[100000000]*d[100000000]"]) == (
-        0, "4*d[200000000]\n", "")
-    assert _run(["--char", "5", "apply", "d[100000000]",
-                 "--to", "x1^200000000"]) == (0, "4*x1^100000000\n", "")
-    code, out, err = _run(["normalize", "d[100000000]^2"])
+    for expr in ("d[100000000]*d[100000000]", "d[100000000]^2"):
+        assert run_cli(["--char", "5", "normalize", expr]) == (
+            0, "4*d[200000000]\n", "")
+    assert run_cli(["--char", "5", "apply", "d[100000000]",
+                    "--to", "x1^200000000"]) == (0, "4*x1^100000000\n", "")
+    code, out, err = run_cli(["normalize", "d[100000000]^2"])
     assert (code, out) == (3, "")
     assert "guardrail" in err and "Traceback" not in err
-    code, out, _ = _run(["normalize", "d[1000]^2"])
+    code, out, _ = run_cli(["normalize", "d[1000]^2"])
     assert (code, out) == (0, f"{math.comb(2000, 1000)}*d[2000]\n")
 
 
-def test_cli_power_guardrail():
-    # base^e with t >= 2 terms is refused once e * t * C(e+t-1, t) > 2^16,
-    # before any product; single-term bases keep their outcomes above
-    assert POWER_PAIRS_LIMIT == 1 << 16
-    for args, refused in ((["normalize", "(x1+1)^39"], False),
-                          (["normalize", "(x1+1)^40"], True),
-                          (["normalize", "(x1+1)^2000"], True),
-                          (["normalize", "(x1+1)^100000"], True),
-                          (["--nvars", "2", "normalize", "(x1+x2+1)^18"], False),
-                          (["--nvars", "2", "normalize", "(x1+x2+1)^19"], True),
-                          (["normalize", "(x1+1)^2^19"], True),
-                          (["normalize", "(x1+1)^1"], False)):
-        code, out, err = _run(args)
-        if refused:
-            assert (code, out) == (3, "")
-            assert "guardrail" in err and "Traceback" not in err
-        else:
-            assert (code, err) == (0, "") and out
+def test_cli_powers_answered_by_their_coefficients():
+    # the kernels bound each product by its own work, so powers with small
+    # products are answered whatever their exponent
+    x1 = {(k,): math.comb(40, k) for k in range(41)}
+    x2 = {(a, b): math.factorial(19) // (math.factorial(a) * math.factorial(b)
+                                         * math.factorial(19 - a - b))
+          for a in range(20) for b in range(20 - a)}
+    x3 = {(k,): math.comb(38, k) for k in range(39)}
+    for args, nvars, terms in ((["normalize", "(x1+1)^40"], 1, x1),
+                               (["--nvars", "2", "normalize", "(x1+x2+1)^19"], 2, x2),
+                               (["normalize", "(x1+1)^2^19"], 1, x3)):
+        expected = DiffOp.from_poly(make_ring(0, nvars).from_terms(terms))
+        assert run_cli(args) == (0, render_op(expected) + "\n", "")
+
+
+def test_cli_work_bound_refuses_in_time(tmp_path):
+    # each of these ran for minutes or longer before the kernels counted
+    # their work; a subprocess with a timeout fails instead of hanging
+    group_file = tmp_path / "c3.json"
+    group_file.write_text("[[[1, 0], [0, 1]], [[0, -1], [1, -1]], [[-1, 1], [-1, 0]]]")
+    c3 = ["--nvars", "2", "group", "--group", str(group_file), "reynolds"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for args in (["--char", "5", "normalize", "d[100000000]*x1^100000000"],
+                 ["--char", "5", "transpose", "x1^100000000*d[100000000]"],
+                 c3 + ["x1^100000"]):
+        done = subprocess.run([sys.executable, "-m", "weylops.cli", *args],
+                              capture_output=True, text=True, env=env, timeout=20)
+        assert (done.returncode, done.stdout) == (3, "")
+        assert "guardrail" in done.stderr and "Traceback" not in done.stderr
 
 
 def test_cli_sign_group_reynolds_of_a_huge_order():
     # -I is monomial: d[N,0] meets one divided power of one linear form
     group_file = str(GOLDEN / "group_sign.json")
-    assert _run(["--nvars", "2", "group", "--group", group_file,
-                 "reynolds", "d[1000000,0]"]) == (0, "d[1000000,0]\n", "")
+    assert run_cli(["--nvars", "2", "group", "--group", group_file,
+                    "reynolds", "d[1000000,0]"]) == (0, "d[1000000,0]\n", "")
 
 
 def test_cli_dense_transport_guardrail(tmp_path):
@@ -243,9 +259,9 @@ def test_cli_dense_transport_guardrail(tmp_path):
     group_file = tmp_path / "c3.json"
     group_file.write_text("[[[1, 0], [0, 1]], [[0, -1], [1, -1]], [[-1, 1], [-1, 0]]]")
     base = ["--nvars", "2", "group", "--group", str(group_file), "reynolds"]
-    code, out, err = _run(base + ["d[300,0]"])
+    code, out, err = run_cli(base + ["d[300,0]"])
     assert (code, err) == (0, "") and out.count("d[") == 301
-    code, out, err = _run(base + ["d[1000000,0]"])
+    code, out, err = run_cli(base + ["d[1000000,0]"])
     assert (code, out) == (3, "")
     assert "guardrail" in err and "Traceback" not in err
 
@@ -253,51 +269,65 @@ def test_cli_dense_transport_guardrail(tmp_path):
 def test_cli_coefficient_past_the_printing_limit():
     # every binomial factor is small, but the product's coefficient is not
     for args in (["normalize", "d[100]^60"], ["--json", "normalize", "d[100]^60"]):
-        code, out, err = _run(args)
+        code, out, err = run_cli(args)
         assert (code, out) == (3, "")
         assert "decimal digits" in err and "Traceback" not in err
 
 
 def test_cli_long_flat_chains():
     # sums, differences, products and power chains evaluate left to right
-    assert _run(["normalize", "+".join(["x1"] * 2000)]) == (0, "2000*x1\n", "")
-    assert _run(["normalize", "-".join(["x1"] * 2001)]) == (0, "-1999*x1\n", "")
-    assert _run(["normalize", "*".join(["x1"] * 3000)]) == (0, "x1^3000\n", "")
-    assert _run(["normalize", "x1" + "^1" * 3000]) == (0, "x1\n", "")
+    assert run_cli(["normalize", "+".join(["x1"] * 2000)]) == (0, "2000*x1\n", "")
+    assert run_cli(["normalize", "-".join(["x1"] * 2001)]) == (0, "-1999*x1\n", "")
+    assert run_cli(["normalize", "*".join(["x1"] * 3000)]) == (0, "x1^3000\n", "")
+    assert run_cli(["normalize", "x1" + "^1" * 3000]) == (0, "x1\n", "")
 
 
 def test_cli_deep_nesting_refused():
     deep = MAX_DEPTH
-    assert _run(["normalize", "(" * deep + "x1" + ")" * deep]) == (0, "x1\n", "")
-    assert _run(["normalize", "--", "-" * deep + "x1"]) == (0, "x1\n", "")
+    assert run_cli(["normalize", "(" * deep + "x1" + ")" * deep]) == (0, "x1\n", "")
+    assert run_cli(["normalize", "--", "-" * deep + "x1"]) == (0, "x1\n", "")
     for expr in ("(" * 3000 + "x1" + ")" * 3000, "-" * 3000 + "x1",
                  "(" * (deep + 1) + "x1" + ")" * (deep + 1)):
-        code, out, err = _run(["normalize", "--", expr])
+        code, out, err = run_cli(["normalize", "--", expr])
         assert (code, out) == (2, "")
         assert err.startswith("parse error: nesting deeper than")
         assert "Traceback" not in err
 
 
+def test_variable_names_must_read_back():
+    # "a-b" would render 2*x3 as 2*a-b, which reads back as 2a - b
+    for names in (["a", "b", "a-b"], [""], ["x 2"], ["1a"], ["x1", "d[1]"]):
+        with pytest.raises(DomainError):
+            make_ring(0, len(names), names)
+    for names in ("", "x 2", "1a", "a,b,a-b"):
+        code, out, err = run_cli(["--vars", names, "normalize", "1"])
+        assert (code, out) == (3, "")
+        assert "is not an identifier" in err and "Traceback" not in err
+    R = make_ring(0, 3, ["s", "_t0", "Tt_9"])
+    xi = parse_operator("2*Tt_9*d[1,0,0] + s*_t0", R)
+    assert parse_operator(render_op(xi), R) == xi
+
+
 def test_cli_group_commands():
     group_file = str(GOLDEN / "group_sign.json")
-    code, out, _ = _run(
+    code, out, _ = run_cli(
         ["--vars", "s,t", "group", "--group", group_file, "pseudoreflections"]
     )
     assert code == 0
     assert out.startswith("0 pseudoreflection")
-    code, out, _ = _run(
+    code, out, _ = run_cli(
         ["--vars", "s,t", "group", "--group", group_file,
          "invariant-check", "s*d[1,0]"]
     )
     assert (code, out) == (0, "true\n")
-    code, out, _ = _run(
+    code, out, _ = run_cli(
         ["--vars", "s,t", "group", "--group", group_file, "invariant-check", "s"]
     )
     assert (code, out) == (0, "false\n")
 
 
 def test_cli_artinian_text():
-    code, out, _ = _run(["artinian", "--exponents", "2"])
+    code, out, _ = run_cli(["artinian", "--exponents", "2"])
     assert code == 0
     assert "filtration dims: 2 3 4" in out
 
@@ -330,7 +360,7 @@ def test_cli_artinian_text():
 )
 def test_cli_golden_json(name, args):
     expected = (GOLDEN / name).read_text()
-    code, out, _ = _run(args)
+    code, out, _ = run_cli(args)
     assert code == 0
     assert out == expected
     json.loads(out)  # stays well-formed
@@ -338,6 +368,6 @@ def test_cli_golden_json(name, args):
 
 def test_cli_output_is_byte_stable():
     args = ["--json", "normalize", "x1*d[1] + 1/3*d[2] - 2"]
-    first = _run(args)
-    second = _run(args)
+    first = run_cli(args)
+    second = run_cli(args)
     assert first == second
