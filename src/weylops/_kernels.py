@@ -23,17 +23,33 @@ still stores ``Fraction`` values, and the polynomial kernels accept them.
 ``p`` is the characteristic, 0 meaning the rationals.  All functions
 return canonical dicts (no zero values stored) and never mutate inputs.
 
+``diffop_mul`` and ``diffop_transpose`` expand d^[alpha]*g by the
+divided-power Leibniz rule, sum over gamma <= alpha of
+d^[gamma](g)*d^[alpha-gamma], which factors by variable on a monomial x^m
+of g.  So each monomial is walked once, through one row per variable: one
+entry (output exponent, exponent of x_i, binomial factor) per
+gamma_i = k <= min(m_i, alpha_i), entries that vanish mod p (Lucas zeros)
+left out.  A row depends on a few exponents only and is built once per
+call.  Each choice of one entry per row goes straight into one
+accumulator of unreduced ints, which is reduced mod p and stripped of
+zeros once per output term at the end.  Binomials come from ``_binom``,
+as in ``binom_product``: Lucas' theorem past ``BINOM_BITS_LIMIT`` bits in
+characteristic p, a refusal there in characteristic 0.
+
 One bound, ``WORK_LIMIT`` coefficient products, holds in every kernel
 whose output can outgrow its inputs: ``diffop_mul`` counts
 |f|*|g|*prod_i min(alpha_i+1, top_i(g)+1) per pair of terms f*d^[alpha],
 g*d^[beta] (|f|*|g| for alpha = 0), ``diffop_transpose`` counts
 |f|*prod_i min(alpha_i+1, top_i(f)+1) per term, and ``poly_pow`` and
-``poly_substitute`` count |a|*|b| per product.  Past the bound a call raises
-``DomainError`` before the work it counts.  ``poly_mul`` checks nothing.
+``poly_substitute`` count |a|*|b| per product.  The operator counts are
+the whole box of gamma, whatever entries the rows leave out.  Past the
+bound a call raises ``DomainError`` before the work it counts.
+``poly_mul`` checks nothing.
 """
 
 from itertools import product as _product
 from math import comb as _comb, prod as _prod
+from operator import add as _add
 
 from .errors import DomainError
 
@@ -167,29 +183,39 @@ def _comb_bounded(b, a):
     return _comb(b, a)
 
 
-def binom_product(beta, alpha, p):
-    """Product of componentwise binomials C(beta_i, alpha_i): an exact int
-    in characteristic 0, the residue mod p otherwise.
+def _binom(b, a, p):
+    """C(b, a): an exact int in characteristic 0, the residue mod p otherwise.
 
     C(b, a) < 2^b, so b <= BINOM_BITS_LIMIT is computed directly.  Beyond
     that, characteristic p multiplies the binomials of the base-p digits
     (Lucas' theorem) and characteristic 0 checks the size first.
     """
+    if a > b:
+        return 0
+    if b <= BINOM_BITS_LIMIT:
+        return _comb(b, a) % p if p else _comb(b, a)
+    if not p:
+        return _comb_bounded(b, a)
+    out = 1
+    while a:
+        b, b0 = divmod(b, p)
+        a, a0 = divmod(a, p)
+        if a0 > b0:
+            return 0
+        out = out * _comb_bounded(b0, a0) % p
+    return out
+
+
+def binom_product(beta, alpha, p):
+    """Product of componentwise binomials C(beta_i, alpha_i): an exact int
+    in characteristic 0, the residue mod p otherwise (``_binom`` past
+    BINOM_BITS_LIMIT)."""
     out = 1
     for b, a in zip(beta, alpha):
-        if a > b:
+        c = _comb(b, a) if b <= BINOM_BITS_LIMIT else _binom(b, a, p)
+        if not c:
             return 0
-        if b <= BINOM_BITS_LIMIT:
-            out *= _comb(b, a)
-        elif p:
-            while a:
-                b, b0 = divmod(b, p)
-                a, a0 = divmod(a, p)
-                if a0 > b0:
-                    return 0
-                out = out * _comb_bounded(b0, a0) % p
-        else:
-            out *= _comb_bounded(b, a)
+        out *= c
     return out % p if p else out
 
 
@@ -251,82 +277,151 @@ def diffop_scale(xi, c, p):
     return {alpha: poly_scale(f, c, p) for alpha, f in xi.items()}
 
 
+def _mul_row(m, a, b, p):
+    """The row of one variable in ``diffop_mul``: for x^m in g and the
+    exponents a, b of the left and right basis elements, one entry
+    (a-k+b, m-k, C(m,k)*C(a-k+b, a-k)) per k <= min(m, a), zeros left out."""
+    row = []
+    for k in range(min(m, a) + 1):
+        c = _binom(m, k, p)
+        if c:
+            c *= _binom(a - k + b, a - k, p)
+            if p:
+                c %= p
+            if c:
+                row.append((a - k + b, m - k, c))
+    return row
+
+
+def _transpose_row(m, a, p):
+    """The row of one variable in ``diffop_transpose``: for x^m in f and the
+    exponent a of its basis element, one entry (a-k, m-k, C(m,k)) per
+    k <= min(m, a), zeros left out."""
+    row = []
+    for k in range(min(m, a) + 1):
+        c = _binom(m, k, p)
+        if c:
+            row.append((a - k, m - k, c))
+    return row
+
+
+def _reduced(out, p):
+    """The accumulated ints of ``out`` reduced mod p, zero coefficients and
+    zero operator terms dropped: one reduction per output term."""
+    res = {}
+    for target, acc in out.items():
+        if p:
+            poly = {}
+            for exp, c in acc.items():
+                c %= p
+                if c:
+                    poly[exp] = c
+        else:
+            poly = {exp: c for exp, c in acc.items() if c}
+        if poly:
+            res[target] = poly
+    return res
+
+
 def diffop_mul(xi, eta, p):
     """Normal-ordered product of two operators in left-coefficient form.
 
     Each pairing of a term f*d^[alpha] with g*d^[beta] is renormalized by
-    commuting d^[alpha] past g (summing d^[gamma](g) against the
-    complementary divided powers) and composing the remaining basis
-    elements, whose product carries the integer multinomial factor.  Only
-    gamma up to the top exponents of g contribute: d^[gamma](g) is 0 once
-    some gamma_i exceeds every exponent of x_i in g.
+    commuting d^[alpha] past g, d^[alpha]*g = sum over gamma <= alpha of
+    d^[gamma](g)*d^[alpha-gamma], and composing the basis elements,
+    d^[delta]*d^[beta] = C(delta+beta, delta)*d^[delta+beta].  On a
+    monomial x^m of g both factor by variable: the row of x_i lists, for
+    each gamma_i = k <= min(m_i, alpha_i), the output exponent
+    alpha_i-k+beta_i, the exponent m_i-k of x_i and the factor
+    C(m_i,k)*C(alpha_i-k+beta_i, alpha_i-k).  A row depends only on
+    (m_i, alpha_i, beta_i), and is built once per call.  Each choice of
+    one entry per row, times f, goes straight into one accumulator of
+    ints, which is reduced once per output term at the end.  A left term
+    f*d^[0] needs no rows: it multiplies each g straight into the term at
+    beta.
     """
     out = {}
     work = 0
+    rows = {}
     # per term of eta, one past the top exponent of each variable in g
     terms = [(beta, g, [max(c) + 1 for c in zip(*g)]) for beta, g in eta.items()]
     for alpha, f in xi.items():
         size = len(f)
         if not any(alpha):
-            # f*d^[0] is already normal-ordered against every g*d^[beta]; the
-            # loop below gives the same f*g at beta, but only after copying g
-            # through partial_apply and a binomial per pair
+            # every row would be the one entry (beta_i, m_i, 1)
             for beta, g, _ in terms:
                 work += size * len(g)
                 if work > WORK_LIMIT:
                     _refuse("an operator product")
-                contrib = poly_mul(f, g, p)
-                if contrib:
-                    acc = out.get(beta)
-                    out[beta] = poly_add(acc, contrib, p) if acc else contrib
+                acc = out.get(beta)
+                if acc is None:
+                    acc = out[beta] = {}
+                for m, c in g.items():
+                    for e, cf in f.items():
+                        e = tuple(map(_add, e, m))
+                        acc[e] = acc.get(e, 0) + cf * c
             continue
         alpha_ends = [a + 1 for a in alpha]
         for beta, g, g_ends in terms:
-            ends = list(map(min, alpha_ends, g_ends))
-            work += size * len(g) * _prod(ends)
+            work += size * len(g) * _prod(map(min, alpha_ends, g_ends))
             if work > WORK_LIMIT:
                 _refuse("an operator product")
-            for gamma in _product(*map(range, ends)):
-                dg = partial_apply(gamma, g, p)
-                if not dg:
-                    continue
-                delta = tuple(a - c for a, c in zip(alpha, gamma))
-                target = tuple(d + b for d, b in zip(delta, beta))
-                factor = binom_product(target, delta, p)
-                if not factor:
-                    continue
-                contrib = poly_mul(f, dg, p)
-                if factor != 1:
-                    contrib = poly_scale(contrib, factor, p)
-                if not contrib:
-                    continue
-                acc = out.get(target)
-                out[target] = poly_add(acc, contrib, p) if acc else contrib
-    return {exp: coeff for exp, coeff in out.items() if coeff}
+            for m, c in g.items():
+                rs = []
+                for key in zip(m, alpha, beta):
+                    row = rows.get(key)
+                    if row is None:
+                        row = rows[key] = _mul_row(*key, p)
+                    if not row:
+                        # every entry vanished mod p: x^m gives nothing, and
+                        # the later rows are not built for it
+                        break
+                    rs.append(row)
+                else:
+                    for entries in _product(*rs):
+                        target, mono, factors = zip(*entries)
+                        co = c * _prod(factors)
+                        if p:
+                            co %= p
+                        acc = out.get(target)
+                        if acc is None:
+                            acc = out[target] = {}
+                        for e, cf in f.items():
+                            e = tuple(map(_add, e, mono))
+                            acc[e] = acc.get(e, 0) + cf * co
+    return _reduced(out, p)
 
 
 def diffop_transpose(xi, p):
     """Standard transposition: each term f*d^[alpha] goes to
     (-1)^|alpha| d^[alpha]*f, normal-ordered in one pass by the
     divided-power Leibniz rule d^[alpha]*f = sum over gamma <= alpha of
-    d^[gamma](f)*d^[alpha-gamma] (no binomial factor).  As in ``diffop_mul``,
-    gamma stops at the top exponents of f.
+    d^[gamma](f)*d^[alpha-gamma] (no binomial factor).  As in ``diffop_mul``
+    each monomial x^m of f is walked once, through one row per variable
+    (alpha_i-k, m_i-k, C(m_i,k)) for k <= min(m_i, alpha_i), into one
+    accumulator of ints reduced once per output term.
     """
     out = {}
     work = 0
+    rows = {}
     for alpha, f in xi.items():
         odd = sum(alpha) % 2
-        ends = [min(a + 1, max(c) + 1) for a, c in zip(alpha, zip(*f))]
-        work += len(f) * _prod(ends)
+        work += len(f) * _prod(min(a + 1, max(c) + 1) for a, c in zip(alpha, zip(*f)))
         if work > WORK_LIMIT:
             _refuse("a transposition")
-        for gamma in _product(*map(range, ends)):
-            df = partial_apply(gamma, f, p)
-            if not df:
-                continue
+        for m, c in f.items():
+            rs = []
+            for key in zip(m, alpha):
+                row = rows.get(key)
+                if row is None:
+                    row = rows[key] = _transpose_row(*key, p)
+                rs.append(row)
             if odd:
-                df = poly_neg(df, p)
-            target = tuple(a - c for a, c in zip(alpha, gamma))
-            acc = out.get(target)
-            out[target] = poly_add(acc, df, p) if acc else df
-    return {exp: coeff for exp, coeff in out.items() if coeff}
+                c = -c
+            for entries in _product(*rs):
+                target, mono, factors = zip(*entries)
+                acc = out.get(target)
+                if acc is None:
+                    acc = out[target] = {}
+                acc[mono] = acc.get(mono, 0) + c * _prod(factors)
+    return _reduced(out, p)

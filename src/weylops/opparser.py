@@ -53,6 +53,16 @@ def _error_at(message, src, offset):
     return ParseError(message, line, offset - src.rfind("\n", 0, offset))
 
 
+def _natural(text, src, offset):
+    """int(text) for a run of digits; past Python's digit limit, a parse
+    error placed at offset."""
+    try:
+        return int(text)
+    except ValueError:
+        raise _error_at(f"number of {len(text)} digits is too long",
+                        src, offset) from None
+
+
 def tokenize(src: str):
     """The tokens of src as (kind, text, offset) tuples, ending with an
     ("end", "", len(src)) token."""
@@ -90,11 +100,7 @@ class _Parser:
     def natural(self) -> int:
         """Consume a number token; past Python's digit limit, a parse error."""
         _, text, offset = self.advance()
-        try:
-            return int(text)
-        except ValueError:
-            raise _error_at(f"number of {len(text)} digits is too long",
-                            self.src, offset) from None
+        return _natural(text, self.src, offset)
 
     def error(self, message):
         raise _error_at(message, self.src, self.tok[2])
@@ -168,12 +174,10 @@ class _Parser:
             inner = body.group(1).strip()
             if not inner:
                 raise _error_at("empty d[...] symbol", self.src, offset)
-            try:
-                alpha = tuple(int(part) for part in inner.split(","))
-            except ValueError:
-                raise _error_at(
-                    "d[...] entries must be naturals", self.src, offset
-                ) from None
+            parts = [part.strip() for part in inner.split(",")]
+            if not all(part.isdigit() for part in parts):
+                raise _error_at("d[...] entries must be naturals", self.src, offset)
+            alpha = tuple(_natural(part, self.src, offset) for part in parts)
             return ("dop", alpha, self.src, offset)
         if kind == "ident":
             self.advance()
@@ -236,9 +240,10 @@ def evaluate(node, ring: PolyRing):
                 return {zero: {unit(ring.var_names.index(name)): 1}}, 1
             sugar = _DSUGAR.match(name)
             if sugar:
-                i = int(sugar.group(1))
-                if 1 <= i <= n:
-                    return {unit(i - 1): {zero: 1}}, 1
+                digits = sugar.group(1)
+                # no leading zero, so more digits than n has means past n
+                if len(digits) <= len(str(n)) and int(digits) <= n:
+                    return {unit(int(digits) - 1): {zero: 1}}, 1
             raise _error_at(f"unknown identifier {name!r}", node[2], node[3])
         if kind == "dop":
             alpha = node[1]

@@ -4,8 +4,14 @@ The references apply d^[alpha] to x^beta as C(beta, alpha) x^(beta-alpha)
 with ``math.comb`` and check operator products by composition: an operator
 whose support has total degree at most m is determined by its values on the
 monomials of total degree at most m (the system is triangular), so agreeing
-there is agreeing everywhere.  Products of residues of the two large primes
-overflow 64-bit integers.
+there is agreeing everywhere.  Products of residues of the two largest
+primes overflow 64-bit integers; 1000003 is the largest prime the benchmark
+runs.
+
+The row kernels ``diffop_mul`` and ``diffop_transpose`` are also checked for
+exact equality against the per-gamma loops they replaced, kept here as
+references: one ``partial_apply`` of the coefficient per gamma in the box,
+reduced after every product and sum.
 """
 
 import math
@@ -18,7 +24,7 @@ import pytest
 import weylops._kernels as K
 from weylops import DomainError
 
-PRIMES = (0, 2, 3, 5, 4294967311, 2**61 - 1)
+PRIMES = (0, 2, 3, 5, 1000003, 4294967311, 2**61 - 1)
 
 
 def _rand_poly(rng, n, p, deg=3, terms=3):
@@ -164,6 +170,102 @@ def test_diffop_mul_with_alpha_far_above_the_coefficient(p):
         expected[target] = _ref_add(expected.get(target, {}), term, p)
     expected = {e: v for e, v in expected.items() if v}
     assert K.diffop_mul({alpha: {(0, 0): 1}}, {beta: g}, p) == expected
+
+
+def _per_gamma_mul(xi, eta, p):
+    """diffop_mul as one partial_apply, poly_mul, poly_scale and poly_add per
+    gamma in the box (the work bound left out)."""
+    out = {}
+    terms = [(beta, g, [max(c) + 1 for c in zip(*g)]) for beta, g in eta.items()]
+    for alpha, f in xi.items():
+        for beta, g, g_ends in terms:
+            ends = [min(a + 1, e) for a, e in zip(alpha, g_ends)]
+            for gamma in product(*map(range, ends)):
+                dg = K.partial_apply(gamma, g, p)
+                if not dg:
+                    continue
+                delta = tuple(a - c for a, c in zip(alpha, gamma))
+                target = tuple(d + b for d, b in zip(delta, beta))
+                factor = K.binom_product(target, delta, p)
+                if not factor:
+                    continue
+                contrib = K.poly_scale(K.poly_mul(f, dg, p), factor, p)
+                out[target] = K.poly_add(out.get(target, {}), contrib, p)
+    return {exp: coeff for exp, coeff in out.items() if coeff}
+
+
+def _per_gamma_transpose(xi, p):
+    """diffop_transpose as one partial_apply, poly_neg and poly_add per gamma
+    in the box (the work bound left out)."""
+    out = {}
+    for alpha, f in xi.items():
+        ends = [min(a + 1, max(c) + 1) for a, c in zip(alpha, zip(*f))]
+        for gamma in product(*map(range, ends)):
+            df = K.partial_apply(gamma, f, p)
+            if sum(alpha) % 2:
+                df = K.poly_neg(df, p)
+            target = tuple(a - c for a, c in zip(alpha, gamma))
+            out[target] = K.poly_add(out.get(target, {}), df, p)
+    return {exp: coeff for exp, coeff in out.items() if coeff}
+
+
+def _wide_exponent(rng, p, wide):
+    """An exponent below 4, or for wide=True possibly one of p-1, p, p+1, p+2,
+    2p+1, whose base-p digits make Lucas zeros (char 0 takes 7 or 12)."""
+    if not wide or rng.random() < 0.5:
+        return rng.randint(0, 3)
+    return rng.choice([7, 12] if p == 0 else [p - 1, p, p + 1, p + 2, 2 * p + 1])
+
+
+def _wide_op(rng, n, p, wide_orders, wide_coeffs):
+    out = {}
+    for _ in range(rng.randint(1, 3)):
+        alpha = tuple(_wide_exponent(rng, p, wide_orders) for _ in range(n))
+        poly = {}
+        for _ in range(rng.randint(1, 3)):
+            exp = tuple(_wide_exponent(rng, p, wide_coeffs) for _ in range(n))
+            c = rng.randrange(1, p) if p else rng.choice([-3, -1, 1, 2, 5])
+            poly[exp] = (poly.get(exp, 0) + c) % p if p else poly.get(exp, 0) + c
+        out[alpha] = {e: c for e, c in poly.items() if c} or {(0,) * n: 1}
+    return out
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_row_kernels_match_per_gamma_loops(p):
+    """Exponents at and past p give binomials that vanish by Lucas' theorem,
+    in the coefficient's rows and in the composition factor.  The box is
+    min(alpha_i, top_i(g)) + 1 per variable, so for the large primes the
+    wide exponents go either into the left orders or into the right
+    coefficients, never both."""
+    rng = random.Random(490 + p)
+    small_p = p <= 5
+    for i in range(30):
+        n = rng.randint(1, 2 if small_p else 3)
+        wide_left = small_p or i % 2 == 0
+        xi = _wide_op(rng, n, p, wide_orders=wide_left, wide_coeffs=True)
+        eta = _wide_op(rng, n, p, wide_orders=True,
+                       wide_coeffs=small_p or not wide_left)
+        assert K.diffop_mul(xi, eta, p) == _per_gamma_mul(xi, eta, p)
+        one_sided = _wide_op(rng, n, p, wide_orders=wide_left,
+                             wide_coeffs=small_p or not wide_left)
+        assert K.diffop_transpose(one_sided, p) == _per_gamma_transpose(one_sided, p)
+
+
+def test_row_kernels_past_the_binomial_guardrail():
+    """Exponents past BINOM_BITS_LIMIT: characteristic 5 answers by Lucas'
+    theorem as the per-gamma loops do, and characteristic 0 refuses."""
+    big = 10**8
+    square = ({(big,): {(0,): 1}}, {(big,): {(0,): 1}})  # C(2*big, big) d^[2*big]
+    coeff = {(2000,): {(20000,): 1, (3,): 2}}  # C(20000, k) for k <= 2000
+    assert K.diffop_mul(*square, 5) == _per_gamma_mul(*square, 5) == {(2 * big,): {(0,): 4}}
+    assert K.diffop_transpose(coeff, 5) == _per_gamma_transpose(coeff, 5)
+    for run in (lambda: K.diffop_mul(*square, 0), lambda: K.diffop_transpose(coeff, 0)):
+        with pytest.raises(DomainError, match="may exceed the guardrail"):
+            run()
+    # C(1200000, 600000) = 0 mod 1000003, so the first row is empty and the
+    # monomial ends before C(20000, k) for k up to 2000 (refused past 1092)
+    lucas_zero = ({(600000, 2000): {(0, 0): 1}}, {(600000, 0): {(0, 20000): 1}})
+    assert K.diffop_mul(*lucas_zero, 1000003) == {}
 
 
 def test_binom_product_matches_comb():

@@ -201,6 +201,21 @@ def test_cli_long_number_literals():
         assert "Traceback" not in err
 
 
+def test_cli_long_derivative_indices():
+    # d<N> past nvars is an unknown identifier however many digits N has
+    ones = "1" * 4400
+    code, out, err = run_cli(["normalize", f"d{ones}"])
+    assert (code, out) == (2, "")
+    assert f"unknown identifier 'd{ones}' (line 1, column 1)" in err
+    assert "Traceback" not in err
+    code, out, err = run_cli(["normalize", f"x1*d[{ones}]"])
+    assert (code, out) == (2, "")
+    assert "number of 4400 digits is too long (line 1, column 4)" in err
+    assert "Traceback" not in err
+    assert run_cli(["normalize", "d[1,,2]"])[2].startswith(
+        "parse error: d[...] entries must be naturals")
+
+
 def test_cli_huge_binomials():
     # C(2*10^8, 10^8) is 4 mod 5 by Lucas' theorem; over Q it is refused
     for expr in ("d[100000000]*d[100000000]", "d[100000000]^2"):
