@@ -8,24 +8,34 @@ ring isomorphism onto the subring for a perfect prime field, so addition
 and multiplication of root entries compute the true entries exactly and
 no twisted arithmetic is needed.
 
-Back to operators by two closed formulas.  Over F_p the p^e-th power of a
-root term c*x^mu is c*x^(p^e*mu), so column lam reassembles into the value
-xi(x^lam) by scaling exponents.  On the box that value is the sum over
-alpha <= lam of C(lam, alpha) f_alpha x^(lam-alpha), and binomial
-inversion gives f_alpha = sum over lam <= alpha of (-1)^|alpha-lam|
-C(alpha, lam) x^(alpha-lam) xi(x^lam), with integer coefficients, so in
-every characteristic.
+A matrix stores its nonzero entries only, as residue dicts (the kernel
+layout of ``_kernels``) keyed by (row, column): ``LevelMatrix.cells``.
+Sums, products and equality work on these dicts; ``entries``, the dense
+grid of ``Polynomial`` values, is built on read.
+
+Both directions are closed formulas.  Column lam of the matrix of
+xi = sum f_alpha d^[alpha] is the value xi(x^lam) = sum over alpha <= lam
+of C(lam, alpha) f_alpha x^(lam-alpha): each exponent of it splits into
+a base-p^e digit r and a quotient mu, and the term lands in cell
+(r, lam) at the root monomial x^mu.  Back again, over F_p the p^e-th
+power of a root term c*x^mu is c*x^(p^e*mu), so cell (r, lam) gives the
+part c*x^(p^e*mu + r) of xi(x^lam), and binomial inversion gives
+f_alpha = sum over lam <= alpha of (-1)^|alpha-lam| C(alpha, lam)
+x^(alpha-lam) xi(x^lam), with integer coefficients, so in every
+characteristic.  Every cell or coefficient is accumulated as unreduced
+ints and reduced mod p once (``_kernels._reduced``).
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import comb as _comb, prod as _prod
+from operator import add as _add
 
 from . import _kernels as K
 from .diffop import DiffOp
 from .errors import DomainError
-from .exponents import iter_leq, subtract
-from .poly import Polynomial, PolyRing, frobenius_decompose, frobenius_reassemble
+from .poly import Polynomial, PolyRing
 
 SIZE_LIMIT = 256
 
@@ -41,7 +51,14 @@ class FrobeniusBasis:
             raise DomainError("frobenius basis requires characteristic p > 0")
         if e < 0:
             raise DomainError("level e must be a natural number")
-        size = p ** (e * ring.nvars)
+        digits = e * ring.nvars
+        # p >= 2, so p^digits > SIZE_LIMIT once digits reaches the bit
+        # length of SIZE_LIMIT: refused before p^digits is formed or printed
+        if digits >= SIZE_LIMIT.bit_length():
+            raise DomainError(
+                f"basis size {p}^{digits} exceeds the guardrail of {SIZE_LIMIT}"
+            )
+        size = p**digits
         if size > SIZE_LIMIT:
             raise DomainError(f"basis size {size} exceeds the guardrail of {SIZE_LIMIT}")
         self.ring = ring
@@ -62,14 +79,24 @@ class FrobeniusBasis:
     __hash__ = None
 
 
+def _pair_into(acc, a, b):
+    """Add the unreduced product of the root dicts a and b to acc."""
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exp = tuple(map(_add, ea, eb))
+            acc[exp] = acc.get(exp, 0) + ca * cb
+
+
 class LevelMatrix:
     """Square polynomial matrix representing a level-e operator.
 
-    ``entries[r][c]`` is the root of the coefficient of the r-th basis
-    monomial in the image of the c-th one.
+    ``cells[r, c]`` is the nonzero root of the coefficient of the r-th
+    basis monomial in the image of the c-th one, as a residue dict; a
+    missing cell is zero.  ``LevelMatrix(basis, entries)`` builds one from
+    a dense grid of polynomials, and ``entries`` reads that grid back.
     """
 
-    __slots__ = ("basis", "entries")
+    __slots__ = ("basis", "cells")
 
     def __init__(self, basis: FrobeniusBasis, entries):
         entries = [list(r) for r in entries]
@@ -81,13 +108,18 @@ class LevelMatrix:
                 if not isinstance(v, Polynomial) or v.ring != basis.ring:
                     raise DomainError("entries must be polynomials of the base ring")
         self.basis = basis
-        self.entries = entries
+        self.cells = {
+            (r, c): v.terms
+            for r, row in enumerate(entries)
+            for c, v in enumerate(row)
+            if v.terms
+        }
 
     @classmethod
-    def _from_rows(cls, basis: FrobeniusBasis, entries) -> LevelMatrix:
-        """Wrap rows this module built itself, skipping the entry checks."""
+    def _from_cells(cls, basis: FrobeniusBasis, cells: dict) -> LevelMatrix:
+        """Wrap nonzero cells this module built itself, skipping the checks."""
         m = object.__new__(cls)
-        m.basis, m.entries = basis, entries
+        m.basis, m.cells = basis, cells
         return m
 
     @property
@@ -98,11 +130,16 @@ class LevelMatrix:
     def ring(self) -> PolyRing:
         return self.basis.ring
 
+    @property
+    def entries(self) -> list:
+        """The dense grid of ``Polynomial`` entries, rows first."""
+        ring, cells, n = self.ring, self.cells, range(self.basis.size)
+        return [[Polynomial(ring, cells.get((r, c), {})) for c in n] for r in n]
+
     @classmethod
     def identity(cls, basis: FrobeniusBasis) -> LevelMatrix:
-        one, zero = basis.ring.one(), basis.ring.zero()
-        n = range(basis.size)
-        return cls._from_rows(basis, [[one if i == j else zero for j in n] for i in n])
+        one = {(0,) * basis.ring.nvars: 1}
+        return cls._from_cells(basis, {(i, i): one for i in range(basis.size)})
 
     def _check(self, other: LevelMatrix):
         if self.basis != other.basis:
@@ -110,30 +147,43 @@ class LevelMatrix:
 
     def __add__(self, other: LevelMatrix) -> LevelMatrix:
         self._check(other)
-        rows = zip(self.entries, other.entries)
-        return LevelMatrix._from_rows(
-            self.basis, [[a + b for a, b in zip(ra, rb)] for ra, rb in rows]
-        )
+        p = self.ring.characteristic
+        out = dict(self.cells)
+        for key, b in other.cells.items():
+            a = out.get(key)
+            if a is None:
+                out[key] = b
+                continue
+            s = K.poly_add(a, b, p)
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+        return LevelMatrix._from_cells(self.basis, out)
 
     def __mul__(self, other: LevelMatrix) -> LevelMatrix:
-        """Product that never multiplies by a zero entry (matrices are sparse)."""
+        """Product over nonzero cells only: cell (i, k) meets the cells of
+        row k, into one accumulator per output cell, reduced once."""
         self._check(other)
-        right = [[(c, b) for c, b in enumerate(row) if b] for row in other.entries]
-        out = []
-        for row in self.entries:
-            acc = [self.ring.zero()] * len(row)
-            for a, pairs in zip(row, right):
-                if a:
-                    for c, b in pairs:
-                        acc[c] = acc[c] + a * b
-            out.append(acc)
-        return LevelMatrix._from_rows(self.basis, out)
+        right = {}
+        for (k, c), b in other.cells.items():
+            right.setdefault(k, []).append((c, b))
+        out = {}
+        for (i, k), a in self.cells.items():
+            for c, b in right.get(k, ()):
+                acc = out.get((i, c))
+                if acc is None:
+                    acc = out[i, c] = {}
+                _pair_into(acc, a, b)
+        return LevelMatrix._from_cells(
+            self.basis, K._reduced(out, self.ring.characteristic)
+        )
 
     def __eq__(self, other):
         return (
             isinstance(other, LevelMatrix)
             and self.basis == other.basis
-            and self.entries == other.entries
+            and self.cells == other.cells
         )
 
     __hash__ = None
@@ -142,41 +192,100 @@ class LevelMatrix:
         return f"<LevelMatrix e={self.e} size={self.basis.size}>"
 
 
+def _matrix_row(m, a, w, q, p):
+    """The row of one variable in ``to_matrix``: for x^m in f_alpha and
+    alpha_i = a, one entry (w*r, w*lam, mu, C(lam, a)) per a <= lam < q,
+    where m-a+lam = mu*q + r and w is the variable's place value in the
+    basis order; zeros mod p left out."""
+    row = []
+    for lam in range(a, q):
+        c = _comb(lam, a) % p
+        if c:
+            mu, r = divmod(m - a + lam, q)
+            row.append((w * r, w * lam, mu, c))
+    return row
+
+
 def to_matrix(xi: DiffOp, e: int) -> LevelMatrix:
     """Represent a level <= e operator on the frobenius basis.
 
     Column lam holds the digit decomposition of the operator's value on
-    x^lam; rejects operators whose level exceeds e.
+    x^lam, by the closed formula of the module docstring.  It factors by
+    variable on a monomial x^m of f_alpha: one row per variable lists the
+    choices of lam_i with their digit, quotient and binomial, and each
+    choice of one entry per row is one term of one cell.  Rejects
+    operators whose level exceeds e.
     """
-    if xi.ring.characteristic == 0:
+    p = xi.ring.characteristic
+    if p == 0:
         raise DomainError("level matrices require characteristic p > 0")
+    if e < 0:
+        raise DomainError("level e must be a natural number")
     if xi.level() > e:
         raise DomainError(f"operator has level {xi.level()} > {e}")
     basis = FrobeniusBasis(xi.ring, e)
-    zero, monomials = xi.ring.zero(), basis.monomials
-    cols = [frobenius_decompose(xi.apply(xi.ring.monomial(lam)), e) for lam in monomials]
-    entries = [[col.get(lam_r, zero) for col in cols] for lam_r in monomials]
-    return LevelMatrix._from_rows(basis, entries)
+    q, n = p**e, xi.ring.nvars
+    # the basis is in lex order: x^lam is number sum of lam_i*places[i]
+    places = [q ** (n - 1 - i) for i in range(n)]
+    rows = {}
+    out = {}
+    for alpha, f in xi.num.items():
+        for m, v in f.items():
+            rs = []
+            for key in zip(m, alpha, places):
+                row = rows.get(key)
+                if row is None:
+                    row = rows[key] = _matrix_row(*key, q, p)
+                rs.append(row)
+            for entries in product(*rs):
+                r, col, mu, cs = zip(*entries)
+                key = (sum(r), sum(col))
+                acc = out.get(key)
+                if acc is None:
+                    acc = out[key] = {}
+                acc[mu] = acc.get(mu, 0) + v * _prod(cs)
+    return LevelMatrix._from_cells(basis, K._reduced(out, p))
+
+
+def _operator_row(mu, r, lam, q, p):
+    """The row of one variable in ``to_operator``: for a root term x^mu
+    of cell (r, lam), one entry (alpha, q*mu + r + alpha - lam,
+    (-1)^(alpha-lam) C(alpha, lam)) per lam <= alpha < q, zeros mod p
+    left out."""
+    row = []
+    for alpha in range(lam, q):
+        c = _comb(alpha, lam) % p
+        if c:
+            row.append((alpha, q * mu + r + alpha - lam, -c if (alpha - lam) % 2 else c))
+    return row
 
 
 def to_operator(m: LevelMatrix) -> DiffOp:
-    """Inverse of :func:`to_matrix`: reassemble each column into the value
-    on its basis monomial, then invert binomially (module docstring)."""
-    ring, monomials, p = m.ring, m.basis.monomials, m.ring.characteristic
-    values = {}
-    for lam, col in zip(monomials, zip(*m.entries)):
-        pieces = {lam_r: g for lam_r, g in zip(monomials, col) if g}
-        values[lam] = frobenius_reassemble(ring, pieces, m.e).terms
-    terms = {}
-    for alpha in monomials:
-        acc = {}
-        for lam in iter_leq(alpha):
-            c = (-1) ** (sum(alpha) - sum(lam)) * K.binom_product(alpha, lam, p) % p
-            if c and values[lam]:
-                shift = {subtract(alpha, lam): c}
-                acc = K.poly_add(acc, K.poly_mul(values[lam], shift, p), p)
-        terms[alpha] = Polynomial(ring, acc)
-    return DiffOp.from_terms(ring, terms)
+    """Inverse of :func:`to_matrix`: cell (r, lam) reassembled by scaling
+    exponents is part of the value on x^lam, and binomial inversion
+    spreads it over the coefficients f_alpha, alpha >= lam (module
+    docstring), one row per variable as in :func:`to_matrix`."""
+    monomials, p = m.basis.monomials, m.ring.characteristic
+    q = p**m.e
+    rows = {}
+    out = {}
+    for (r, col), g in m.cells.items():
+        digits = tuple(zip(monomials[r], monomials[col]))
+        for mu, v in g.items():
+            rs = []
+            for x, (d, lam) in zip(mu, digits):
+                key = (x, d, lam)
+                row = rows.get(key)
+                if row is None:
+                    row = rows[key] = _operator_row(x, d, lam, q, p)
+                rs.append(row)
+            for entries in product(*rs):
+                alpha, exp, cs = zip(*entries)
+                acc = out.get(alpha)
+                if acc is None:
+                    acc = out[alpha] = {}
+                acc[exp] = acc.get(exp, 0) + v * _prod(cs)
+    return DiffOp._core(m.ring, (K._reduced(out, p), 1))
 
 
 def matrix_mul_consistency(xi: DiffOp, eta: DiffOp, e: int) -> bool:

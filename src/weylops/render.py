@@ -6,6 +6,12 @@ then descending lex on the exponent.  The JSON layer is versioned under
 the ``weyl-op/1`` schema tag; coefficients are rendered as exact decimal
 or fraction strings.
 
+Operators are rendered from their integer core: each coefficient is the
+numerator over the operator's one denominator, printed as
+``str(Fraction(c, den))`` would print it (one ``gcd``), so no
+``Polynomial`` or ``Fraction`` is built to print it.  Level matrices are
+written from their nonzero cells, an empty cell as ``[]``.
+
 Python refuses to convert an integer of more than
 ``sys.get_int_max_str_digits()`` decimal digits to a string; the entry
 points that print coefficients turn that ``ValueError`` into a
@@ -15,6 +21,7 @@ points that print coefficients turn that ``ValueError`` into a
 from __future__ import annotations
 
 import sys
+from math import gcd
 
 from .errors import DomainError
 
@@ -29,7 +36,23 @@ def _too_many_digits() -> DomainError:
 
 
 def _sorted_exponents(terms):
-    return sorted(terms, key=lambda e: (sum(e), e), reverse=True)
+    """Exponents by descending total degree, then descending lex: two
+    stable sorts on built-in keys."""
+    if len(terms) == 1:
+        return list(terms)
+    out = sorted(terms, reverse=True)
+    out.sort(key=sum, reverse=True)
+    return out
+
+
+def _fraction_str(c: int, den: int) -> str:
+    """The text of c/den, den > 1, as ``str(Fraction(c, den))`` prints it.
+    Callers print c itself when den == 1 (an int, or a ``Fraction`` of a
+    polynomial)."""
+    g = gcd(c, den)
+    if g == den:
+        return str(c // g)
+    return f"{c // g}/{den // g}"
 
 
 def _monomial_str(ring, exp) -> str:
@@ -42,17 +65,16 @@ def _monomial_str(ring, exp) -> str:
     return "*".join(parts)
 
 
-def render_poly(f) -> str:
-    """Canonical text form of a polynomial."""
-    if f.is_zero():
+def _poly_text(ring, terms: dict, den: int) -> str:
+    """Canonical text of the polynomial with coefficients terms/den."""
+    if not terms:
         return "0"
-    ring = f.ring
     chunks = []
-    for exp in _sorted_exponents(f.terms):
-        c = f.terms[exp]
+    for exp in _sorted_exponents(terms):
         mono = _monomial_str(ring, exp)
         try:
-            cs = str(c)
+            c = terms[exp]
+            cs = str(c) if den == 1 else _fraction_str(c, den)
         except ValueError:
             raise _too_many_digits() from None
         negative = cs.startswith("-")
@@ -69,34 +91,35 @@ def render_poly(f) -> str:
     return " ".join(chunks)
 
 
+def render_poly(f) -> str:
+    """Canonical text form of a polynomial."""
+    return _poly_text(f.ring, f.terms, 1)
+
+
 def _basis_symbol(alpha) -> str:
     return "d[" + ",".join(str(a) for a in alpha) + "]"
 
 
 def render_op(xi) -> str:
-    """Canonical text form of an operator in normal form."""
+    """Canonical text form of an operator in normal form, read from its
+    integer core."""
     if xi.is_zero():
         return "0"
-    ring = xi.ring
+    ring, num, den = xi.ring, xi.num, xi.den
     chunks = []
-    for alpha in _sorted_exponents(xi.terms):
-        coeff = xi.terms[alpha]
-        if sum(alpha) == 0:
+    for alpha in _sorted_exponents(num):
+        coeff = _poly_text(ring, num[alpha], den)
+        negative = coeff.startswith("-")
+        if not any(alpha):
             # the order-0 part joins the sum as plain polynomial terms
-            body = render_poly(coeff)
-            negative = body.startswith("-")
-            if negative:
-                body = body[1:]
+            body = coeff[1:] if negative else coeff
         else:
             sym = _basis_symbol(alpha)
-            if len(coeff.terms) == 1:
-                cs = render_poly(coeff)
-                negative = cs.startswith("-")
-                if negative:
-                    cs = cs[1:]
+            if len(num[alpha]) == 1:
+                cs = coeff[1:] if negative else coeff
                 body = sym if cs == "1" else f"{cs}*{sym}"
             else:
-                body = f"({render_poly(coeff)})*{sym}"
+                body = f"({coeff})*{sym}"
                 negative = False
         if not chunks:
             chunks.append(f"-{body}" if negative else body)
@@ -105,14 +128,20 @@ def render_op(xi) -> str:
     return " ".join(chunks)
 
 
-def poly_terms_json(f) -> list:
+def _terms_json(terms: dict, den: int) -> list:
+    """JSON terms of the polynomial with coefficients terms/den."""
     try:
         return [
-            {"exponent": list(exp), "coefficient": str(f.terms[exp])}
-            for exp in _sorted_exponents(f.terms)
+            {"exponent": list(exp),
+             "coefficient": str(terms[exp]) if den == 1 else _fraction_str(terms[exp], den)}
+            for exp in _sorted_exponents(terms)
         ]
     except ValueError:
         raise _too_many_digits() from None
+
+
+def poly_terms_json(f) -> list:
+    return _terms_json(f.terms, 1)
 
 
 def poly_json(f) -> dict:
@@ -127,24 +156,24 @@ def poly_json(f) -> dict:
 
 
 def op_json(xi) -> dict:
-    ring = xi.ring
+    """JSON form of an operator, read from its integer core."""
+    ring, num, den = xi.ring, xi.num, xi.den
     return {
         "schema": SCHEMA,
         "kind": "operator",
         "characteristic": ring.characteristic,
         "vars": list(ring.var_names),
         "terms": [
-            {
-                "exponent": list(alpha),
-                "coefficient": poly_terms_json(xi.terms[alpha]),
-            }
-            for alpha in _sorted_exponents(xi.terms)
+            {"exponent": list(alpha), "coefficient": _terms_json(num[alpha], den)}
+            for alpha in _sorted_exponents(num)
         ],
     }
 
 
 def level_matrix_json(m) -> dict:
-    ring = m.ring
+    """JSON form of a level matrix: the dense grid written from its cells,
+    ``[]`` for an empty cell."""
+    ring, cells, n = m.ring, m.cells, range(m.basis.size)
     return {
         "schema": SCHEMA,
         "kind": "level-matrix",
@@ -153,7 +182,10 @@ def level_matrix_json(m) -> dict:
         "e": m.e,
         "size": m.basis.size,
         "basis": [list(lam) for lam in m.basis.monomials],
-        "entries": [[poly_terms_json(v) for v in row] for row in m.entries],
+        "entries": [
+            [_terms_json(cells[r, c], 1) if (r, c) in cells else [] for c in n]
+            for r in n
+        ],
     }
 
 

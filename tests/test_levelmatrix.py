@@ -7,13 +7,14 @@ from weylops import (
     DomainError,
     FrobeniusBasis,
     LevelMatrix,
-    Polynomial,
+    frobenius_decompose,
     frobenius_reassemble,
     matrix_mul_consistency,
     standard_transpose,
     to_matrix,
     to_operator,
 )
+from weylops import levelmatrix
 from weylops.diffop import operator_from_monomial_values
 from conftest import make_ring, random_diffop, random_poly
 from conftest import random_level_bounded_op
@@ -150,10 +151,20 @@ def test_malformed_matrix_rejected():
 LEVEL_SHAPES = ((2, 1, 3), (2, 2, 2), (3, 1, 2), (3, 2, 1), (5, 1, 2), (3, 1, 3))
 
 
+def _dense_to_matrix(xi, e):
+    """The previous ``to_matrix``: apply the operator to each basis
+    monomial and split the value into its p^e-th-power digits."""
+    basis = FrobeniusBasis(xi.ring, e)
+    zero, monomials = xi.ring.zero(), basis.monomials
+    cols = [frobenius_decompose(xi.apply(xi.ring.monomial(lam)), e)
+            for lam in monomials]
+    return LevelMatrix(basis, [[col.get(lam_r, zero) for col in cols]
+                               for lam_r in monomials])
+
+
 def _dense_mul(self, other):
     """The previous ``LevelMatrix.__mul__``: every entry product, zeros too."""
     self._check(other)
-    n = self.basis.size
     zero = self.ring.zero()
     cols = list(zip(*other.entries))
     out = []
@@ -171,13 +182,13 @@ def _dense_mul(self, other):
 def _to_operator_by_solving(m):
     """The previous ``to_operator``: reassemble by powers, then solve the
     triangular system of monomial values."""
-    ring = m.ring
+    ring, entries = m.ring, m.entries
     q = ring.characteristic**m.e
     values = {}
     for c, lam in enumerate(m.basis.monomials):
         acc = ring.zero()
         for r, lam_r in enumerate(m.basis.monomials):
-            g = m.entries[r][c]
+            g = entries[r][c]
             if not g.is_zero():
                 acc = acc + (g**q) * ring.monomial(lam_r)
         values[lam] = acc
@@ -193,6 +204,34 @@ def _random_matrix(rng, basis, density):
     ])
 
 
+@pytest.mark.parametrize("shape", LEVEL_SHAPES)
+def test_to_matrix_matches_per_column_values(rng, shape):
+    p, e, n = shape
+    R = make_ring(p, n)
+    ops = [DiffOp.zero(R), DiffOp.constant(R, 1),
+           DiffOp.basis(R, (p**e - 1,) * n)]
+    ops += [random_level_bounded_op(rng, R, e, max_terms=4) for _ in range(12)]
+    # level below e: the digits of the lower level sit inside the box
+    ops += [random_level_bounded_op(rng, R, e - 1) for _ in range(4)]
+    for xi in ops:
+        m = to_matrix(xi, e)
+        assert m == _dense_to_matrix(xi, e)
+        assert all(m.cells.values())  # zero cells are not stored
+
+
+def test_entries_round_trip(rng):
+    for p, e, n in LEVEL_SHAPES:
+        basis = FrobeniusBasis(make_ring(p, n), e)
+        for m in (_random_matrix(rng, basis, 0.3),
+                  to_matrix(random_level_bounded_op(rng, basis.ring, e), e),
+                  LevelMatrix.identity(basis)):
+            entries = m.entries
+            assert len(entries) == basis.size
+            assert all(v.ring == basis.ring for row in entries for v in row)
+            assert LevelMatrix(basis, entries) == m
+            assert LevelMatrix(basis, entries).entries == entries
+
+
 def test_sparse_product_matches_dense_product(rng, monkeypatch):
     products = []
     for p, e, n in LEVEL_SHAPES:
@@ -200,16 +239,25 @@ def test_sparse_product_matches_dense_product(rng, monkeypatch):
         for density in (0.1, 1.0):
             a = _random_matrix(rng, basis, density)
             b = _random_matrix(rng, basis, density)
-            products.append((a, b, _dense_mul(a, b)))
-    multiply = Polynomial.__mul__
+            # the pairs of nonzero entries a[i][k], b[k][c], read densely
+            size = range(basis.size)
+            ea, eb = a.entries, b.entries
+            pairs = sum(1 for i in size for k in size for c in size
+                        if ea[i][k] and eb[k][c])
+            products.append((a, b, _dense_mul(a, b), pairs))
+    pair_into = levelmatrix._pair_into
+    formed = []
 
-    def nonzero_factors_only(f, g):
+    def nonzero_factors_only(acc, f, g):
         assert f and g, "level matrix product formed a zero factor"
-        return multiply(f, g)
+        formed.append(1)
+        pair_into(acc, f, g)
 
-    monkeypatch.setattr(Polynomial, "__mul__", nonzero_factors_only)
-    for a, b, expected in products:
+    monkeypatch.setattr(levelmatrix, "_pair_into", nonzero_factors_only)
+    for a, b, expected, pairs in products:
+        formed.clear()
         assert a * b == expected
+        assert len(formed) == pairs
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))

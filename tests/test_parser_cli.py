@@ -11,7 +11,7 @@ import pytest
 
 from weylops import DiffOp, DomainError, ParseError, parse_operator, parse_polynomial
 from weylops.opparser import MAX_DEPTH
-from weylops.render import render_op, render_poly
+from weylops.render import op_json, render_op, render_poly
 from conftest import CHARACTERISTICS, make_ring, random_diffop, run_cli
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -105,6 +105,29 @@ def test_render_round_trip_random(rng):
                 assert parse_operator(render_op(xi), R) == xi
                 count += 1
     assert count >= 500
+
+
+def _graded_lex_desc(exps):
+    return sorted(exps, key=lambda e: (sum(e), e), reverse=True)
+
+
+def test_json_from_the_core_matches_the_field_view(rng):
+    # op_json reads the integer core; the reference prints the Fraction
+    # (or residue) of each coefficient of the Polynomial view
+    for char in CHARACTERISTICS:
+        for nvars in (1, 2):
+            R = make_ring(char, nvars)
+            for _ in range(30):
+                xi = random_diffop(rng, R)
+                terms = xi.terms
+                expected = [
+                    {"exponent": list(alpha),
+                     "coefficient": [
+                         {"exponent": list(m), "coefficient": str(terms[alpha].terms[m])}
+                         for m in _graded_lex_desc(terms[alpha].terms)]}
+                    for alpha in _graded_lex_desc(terms)
+                ]
+                assert op_json(xi)["terms"] == expected
 
 
 def test_render_zero_and_signs():
@@ -261,6 +284,22 @@ def test_cli_work_bound_refuses_in_time(tmp_path):
         assert "guardrail" in done.stderr and "Traceback" not in done.stderr
 
 
+def test_cli_matrix_level_checked_before_the_work():
+    # a level past the size guardrail is refused before p^(e*n) is formed
+    # (3^(10^8) alone ran past the timeout, and 3^(10^7) was too long to
+    # print in the refusal); a negative level is not a natural number
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for level, message in (("10000000", "guardrail"), ("100000000", "guardrail"),
+                           ("-1", "natural number")):
+        done = subprocess.run(
+            [sys.executable, "-m", "weylops.cli", "--char", "3", "matrix", "d[1]",
+             "--e", level],
+            capture_output=True, text=True, env=env, timeout=20)
+        assert (done.returncode, done.stdout) == (3, "")
+        assert message in done.stderr and "Traceback" not in done.stderr
+        assert len(done.stderr) < 100
+
+
 def test_cli_sign_group_reynolds_of_a_huge_order():
     # -I is monomial: d[N,0] meets one divided power of one linear form
     group_file = str(GOLDEN / "group_sign.json")
@@ -347,6 +386,18 @@ def test_cli_artinian_text():
     assert "filtration dims: 2 3 4" in out
 
 
+# a two-variable level-2 matrix over F_3 (81x81): several terms in one
+# cell, root monomials past the digit box, and many empty cells
+MATRIX_CHAR3_E2 = ["--char", "3", "--nvars", "2", "matrix",
+                   "x1^2*x2*d[4,1] + 2*x1*x2^3*d[3,5] - d[8,0] + x2^4*d[0,2] + x1",
+                   "--e", "2"]
+
+
+def test_cli_golden_matrix_text():
+    expected = (GOLDEN / "matrix_char3_e2.txt").read_text()
+    assert run_cli(MATRIX_CHAR3_E2) == (0, expected, "")
+
+
 @pytest.mark.parametrize(
     "name, args",
     [
@@ -371,6 +422,7 @@ def test_cli_artinian_text():
             ["--json", "--char", "3", "--nvars", "2", "apply", "d[2,1]",
              "--to", "x1^2*x2 + x2^3"],
         ),
+        ("matrix_char3_e2.json", ["--json", *MATRIX_CHAR3_E2]),
     ],
 )
 def test_cli_golden_json(name, args):
