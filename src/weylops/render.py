@@ -140,10 +140,6 @@ def _terms_json(terms: dict, den: int) -> list:
         raise _too_many_digits() from None
 
 
-def poly_terms_json(f) -> list:
-    return _terms_json(f.terms, 1)
-
-
 def poly_json(f) -> dict:
     ring = f.ring
     return {
@@ -151,7 +147,7 @@ def poly_json(f) -> dict:
         "kind": "polynomial",
         "characteristic": ring.characteristic,
         "vars": list(ring.var_names),
-        "terms": poly_terms_json(f),
+        "terms": _terms_json(f.terms, 1),
     }
 
 
