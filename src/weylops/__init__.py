@@ -31,14 +31,7 @@ from .invariants import (
 from .levelmatrix import FrobeniusBasis, LevelMatrix, matrix_mul_consistency, to_matrix, to_operator
 from .linalg import Matrix
 from .opparser import parse_operator, parse_polynomial
-from .poly import (
-    Polynomial,
-    PolyRing,
-    RingMap,
-    apply_ring_map,
-    frobenius_decompose,
-    frobenius_reassemble,
-)
+from .poly import Polynomial, PolyRing, RingMap, apply_ring_map
 from .transpose import (
     AntiAutomorphism,
     check_graded_sign,
@@ -75,8 +68,6 @@ __all__ = [
     "check_graded_sign",
     "derivation_formula_check",
     "equivariance_check",
-    "frobenius_decompose",
-    "frobenius_reassemble",
     "is_invariant",
     "is_pseudoreflection",
     "level_by_commutation_oracle",

@@ -15,13 +15,17 @@ Data layout (no classes here, wrappers live in ``poly``/``diffop``):
   coefficient of the divided-power basis element for that exponent.
 
 In characteristic p a coefficient is an int residue mod p.  In
-characteristic 0 the operator kernels receive the integer numerators of
-an operator whose one common denominator is kept by ``diffop`` (the
-integer core), so their coefficients are ints as well; ``Polynomial``
-still stores ``Fraction`` values, and the polynomial kernels accept them.
+characteristic 0 the kernels receive the integer numerators of a
+polynomial or an operator whose one common denominator is kept by
+``poly`` or ``diffop`` (the integer core), so their coefficients are ints
+as well.  They accept ``Fraction`` values too, which the tests use as an
+oracle.
 
 ``p`` is the characteristic, 0 meaning the rationals.  All functions
 return canonical dicts (no zero values stored) and never mutate inputs.
+Each kernel that sums adds into one accumulator of unreduced values and
+reduces it mod p, dropping zeros, once at the end: ``_reduced`` for
+operators, ``_reduced_poly`` for polynomials.
 
 ``diffop_mul`` and ``diffop_transpose`` expand d^[alpha]*g by the
 divided-power Leibniz rule, sum over gamma <= alpha of
@@ -31,10 +35,10 @@ entry (output exponent, exponent of x_i, binomial factor) per
 gamma_i = k <= min(m_i, alpha_i), entries that vanish mod p (Lucas zeros)
 left out.  A row depends on a few exponents only and is built once per
 call.  Each choice of one entry per row goes straight into one
-accumulator of unreduced ints, which is reduced mod p and stripped of
-zeros once per output term at the end.  Binomials come from ``_binom``,
-as in ``binom_product``: Lucas' theorem past ``BINOM_BITS_LIMIT`` bits in
-characteristic p, a refusal there in characteristic 0.
+accumulator of unreduced ints, reduced once per output term at the end.
+Binomials come from ``_binom``, as in ``binom_product``: Lucas' theorem
+past ``BINOM_BITS_LIMIT`` bits in characteristic p, a refusal there in
+characteristic 0.
 
 One bound, ``WORK_LIMIT`` coefficient products, holds in every kernel
 whose output can outgrow its inputs: ``diffop_mul`` counts
@@ -49,7 +53,7 @@ bound a call raises ``DomainError`` before the work it counts.
 
 from itertools import product as _product
 from math import comb as _comb, prod as _prod
-from operator import add as _add
+from operator import add as _add, sub as _sub
 
 from .errors import DomainError
 
@@ -63,16 +67,8 @@ WORK_LIMIT = 1 << 17
 def poly_add(a, b, p):
     out = dict(a)
     for exp, c in b.items():
-        acc = out.get(exp)
-        if acc is None:
-            out[exp] = c
-            continue
-        acc = (acc + c) % p if p else acc + c
-        if acc:
-            out[exp] = acc
-        else:
-            del out[exp]
-    return out
+        out[exp] = out.get(exp, 0) + c
+    return _reduced_poly(out, p)
 
 
 def poly_neg(a, p):
@@ -83,15 +79,9 @@ def poly_neg(a, p):
 
 def poly_scale(a, c, p):
     if p:
-        c %= p
-    if not c:
-        return {}
-    out = {}
-    for exp, v in a.items():
-        v = (v * c) % p if p else v * c
-        if v:
-            out[exp] = v
-    return out
+        return _reduced_poly({exp: v * c for exp, v in a.items()}, p)
+    # over Q a product of nonzero values is nonzero
+    return {exp: v * c for exp, v in a.items()} if c else {}
 
 
 def poly_mul(a, b, p):
@@ -100,20 +90,9 @@ def poly_mul(a, b, p):
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            c = (ca * cb) % p if p else ca * cb
-            if not c:
-                continue
-            exp = tuple(x + y for x, y in zip(ea, eb))
-            acc = out.get(exp)
-            if acc is None:
-                out[exp] = c
-                continue
-            acc = (acc + c) % p if p else acc + c
-            if acc:
-                out[exp] = acc
-            else:
-                del out[exp]
-    return out
+            exp = tuple(map(_add, ea, eb))
+            out[exp] = out.get(exp, 0) + ca * cb
+    return _reduced_poly(out, p)
 
 
 def _refuse(what):
@@ -157,19 +136,9 @@ def poly_substitute(f, images, p, powers):
                 term = pw if term is None else _bounded_mul(term, pw, p)
         if term is None:
             term = {exp: 1}  # the constant term; exp is all zeros
-        # c and every coefficient of term are nonzero, so is their product
         for exp2, v in term.items():
-            v = (v * c) % p if p else v * c
-            acc = out.get(exp2)
-            if acc is None:
-                out[exp2] = v
-                continue
-            acc = (acc + v) % p if p else acc + v
-            if acc:
-                out[exp2] = acc
-            else:
-                del out[exp2]
-    return out
+            out[exp2] = out.get(exp2, 0) + v * c
+    return _reduced_poly(out, p)
 
 
 def _comb_bounded(b, a):
@@ -220,37 +189,26 @@ def binom_product(beta, alpha, p):
 
 
 def partial_apply(gamma, f, p):
-    """Apply the divided-power basis operator for gamma to a polynomial."""
+    """Apply the divided-power basis operator for gamma to a polynomial.
+    Distinct exponents beta stay distinct after subtracting gamma."""
     out = {}
     for beta, c in f.items():
         co = binom_product(beta, gamma, p)
-        if not co:
-            continue
-        c = (c * co) % p if p else c * co
-        if not c:
-            continue
-        exp = tuple(b - g for b, g in zip(beta, gamma))
-        acc = out.get(exp)
-        if acc is None:
-            out[exp] = c
-            continue
-        acc = (acc + c) % p if p else acc + c
-        if acc:
-            out[exp] = acc
-        else:
-            del out[exp]
-    return out
+        if co:
+            out[tuple(map(_sub, beta, gamma))] = c * co
+    return _reduced_poly(out, p)
 
 
 def diffop_apply(xi, f, p):
-    """Value of the operator on a polynomial: sum of f_alpha * d^[alpha](f)."""
+    """Value of the operator on a polynomial: sum of f_alpha * d^[alpha](f),
+    every alpha added into one accumulator that is reduced once."""
     out = {}
     for alpha, coeff in xi.items():
-        df = partial_apply(alpha, f, p)
-        if not df:
-            continue
-        out = poly_add(out, poly_mul(coeff, df, p), p)
-    return out
+        for d, c in partial_apply(alpha, f, p).items():
+            for e, cf in coeff.items():
+                e = tuple(map(_add, e, d))
+                out[e] = out.get(e, 0) + cf * c
+    return _reduced_poly(out, p)
 
 
 def diffop_add(xi, eta, p):
@@ -321,6 +279,21 @@ def _reduced(out, p):
         if poly:
             res[target] = poly
     return res
+
+
+def _reduced_poly(acc, p):
+    """One accumulated polynomial reduced as ``_reduced`` reduces each
+    output term.  The loop is written twice on purpose: a call of this per
+    output term slows ``_reduced``, and a one-term call of ``_reduced``
+    slows the polynomial kernels, which mostly see a few terms."""
+    if p:
+        poly = {}
+        for exp, c in acc.items():
+            c %= p
+            if c:
+                poly[exp] = c
+        return poly
+    return {exp: c for exp, c in acc.items() if c}
 
 
 def diffop_mul(xi, eta, p):

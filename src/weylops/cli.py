@@ -4,6 +4,7 @@ Every subcommand reads expressions in the ``d[...]`` syntax of
 :mod:`weylops.opparser` over a session ring configured by the top-level
 flags, and writes either canonical text or versioned JSON.  Exit codes:
 0 success, 1 usage, 2 parse error, 3 violated mathematical precondition.
+A usage error quotes the offending value, which is cut short when long.
 """
 
 from __future__ import annotations
@@ -279,6 +280,18 @@ def reynolds_cmd(obj, expr):
     _emit(cfg, render.render_op(result), render.op_json(result))
 
 
+# longest usage-error message printed whole; click quotes option values
+# whole, so a longer one keeps its start and end only
+USAGE_ECHO_LIMIT = 160
+
+
+def _clipped(message: str) -> str:
+    if len(message) <= USAGE_ECHO_LIMIT:
+        return message
+    half = USAGE_ECHO_LIMIT // 2
+    return f"{message[:half]} ... {message[-half:]}"
+
+
 def main(argv=None) -> int:
     """Entry point with the documented exit-code mapping."""
     try:
@@ -286,7 +299,7 @@ def main(argv=None) -> int:
     except click.exceptions.Abort:
         return 1
     except click.exceptions.UsageError as exc:
-        click.echo(f"usage error: {exc.format_message()}", err=True)
+        click.echo(f"usage error: {_clipped(exc.format_message())}", err=True)
         return 1
     except click.exceptions.ClickException as exc:
         exc.show()

@@ -18,8 +18,10 @@ denominator for all of them, with gcd(den, every numerator) == 1 and
 den == 1 for the zero operator (the content/primitive-part form).  Over
 F_p the ints are residues and den is 1.  The core functions below
 (``canonical``, ``core_add``, ``core_neg``, ``core_mul``, ``core_pow``)
-work on such pairs, so the kernels only ever see ints; ``DiffOp.terms``,
-the view with ``Polynomial`` coefficients, is built on first read.
+work on such pairs, so the kernels only ever see ints.  A ``Polynomial``
+is stored the same way, so a coefficient passes between the two as its
+core; ``DiffOp.terms``, the view with ``Polynomial`` coefficients, is
+built on read.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from math import gcd, lcm
 from . import _kernels as K
 from . import exponents
 from .errors import DomainError
-from .poly import Polynomial, PolyRing
+from .poly import Polynomial, PolyRing, canonical as poly_canonical
 
 
 def canonical(num: dict, den: int):
@@ -81,29 +83,6 @@ def core_pow(a, n: int, p: int, nvars: int):
         a = core_mul(a, a, p)
 
 
-def _numerators(terms: dict, den: int) -> dict:
-    """Rational coefficients times den, for den a common denominator."""
-    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
-
-
-def _poly_core(terms: dict, p: int):
-    """A polynomial's coefficient dict as ints over one denominator."""
-    if p:
-        return terms, 1
-    den = lcm(*(c.denominator for c in terms.values()))
-    return _numerators(terms, den), den
-
-
-def _poly_fractions(num: dict, den: int, p: int) -> dict:
-    """Field values of an int coefficient dict over den (the inverse of
-    :func:`_poly_core`)."""
-    if p:
-        return num
-    if den == 1:
-        return {m: Fraction(c) for m, c in num.items()}
-    return {m: Fraction(c, den) for m, c in num.items()}
-
-
 class DiffOp:
     """Operator in normal form over an integer core (module docstring).
 
@@ -112,18 +91,16 @@ class DiffOp:
     and all operations are pure.
     """
 
-    __slots__ = ("ring", "num", "den", "_terms")
+    __slots__ = ("ring", "num", "den")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
-        if ring.characteristic:
-            self.num = {alpha: f.terms for alpha, f in terms.items()}
-            self.den = 1
-        else:
-            den = lcm(*(c.denominator for f in terms.values() for c in f.terms.values()))
-            self.num = {alpha: _numerators(f.terms, den) for alpha, f in terms.items()}
-            self.den = den
-        self._terms = terms
+        # each coefficient is canonical, so their lcm leaves no common factor
+        den = self.den = lcm(*(f.den for f in terms.values()))
+        self.num = {
+            alpha: f.num if f.den == den else K.poly_scale(f.num, den // f.den, 0)
+            for alpha, f in terms.items()
+        }
 
     @classmethod
     def _core(cls, ring: PolyRing, core) -> DiffOp:
@@ -131,20 +108,16 @@ class DiffOp:
         op = cls.__new__(cls)
         op.ring = ring
         op.num, op.den = core
-        op._terms = None
         return op
 
     @property
     def terms(self) -> dict:
         """The field view: exponent tuple -> nonzero ``Polynomial``."""
-        terms = self._terms
-        if terms is None:
-            ring, den, p = self.ring, self.den, self.ring.characteristic
-            terms = self._terms = {
-                alpha: Polynomial(ring, _poly_fractions(f, den, p))
-                for alpha, f in self.num.items()
-            }
-        return terms
+        ring, den = self.ring, self.den
+        return {
+            alpha: Polynomial._core(ring, poly_canonical(f, den))
+            for alpha, f in self.num.items()
+        }
 
     # -- factories -------------------------------------------------------
 
@@ -157,8 +130,7 @@ class DiffOp:
         """The multiplication operator by f."""
         if f.is_zero():
             return cls.zero(f.ring)
-        num, den = _poly_core(f.terms, f.ring.characteristic)
-        return cls._core(f.ring, ({(0,) * f.ring.nvars: num}, den))
+        return cls._core(f.ring, ({(0,) * f.ring.nvars: f.num}, f.den))
 
     @classmethod
     def constant(cls, ring: PolyRing, c) -> DiffOp:
@@ -208,7 +180,10 @@ class DiffOp:
         return bool(self.num)
 
     def coefficient(self, alpha) -> Polynomial:
-        return self.terms.get(tuple(alpha), self.ring.zero())
+        f = self.num.get(tuple(alpha))
+        if f is None:
+            return self.ring.zero()
+        return Polynomial._core(self.ring, poly_canonical(f, self.den))
 
     def order(self) -> int:
         """Largest |alpha| in the support; -1 for the zero operator."""
@@ -254,10 +229,8 @@ class DiffOp:
     def apply(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
             raise DomainError("operator/polynomial ring mismatch")
-        p = self.ring.characteristic
-        fnum, fden = _poly_core(f.terms, p)
-        return Polynomial(self.ring, _poly_fractions(
-            K.diffop_apply(self.num, fnum, p), self.den * fden, p
+        return Polynomial._core(self.ring, poly_canonical(
+            K.diffop_apply(self.num, f.num, self.ring.characteristic), self.den * f.den
         ))
 
     def __call__(self, f: Polynomial) -> Polynomial:

@@ -6,10 +6,10 @@ Field values are plain Python values without a wrapper object:
   positive denominator);
 * characteristic p: `int` residues in ``{0, ..., p-1}``.
 
-Polynomials and matrices store these values.  Operators over Q do not:
+Matrices store these values.  Polynomials and operators over Q do not:
 they keep integer numerators over one common denominator (see
-:mod:`weylops.diffop`), so their kernels work on ints, and show field
-values only in their ``terms`` view.
+:mod:`weylops.poly` and :mod:`weylops.diffop`), so their kernels work on
+ints, and show field values only in their ``terms`` view.
 
 A :class:`FieldSpec` carries the characteristic and mediates every
 arithmetic operation, so modules never hard-code one representation.
@@ -154,9 +154,6 @@ class FieldSpec:
         if p:
             return pow(a % p, p - 2, p)
         return 1 / Fraction(a)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def is_zero(self, a) -> bool:
         p = self.characteristic

@@ -109,10 +109,10 @@ class LevelMatrix:
                     raise DomainError("entries must be polynomials of the base ring")
         self.basis = basis
         self.cells = {
-            (r, c): v.terms
+            (r, c): v.num
             for r, row in enumerate(entries)
             for c, v in enumerate(row)
-            if v.terms
+            if v.num
         }
 
     @classmethod
@@ -134,7 +134,8 @@ class LevelMatrix:
     def entries(self) -> list:
         """The dense grid of ``Polynomial`` entries, rows first."""
         ring, cells, n = self.ring, self.cells, range(self.basis.size)
-        return [[Polynomial(ring, cells.get((r, c), {})) for c in n] for r in n]
+        return [[Polynomial._core(ring, (cells.get((r, c), {}), 1)) for c in n]
+                for r in n]
 
     @classmethod
     def identity(cls, basis: FrobeniusBasis) -> LevelMatrix:

@@ -1,16 +1,20 @@
 """The commutative polynomial ring S = k[x_1, ..., x_n] with exact arithmetic.
 
-Polynomials are finitely supported maps from exponent tuples to nonzero
-field coefficients, so equality is dict equality and every value is
-canonical by construction.  Also provides substitution endomorphisms and
-the base-p^e digit decomposition of a polynomial over the subring of
-p^e-th powers.
+A polynomial is stored as an integer core ``(num, den)``, as an operator
+is (:mod:`weylops.diffop`): ``num`` maps exponent tuples to nonzero int
+numerators and ``den > 0`` is one denominator for all of them, with
+gcd(den, every numerator) == 1 and den == 1 for zero.  Over F_p the ints
+are residues and den is 1.  Every value is canonical, so equality
+compares (den, num), and the kernels only ever see ints;
+``Polynomial.terms``, the view with field values, is built on read.  Also
+provides substitution endomorphisms, on the same cores.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import _kernels as K
 from . import exponents
@@ -109,38 +113,74 @@ class PolyRing:
         return Polynomial(self, terms)
 
 
-class Polynomial:
-    """Element of a :class:`PolyRing` in canonical sparse form.
+def canonical(num: dict, den: int):
+    """The pair (num, den) with gcd(den, every numerator) divided out."""
+    if den == 1 or not num:
+        return num, 1
+    g = gcd(den, *num.values())
+    if g == 1:
+        return num, den
+    return {m: c // g for m, c in num.items()}, den // g
 
-    ``terms`` maps exponent tuples to nonzero coefficients; instances are
-    treated as immutable and all operations are pure.
+
+class Polynomial:
+    """Element of a :class:`PolyRing` over an integer core (module docstring).
+
+    ``Polynomial(ring, terms)`` builds one from the field view: exponent
+    tuple -> nonzero field value.  Instances are treated as immutable and
+    all operations are pure.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "num", "den")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
-        self.terms = terms
+        if ring.characteristic:
+            self.num, self.den = terms, 1
+        else:
+            # the lcm of lowest-terms denominators leaves no common factor
+            den = lcm(*(c.denominator for c in terms.values()))
+            self.num = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+            self.den = den
+
+    @classmethod
+    def _core(cls, ring: PolyRing, core) -> Polynomial:
+        """Wrap a canonical core (num, den)."""
+        f = cls.__new__(cls)
+        f.ring = ring
+        f.num, f.den = core
+        return f
+
+    @property
+    def terms(self) -> dict:
+        """The field view: exponent tuple -> nonzero field value."""
+        if self.ring.characteristic:
+            return self.num
+        den = self.den
+        if den == 1:
+            return {m: Fraction(c) for m, c in self.num.items()}
+        return {m: Fraction(c, den) for m, c in self.num.items()}
 
     # -- predicates and accessors --------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.num:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.num))
 
     def coefficient(self, exp):
-        return self.terms.get(tuple(exp), self.ring.field.zero())
+        c = self.num.get(tuple(exp), 0)
+        return c if self.ring.characteristic else Fraction(c, self.den)
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return all(sum(e) == 0 for e in self.num)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -161,12 +201,21 @@ class Polynomial:
         if other is None:
             return NotImplemented
         p = self.ring.characteristic
-        return Polynomial(self.ring, K.poly_add(self.terms, other.terms, p))
+        (xn, xd), (yn, yd) = (self.num, self.den), (other.num, other.den)
+        if xd == yd:
+            return Polynomial._core(self.ring, canonical(K.poly_add(xn, yn, p), xd))
+        g = gcd(xd, yd)
+        return Polynomial._core(self.ring, canonical(
+            K.poly_add(K.poly_scale(xn, yd // g, p), K.poly_scale(yn, xd // g, p), p),
+            xd // g * yd,
+        ))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ring, K.poly_neg(self.terms, self.ring.characteristic))
+        return Polynomial._core(
+            self.ring, (K.poly_neg(self.num, self.ring.characteristic), self.den)
+        )
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -178,16 +227,19 @@ class Polynomial:
         return -(self - other)
 
     def __mul__(self, other):
+        p = self.ring.characteristic
         if isinstance(other, (int, Fraction)):
             c = self.ring.field.coerce(other)
-            return Polynomial(
-                self.ring, K.poly_scale(self.terms, c, self.ring.characteristic)
-            )
+            if p:
+                return Polynomial._core(self.ring, (K.poly_scale(self.num, c, p), 1))
+            return Polynomial._core(self.ring, canonical(
+                K.poly_scale(self.num, c.numerator, 0), self.den * c.denominator
+            ))
         if isinstance(other, Polynomial):
             self._check(other)
-            return Polynomial(
-                self.ring, K.poly_mul(self.terms, other.terms, self.ring.characteristic)
-            )
+            return Polynomial._core(self.ring, canonical(
+                K.poly_mul(self.num, other.num, p), self.den * other.den
+            ))
         return NotImplemented
 
     def __rmul__(self, other):
@@ -200,15 +252,15 @@ class Polynomial:
             raise DomainError("polynomial powers must be natural numbers")
         if n == 0:
             return self.ring.one()
-        return Polynomial(
-            self.ring, K.poly_pow(self.terms, n, self.ring.characteristic)
-        )
+        return Polynomial._core(self.ring, canonical(
+            K.poly_pow(self.num, n, self.ring.characteristic), self.den**n
+        ))
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.num == other.num
 
     __hash__ = None
 
@@ -254,7 +306,7 @@ class RingMap:
     def is_linear(self) -> bool:
         """True when every variable image is homogeneous of degree 1."""
         return all(
-            not f.is_zero() and all(sum(e) == 1 for e in f.terms)
+            not f.is_zero() and all(sum(e) == 1 for e in f.num)
             for f in self.images
         )
 
@@ -298,50 +350,27 @@ class RingMap:
 
 
 def apply_ring_map(m: RingMap, f: Polynomial) -> Polynomial:
-    """Substitution: replace each variable of f by its image under m."""
+    """Substitution: replace each variable of f by its image under m.  The
+    images are taken as int numerators over their one denominator."""
     if f.ring != m.ring:
         raise DomainError("polynomial does not live in the map's ring")
-    images = [g.terms for g in m.images]
-    return Polynomial(
-        m.ring, K.poly_substitute(f.terms, images, m.ring.characteristic, {})
-    )
+    den = lcm(*(g.den for g in m.images))
+    images = [g.num if g.den == den else K.poly_scale(g.num, den // g.den, 0)
+              for g in m.images]
+    return Polynomial._core(m.ring, substitute(
+        f.num, f.den, images, den, m.ring.characteristic, {}
+    ))
 
 
-def frobenius_decompose(f: Polynomial, e: int) -> dict:
-    """Write f as a combination of p^e-th powers against the monomials
-    with exponents below p^e, returning {lambda: g_lambda}.
+def substitute(num: dict, den: int, images: list, images_den: int, p: int, powers: dict):
+    """The core of num/den with each x_i replaced by images[i]/images_den,
+    for int dicts images (``powers`` as in ``_kernels.poly_substitute``).
 
-    Each exponent splits uniquely into base-p^e digit and quotient; the
-    coefficient field F_p is perfect with p^e-th roots given by the
-    identity, so the root polynomial g_lambda keeps the coefficients as
-    they are.  Reassembling sum of g^(p^e) * x^lambda returns f exactly.
-    """
-    p = f.ring.characteristic
-    if p == 0:
-        raise DomainError("frobenius decomposition requires characteristic p > 0")
-    if e < 0:
-        raise DomainError("level e must be a natural number")
-    q = p**e
-    pieces: dict[tuple, dict] = {}
-    for exp, c in f.terms.items():
-        lam = tuple(b % q for b in exp)
-        quot = tuple(b // q for b in exp)
-        pieces.setdefault(lam, {})[quot] = c
-    return {lam: Polynomial(f.ring, terms) for lam, terms in pieces.items()}
-
-
-def frobenius_reassemble(ring: PolyRing, pieces: dict, e: int) -> Polynomial:
-    """Inverse of :func:`frobenius_decompose`.  Over F_p, g^(p^e) scales
-    exponents, so a root term c*x^mu of piece lambda lands at
-    c*x^(p^e*mu + lambda); pieces keyed outside the digit box may meet."""
-    p = ring.characteristic
-    if p == 0:
-        raise DomainError("requires characteristic p > 0")
-    q = p**e
-    out = {}
-    for lam, g in pieces.items():
-        ring.monomial(lam)  # refuses a wrong arity or a negative exponent
-        for mu, c in g.terms.items():
-            exp = tuple(q * m + b for m, b in zip(mu, lam))
-            out[exp] = (out.get(exp, 0) + c) % p
-    return Polynomial(ring, {exp: c for exp, c in out.items() if c})
+    A monomial of degree e picks up images_den^-e, so each numerator is
+    lifted to the top degree t of num and the image is over
+    den * images_den^t."""
+    if images_den != 1 and num:
+        top = max(map(sum, num))
+        num = {mu: c * images_den ** (top - sum(mu)) for mu, c in num.items()}
+        den *= images_den**top
+    return canonical(K.poly_substitute(num, images, p, powers), den)

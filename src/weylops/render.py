@@ -6,10 +6,10 @@ then descending lex on the exponent.  The JSON layer is versioned under
 the ``weyl-op/1`` schema tag; coefficients are rendered as exact decimal
 or fraction strings.
 
-Operators are rendered from their integer core: each coefficient is the
-numerator over the operator's one denominator, printed as
+Polynomials and operators are rendered from their integer core: each
+coefficient is the numerator over the one denominator, printed as
 ``str(Fraction(c, den))`` would print it (one ``gcd``), so no
-``Polynomial`` or ``Fraction`` is built to print it.  Level matrices are
+``Fraction`` is built to print it.  Level matrices are
 written from their nonzero cells, an empty cell as ``[]``.
 
 Python refuses to convert an integer of more than
@@ -47,8 +47,7 @@ def _sorted_exponents(terms):
 
 def _fraction_str(c: int, den: int) -> str:
     """The text of c/den, den > 1, as ``str(Fraction(c, den))`` prints it.
-    Callers print c itself when den == 1 (an int, or a ``Fraction`` of a
-    polynomial)."""
+    Callers print c itself when den == 1."""
     g = gcd(c, den)
     if g == den:
         return str(c // g)
@@ -93,7 +92,7 @@ def _poly_text(ring, terms: dict, den: int) -> str:
 
 def render_poly(f) -> str:
     """Canonical text form of a polynomial."""
-    return _poly_text(f.ring, f.terms, 1)
+    return _poly_text(f.ring, f.num, f.den)
 
 
 def _basis_symbol(alpha) -> str:
@@ -147,7 +146,7 @@ def poly_json(f) -> dict:
         "kind": "polynomial",
         "characteristic": ring.characteristic,
         "vars": list(ring.var_names),
-        "terms": _terms_json(f.terms, 1),
+        "terms": _terms_json(f.num, f.den),
     }
 
 

@@ -31,7 +31,7 @@ from . import exponents
 from .diffop import DiffOp, canonical
 from .errors import DomainError
 from .linalg import Matrix
-from .poly import Polynomial, PolyRing, RingMap
+from .poly import Polynomial, PolyRing, RingMap, substitute
 
 # most term pairs that the products building prod_k l_k^[alpha_k] may form
 # for one term of an operator, bounded by the product over k of
@@ -72,7 +72,7 @@ def twisted_transpose(twist, xi: DiffOp) -> DiffOp:
     for i, f in enumerate(twist):
         if not isinstance(f, Polynomial) or f.ring != ring:
             raise DomainError("twist polynomials must live in the operator's ring")
-        if any(e[j] for e in f.terms for j in range(ring.nvars) if j != i):
+        if any(e[j] for e in f.num for j in range(ring.nvars) if j != i):
             raise DomainError(
                 f"twist polynomial {i} may only involve variable "
                 f"{ring.var_names[i]}"
@@ -218,9 +218,7 @@ def transport_by_rows(xi: DiffOp, rows, inv_rows) -> DiffOp:
             terms[tuple(beta)] = {zero: c % p if p else c}
         return DiffOp._core(ring, canonical(terms, inv_den ** a))
 
-    # m(f) substitutes for x_j the j-th integer column; a monomial of degree
-    # e then picks up row_den^-e, so each coefficient is lifted to the top
-    # degree t of f and the image is over row_den^t
+    # m(f) substitutes for x_j the j-th integer column over row_den
     units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
     images = [{units[i]: v for i, v in enumerate(col) if v} for col in zip(*rows)]
     powers = {}
@@ -231,13 +229,8 @@ def transport_by_rows(xi: DiffOp, rows, inv_rows) -> DiffOp:
         for k, a in enumerate(alpha):
             if a:
                 image = image * divided_power(k, a)
-        mf_den = 1
-        if row_den != 1:
-            top = max(map(sum, f))
-            f = {mu: c * row_den ** (top - sum(mu)) for mu, c in f.items()}
-            mf_den = row_den ** top
-        mf = canonical({zero: K.poly_substitute(f, images, p, powers)}, mf_den)
-        out = out + DiffOp._core(ring, mf) * image
+        mf, mf_den = substitute(f, 1, images, row_den, p, powers)
+        out = out + DiffOp._core(ring, ({zero: mf}, mf_den)) * image
     return DiffOp._core(ring, canonical(out.num, out.den * xi.den))
 
 

@@ -1,5 +1,6 @@
-"""Shared deterministic random generators for the property suites, and
-the in-process CLI runner."""
+"""Shared deterministic random generators for the property suites, the
+in-process CLI runner, and the base-p^e digit split of a polynomial that
+the polynomial and level-matrix suites use as an oracle."""
 
 import io
 import random
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from weylops import DiffOp, FieldSpec, PolyRing
+from weylops import DiffOp, DomainError, FieldSpec, Polynomial, PolyRing
 from weylops.cli import main
 
 # Property tests draw the same examples on every run (seeded from each
@@ -86,3 +87,43 @@ def random_level_bounded_op(rng, ring, e, max_terms=3, coeff_degree=3):
 @pytest.fixture
 def rng():
     return random.Random(20260810)
+
+
+def frobenius_decompose(f: Polynomial, e: int) -> dict:
+    """Write f as a combination of p^e-th powers against the monomials
+    with exponents below p^e, returning {lambda: g_lambda}.
+
+    Each exponent splits uniquely into base-p^e digit and quotient; the
+    coefficient field F_p is perfect with p^e-th roots given by the
+    identity, so the root polynomial g_lambda keeps the coefficients as
+    they are.  Reassembling sum of g^(p^e) * x^lambda returns f exactly.
+    """
+    p = f.ring.characteristic
+    if p == 0:
+        raise DomainError("frobenius decomposition requires characteristic p > 0")
+    if e < 0:
+        raise DomainError("level e must be a natural number")
+    q = p**e
+    pieces: dict[tuple, dict] = {}
+    for exp, c in f.terms.items():
+        lam = tuple(b % q for b in exp)
+        quot = tuple(b // q for b in exp)
+        pieces.setdefault(lam, {})[quot] = c
+    return {lam: Polynomial(f.ring, terms) for lam, terms in pieces.items()}
+
+
+def frobenius_reassemble(ring: PolyRing, pieces: dict, e: int) -> Polynomial:
+    """Inverse of :func:`frobenius_decompose`.  Over F_p, g^(p^e) scales
+    exponents, so a root term c*x^mu of piece lambda lands at
+    c*x^(p^e*mu + lambda); pieces keyed outside the digit box may meet."""
+    p = ring.characteristic
+    if p == 0:
+        raise DomainError("requires characteristic p > 0")
+    q = p**e
+    out = {}
+    for lam, g in pieces.items():
+        ring.monomial(lam)  # refuses a wrong arity or a negative exponent
+        for mu, c in g.terms.items():
+            exp = tuple(q * m + b for m, b in zip(mu, lam))
+            out[exp] = (out.get(exp, 0) + c) % p
+    return Polynomial(ring, {exp: c for exp, c in out.items() if c})

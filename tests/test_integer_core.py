@@ -1,11 +1,12 @@
-"""The integer core of operators over Q against a Fraction-valued oracle.
+"""The integer core of operators and polynomials over Q against a
+Fraction-valued oracle.
 
-Over Q an operator is stored as integer numerators over one denominator
-(``DiffOp.num``, ``DiffOp.den``).  The oracle here is the product the
+Over Q an operator or a polynomial is stored as integer numerators over one
+denominator (``num``, ``den``).  The oracle here is the arithmetic the
 package used before that: the same term kernels run on ``Fraction``
 coefficients, which they accept unchanged.  Every result is also checked
 for the canonical form: int numerators, den > 0, gcd(den, numerators) == 1,
-and den == 1 for the zero operator.
+and den == 1 for zero.
 """
 
 from fractions import Fraction
@@ -19,6 +20,9 @@ from weylops import (
     FiniteGroup,
     GroupElement,
     Matrix,
+    RingMap,
+    act_on_poly,
+    apply_ring_map,
     bracket,
     parse_operator,
     reynolds,
@@ -107,6 +111,16 @@ def _check(op, expected: dict):
     assert _view(op) == expected
 
 
+def _check_poly(f, expected: dict):
+    assert all(type(c) is int and c for c in f.num.values())
+    assert type(f.den) is int and f.den > 0
+    assert gcd(f.den, *f.num.values()) == 1
+    if f.is_zero():
+        assert f.den == 1
+    assert f.terms == expected
+    assert f == f.ring.from_terms(expected)
+
+
 # -- properties ---------------------------------------------------------------
 
 
@@ -139,8 +153,24 @@ def test_transposes_and_apply_match_fraction_oracle(pair, data):
                               for e, c in f.terms.items()})
              for i, f in enumerate(twist)]
     _check(twisted_transpose(twist, xi), _fraction_twisted(twist, a, ring.nvars))
-    f = data.draw(_polys(ring, max_degree=4, max_terms=4))
-    assert xi.apply(f).terms == K.diffop_apply(a, dict(f.terms), 0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_polynomial_arithmetic_and_apply_match_fraction_oracle(data):
+    ring = RINGS[data.draw(st.sampled_from(sorted(RINGS)))]
+    xi = data.draw(_ops(ring))
+    f, g = (data.draw(_polys(ring)) for _ in range(2))
+    a, b = f.terms, g.terms
+    _check_poly(f, a)
+    _check_poly(f + g, K.poly_add(a, b, 0))
+    _check_poly(f - g, K.poly_add(a, K.poly_neg(b, 0), 0))
+    _check_poly(f * g, K.poly_mul(a, b, 0))
+    _check_poly(f * Fraction(-4, 3), K.poly_scale(a, Fraction(-4, 3), 0))
+    n = data.draw(st.integers(0, 3))
+    one = {(0,) * ring.nvars: Fraction(1)}
+    _check_poly(f**n, K.poly_pow(a, n, 0) if n else one)
+    _check_poly(xi.apply(f), K.diffop_apply(_view(xi), a, 0))
 
 
 @settings(max_examples=25, deadline=None)
@@ -202,33 +232,47 @@ def test_cancellation_resets_the_denominator():
     # terms kept by derivation_part may share a factor with the denominator
     part = parse_operator("1/2*d1 + 1/3", R).derivation_part()
     assert (part.num, part.den) == ({(1, 0): {(0, 0): 1}}, 2)
+    # polynomials keep the same form
+    x1 = R.variable(0)
+    third = (x1 * Fraction(1, 3) + Fraction(1, 3)) - x1 * Fraction(1, 3)
+    assert (third.num, third.den) == ({(0, 0): 1}, 3)
+    whole = x1 * Fraction(1, 2) * 2
+    assert (whole.num, whole.den) == ({(1, 0): 1}, 1)
+    assert ((x1 * Fraction(1, 2)) - (x1 * Fraction(1, 2))).den == 1
 
 
 # -- the kernels only ever see ints over Q --------------------------------------
 
 
 def test_operator_kernels_receive_only_ints_over_q(monkeypatch):
-    """Products, powers, brackets, both transposes, the parser and the
-    transport hand the operator kernels integer numerators only."""
-    seen = {"diffop_mul": 0, "diffop_transpose": 0}
+    """Operator products, powers, brackets, both transposes, the parser and
+    the transport, and polynomial sums, products, powers, values of
+    operators and substitutions hand the kernels integer numerators only."""
+    names = ("diffop_mul", "diffop_transpose", "diffop_apply", "poly_add",
+             "poly_mul", "poly_pow", "poly_substitute")
+    seen = dict.fromkeys(names, 0)
 
-    def ints_only(*ops):
-        for op in ops:
-            for f in op.values():
-                assert all(type(c) is int for c in f.values())
+    def ints_only(value):
+        if isinstance(value, dict):
+            value = list(value.values())
+        if isinstance(value, list):
+            for v in value:
+                ints_only(v)
+        else:
+            assert type(value) is int
 
     def wrap(name):
         kernel = getattr(K, name)
 
         def guarded(*args):
             seen[name] += 1
-            ints_only(*args[:-1])
+            ints_only(list(args))
             return kernel(*args)
 
         monkeypatch.setattr(K, name, guarded)
 
-    wrap("diffop_mul")
-    wrap("diffop_transpose")
+    for name in names:
+        wrap(name)
     R = RINGS[2]
     F = R.field
     xi = parse_operator("1/2*x1*d1 + 2/3*x2^2*d[0,2] - 5/4", R)
@@ -237,10 +281,14 @@ def test_operator_kernels_receive_only_ints_over_q(monkeypatch):
     standard_transpose(xi * eta)
     bracket(xi, eta)
     twisted_transpose(twist, xi)
-    swap = FiniteGroup([GroupElement(Matrix.identity(F, 2)),
-                        GroupElement(Matrix(F, [[0, 2], ["1/2", 0]]))])
-    reynolds(swap, xi)
-    assert seen["diffop_mul"] > 0 and seen["diffop_transpose"] > 0
+    swap = GroupElement(Matrix(F, [[0, 2], ["1/2", 0]]))
+    reynolds(FiniteGroup([GroupElement(Matrix.identity(F, 2)), swap]), xi)
+    f = R.from_terms({(1, 0): Fraction(1, 2), (0, 2): Fraction(2, 3), (0, 0): 5})
+    g = (f * f + f - twist[0]) ** 3
+    xi.apply(g)
+    apply_ring_map(RingMap.from_matrix(R, [[1, Fraction(1, 3)], [0, 1]]), g)
+    act_on_poly(swap, g)
+    assert all(seen.values()), seen
 
 
 def test_powers_start_from_the_base(monkeypatch):

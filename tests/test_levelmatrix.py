@@ -7,8 +7,6 @@ from weylops import (
     DomainError,
     FrobeniusBasis,
     LevelMatrix,
-    frobenius_decompose,
-    frobenius_reassemble,
     matrix_mul_consistency,
     standard_transpose,
     to_matrix,
@@ -16,8 +14,8 @@ from weylops import (
 )
 from weylops import levelmatrix
 from weylops.diffop import operator_from_monomial_values
-from conftest import make_ring, random_diffop, random_poly
-from conftest import random_level_bounded_op
+from conftest import frobenius_decompose, frobenius_reassemble, make_ring
+from conftest import random_diffop, random_level_bounded_op, random_poly
 
 
 def test_matrix_of_multiplication_by_x():

@@ -300,6 +300,20 @@ def test_cli_matrix_level_checked_before_the_work():
         assert len(done.stderr) < 100
 
 
+def test_cli_usage_error_clips_long_values():
+    # click quotes a bad option value whole; 5000 digits echoed 5 kB
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    nines = "9" * 5000
+    for args, option in ((["--char", "3", "matrix", "d[1]", "--e", nines], "--e"),
+                         (["--nvars", nines, "normalize", "x1"], "--nvars")):
+        done = subprocess.run([sys.executable, "-m", "weylops.cli", *args],
+                              capture_output=True, text=True, env=env, timeout=20)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith(f"usage error: Invalid value for '{option}': '999")
+        assert done.stderr.endswith("999' is not a valid integer.\n")
+        assert len(done.stderr) < 200
+
+
 def test_cli_sign_group_reynolds_of_a_huge_order():
     # -I is monomial: d[N,0] meets one divided power of one linear form
     group_file = str(GOLDEN / "group_sign.json")

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylops import DomainError, FieldSpec, PolyRing, RingMap, apply_ring_map
-from weylops import frobenius_decompose, frobenius_reassemble
-from conftest import make_ring, random_poly
+from conftest import frobenius_decompose, frobenius_reassemble, make_ring, random_poly
 
 
 def _naive_mul(f, g):
