@@ -25,7 +25,9 @@ oracle.
 return canonical dicts (no zero values stored) and never mutate inputs.
 Each kernel that sums adds into one accumulator of unreduced values and
 reduces it mod p, dropping zeros, once at the end: ``_reduced`` for
-operators, ``_reduced_poly`` for polynomials.
+operators, ``_reduced_poly`` for polynomials.  ``poly_add`` is the
+exception: its canonical operands can only cancel or need reducing at
+the keys of the second, so it reduces those keys as it adds them.
 
 ``diffop_mul`` and ``diffop_transpose`` expand d^[alpha]*g by the
 divided-power Leibniz rule, sum over gamma <= alpha of
@@ -65,10 +67,24 @@ WORK_LIMIT = 1 << 17
 
 
 def poly_add(a, b, p):
+    """a + b for canonical a and b: only the keys of b can cancel or need
+    reducing, so only they are visited."""
     out = dict(a)
-    for exp, c in b.items():
-        out[exp] = out.get(exp, 0) + c
-    return _reduced_poly(out, p)
+    if p:
+        for exp, c in b.items():
+            c = (out.get(exp, 0) + c) % p
+            if c:
+                out[exp] = c
+            else:
+                del out[exp]
+    else:
+        for exp, c in b.items():
+            c += out.get(exp, 0)
+            if c:
+                out[exp] = c
+            else:
+                del out[exp]
+    return out
 
 
 def poly_neg(a, p):

@@ -50,6 +50,11 @@ def _emit(cfg: SessionConfig, text: str, payload: dict):
         click.echo(text)
 
 
+# commands that read expressions take an argument such as "-d[1]" as the
+# expression, where click would read it as an unknown option
+EXPR_SETTINGS = {"ignore_unknown_options": True}
+
+
 def _scalar_payload(kind: str, value) -> dict:
     return {"schema": render.SCHEMA, "kind": kind, "value": value}
 
@@ -77,7 +82,7 @@ def cli(ctx, characteristic, nvars, var_names, json_output):
     )
 
 
-@cli.command()
+@cli.command(context_settings=EXPR_SETTINGS)
 @click.argument("expr")
 @click.pass_obj
 def normalize(cfg: SessionConfig, expr):
@@ -86,7 +91,7 @@ def normalize(cfg: SessionConfig, expr):
     _emit(cfg, render.render_op(op), render.op_json(op))
 
 
-@cli.command("apply")
+@cli.command("apply", context_settings=EXPR_SETTINGS)
 @click.argument("expr")
 @click.option("--to", "target", required=True,
               help="Polynomial the operator acts on.")
@@ -100,7 +105,7 @@ def apply_cmd(cfg: SessionConfig, expr, target):
     _emit(cfg, render.render_poly(result), render.poly_json(result))
 
 
-@cli.command()
+@cli.command(context_settings=EXPR_SETTINGS)
 @click.argument("expr")
 @click.option("--twist", default=None,
               help="Comma-separated twist polynomials, one per variable "
@@ -119,7 +124,7 @@ def transpose(cfg: SessionConfig, expr, twist):
     _emit(cfg, render.render_op(result), render.op_json(result))
 
 
-@cli.command()
+@cli.command(context_settings=EXPR_SETTINGS)
 @click.argument("expr")
 @click.pass_obj
 def order(cfg: SessionConfig, expr):
@@ -129,7 +134,7 @@ def order(cfg: SessionConfig, expr):
     _emit(cfg, str(value), _scalar_payload("order", value))
 
 
-@cli.command()
+@cli.command(context_settings=EXPR_SETTINGS)
 @click.argument("expr")
 @click.pass_obj
 def level(cfg: SessionConfig, expr):
@@ -139,7 +144,7 @@ def level(cfg: SessionConfig, expr):
     _emit(cfg, str(value), _scalar_payload("level", value))
 
 
-@cli.command("bracket")
+@cli.command("bracket", context_settings=EXPR_SETTINGS)
 @click.argument("left")
 @click.argument("right")
 @click.pass_obj
@@ -150,7 +155,7 @@ def bracket_cmd(cfg: SessionConfig, left, right):
     _emit(cfg, render.render_op(result), render.op_json(result))
 
 
-@cli.command("matrix")
+@cli.command("matrix", context_settings=EXPR_SETTINGS)
 @click.argument("expr")
 @click.option("--e", "level_e", type=int, required=True,
               help="Level of the matrix representation.")
@@ -257,7 +262,7 @@ def pseudoreflections(obj):
             ))
 
 
-@group_cmd.command("invariant-check")
+@group_cmd.command("invariant-check", context_settings=EXPR_SETTINGS)
 @click.argument("expr")
 @click.pass_obj
 def invariant_check(obj, expr):
@@ -269,7 +274,7 @@ def invariant_check(obj, expr):
           _scalar_payload("invariant", value))
 
 
-@group_cmd.command("reynolds")
+@group_cmd.command("reynolds", context_settings=EXPR_SETTINGS)
 @click.argument("expr")
 @click.pass_obj
 def reynolds_cmd(obj, expr):

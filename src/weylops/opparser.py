@@ -8,24 +8,45 @@ Grammar (precedence from loosest to tightest):
     power   := atom ('^' NATURAL)*
     atom    := NATURAL ['/' NATURAL] | IDENT | DSYM | '(' expr ')'
 
-The product is noncommutative and left-associative.  ``d[a1,...,an]``
-names a divided-power basis operator; ``d1``, ``d2``, ... are sugar for
-the unit exponents (unless shadowed by a declared variable name).
-Rational literals are a single token pair ``NAT/NAT``; there is no
-general division.  The AST is plain tuples and is evaluated into the
-integer core of an operator over a given ring, ``NAT/NAT`` becoming a
-numerator over a denominator.  Sums, products and powers are flat n-ary
-nodes evaluated left to right, so long chains cost no recursion depth;
-real nesting (parentheses and unary minus) is refused beyond
-``MAX_DEPTH`` levels.  Nothing here estimates what evaluation costs: the
-term kernels refuse work past ``_kernels.WORK_LIMIT`` themselves.
+The product is noncommutative and left-associative.  ``^`` chains left
+to right, so ``x1^2^3`` is ``(x1^2)^3 = x1^6``.  ``d[a1,...,an]`` names a
+divided-power basis operator; ``d1``, ``d2``, ... are sugar for the unit
+exponents (unless shadowed by a declared variable name).  Rational
+literals are a single token pair ``NAT/NAT``; there is no general
+division.  The AST is plain tuples and is evaluated into the integer core
+of an operator over a given ring, ``NAT/NAT`` becoming a numerator over a
+denominator.  Sums, products and powers are flat n-ary nodes evaluated
+left to right, so long chains cost no recursion depth; real nesting
+(parentheses and unary minus) is refused beyond ``MAX_DEPTH`` levels.
+
+Most input is already in left normal form, sum of c * x^m * d^[beta], so
+the evaluator folds it instead of multiplying atom by atom.  A product
+keeps one pending term, a scalar times x^m times d^[beta], and folds its
+factors into it from the left while the order stays normal: numbers,
+rationals and their negations, and a variable or a power of one while
+beta is zero.  ``d`` atoms compose by d^[beta]*d^[gamma] =
+C(beta+gamma, beta)*d^[beta+gamma], with the binomials of the term
+kernels (so Lucas zeros and their size refusal are the same).  From the
+first factor that does not fold (a variable after a ``d``, a
+parenthesized expression, a power of anything but a variable) the
+factors multiply one at a time through ``core_mul``.  A sum adds its
+terms into one accumulator over one denominator and reduces it once.  The
+value, and every error with its message and its left-to-right order, are
+those of multiplying and adding the atoms one at a time.
+
+Nothing here estimates what evaluation costs: the term kernels refuse
+work past ``_kernels.WORK_LIMIT`` themselves.  Folded atoms form no
+kernel product and so draw nothing from that bound.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import chain
+from math import gcd
 
-from .diffop import DiffOp, canonical, core_add, core_mul, core_neg, core_pow
+from ._kernels import _binom
+from .diffop import DiffOp, canonical, core_mul, core_neg, core_pow
 from .errors import DomainError, ParseError
 from .poly import PolyRing
 
@@ -212,66 +233,168 @@ _DSUGAR = re.compile(r"d([1-9][0-9]*)\Z")
 def evaluate(node, ring: PolyRing):
     """Evaluate an AST into the integer core (num, den) of an operator over
     the given ring (see :mod:`weylops.diffop`); ``a/b`` is the numerator a
-    over the denominator b."""
+    over the denominator b.
+
+    A product folds its leading run of normal-ordered atoms into one term
+    (module docstring); the factors after that run multiply one at a time
+    through ``core_mul``.  A sum adds its terms, folded or not, into one
+    accumulator over one denominator and reduces it once.
+    """
     p, n = ring.characteristic, ring.nvars
-    zero = (0,) * n
+    index = {name: i for i, name in enumerate(ring.var_names)}
+    width = len(str(n))
 
-    def unit(i):
-        return tuple(1 if j == i else 0 for j in range(n))
+    def fold(factors):
+        """(k, num, den, mono, beta): the first k factors folded into the
+        term num/den * x^mono * d^[beta], num 0 for the zero term."""
+        num = den = 1
+        mono = [0] * n
+        beta = [0] * n
+        plain = True  # beta is zero, so a variable still folds in
+        k = 0
+        for node in factors:
+            kind = node[0]
+            negate = False
+            while kind == "neg":
+                node = node[1]
+                kind = node[0]
+                negate = not negate
+            if kind == "int":
+                num *= node[1]
+            elif kind == "rat":
+                if (node[2] % p if p else node[2]) == 0:
+                    raise DomainError("division by zero")
+                if p:
+                    num *= node[1] * pow(node[2], -1, p)
+                else:
+                    num *= node[1]
+                    den *= node[2]
+            elif kind == "name" and node[1] in index:
+                if not plain:
+                    break
+                mono[index[node[1]]] += 1
+            elif kind == "pow":
+                base = node[1]
+                i = index.get(base[1]) if base[0] == "name" else None
+                if i is None or not plain:
+                    break
+                e = 1
+                for f in node[2]:
+                    e *= f
+                mono[i] += e
+            else:
+                if kind == "name":
+                    sugar = _DSUGAR.match(node[1])
+                    digits = sugar and sugar.group(1)
+                    # no leading zero, so more digits than n has means past n
+                    if not digits or len(digits) > width or int(digits) > n:
+                        raise _error_at(f"unknown identifier {node[1]!r}",
+                                        node[2], node[3])
+                    i = int(digits) - 1
+                    gamma = (0,) * i + (1,) + (0,) * (n - 1 - i)
+                elif kind == "dop":
+                    gamma = node[1]
+                    if len(gamma) != n:
+                        raise _error_at(f"d[...] needs {n} entries, got {len(gamma)}",
+                                        node[2], node[3])
+                else:
+                    break
+                # d^[beta] * d^[gamma] = C(beta + gamma, beta) * d^[beta + gamma],
+                # one variable at a time as diffop_mul builds its rows
+                for i, g in enumerate(gamma):
+                    if g:
+                        b = beta[i]
+                        if b and num:
+                            num *= _binom(b + g, b, p)
+                            if p:
+                                num %= p
+                        beta[i] = b + g
+                        plain = False
+            if negate:
+                num = -num
+            if p:
+                num %= p
+            k += 1
+        return k, num, den, mono, beta
 
-    def scalar(c, den=1):
-        if p:
-            c %= p
-            return ({zero: {zero: c}}, 1) if c else ({}, 1)
-        return canonical({zero: {zero: c}} if c else {}, den)
+    def finish(factors, k, num, den, mono, beta):
+        """The product of factors whose first k are folded into the term
+        (``fold``'s result)."""
+        if not k:
+            acc = unfolded(factors[0])
+            k = 1
+        elif not num:
+            acc = {}, 1
+        else:
+            g = gcd(num, den)
+            acc = {tuple(beta): {tuple(mono): num // g}}, den // g
+        for factor in factors[k:]:
+            acc = core_mul(acc, ev(factor), p)
+        return acc
 
-    def ev(node):
+    def unfolded(node):
+        """The value of a factor that does not fold from an empty term."""
         kind = node[0]
-        if kind == "int":
-            return scalar(node[1])
-        if kind == "rat":
-            num, den = node[1], node[2]
-            if (den % p if p else den) == 0:
-                raise DomainError("division by zero")
-            return scalar(num * pow(den, -1, p)) if p else scalar(num, den)
-        if kind == "name":
-            name = node[1]
-            if name in ring.var_names:
-                return {zero: {unit(ring.var_names.index(name)): 1}}, 1
-            sugar = _DSUGAR.match(name)
-            if sugar:
-                digits = sugar.group(1)
-                # no leading zero, so more digits than n has means past n
-                if len(digits) <= len(str(n)) and int(digits) <= n:
-                    return {unit(int(digits) - 1): {zero: 1}}, 1
-            raise _error_at(f"unknown identifier {name!r}", node[2], node[3])
-        if kind == "dop":
-            alpha = node[1]
-            if len(alpha) != n:
-                raise _error_at(
-                    f"d[...] needs {n} entries, got {len(alpha)}", node[2], node[3]
-                )
-            return {alpha: {zero: 1}}, 1
         if kind == "neg":
             return core_neg(ev(node[1]), p)
-        if kind == "sum":
-            acc = ev(node[1])
-            for negate, term in node[2]:
-                value = ev(term)
-                acc = core_add(acc, core_neg(value, p) if negate else value, p)
-            return acc
-        if kind == "prod":
-            factors = node[1]
-            acc = ev(factors[0])
-            for factor in factors[1:]:
-                acc = core_mul(acc, ev(factor), p)
-            return acc
         if kind == "pow":
             acc = ev(node[1])
             for e in node[2]:
                 acc = core_pow(acc, e, p, n)
             return acc
+        if kind == "sum" or kind == "prod":
+            return ev(node)
         raise ParseError(f"unknown AST node {kind!r}")
+
+    def ev(node):
+        kind = node[0]
+        if kind == "sum":
+            # one accumulator over one denominator, kept in the order a run
+            # of core_add calls leaves (a key goes last when it first
+            # appears and is dropped when its value cancels): a later
+            # product meets the terms, and so its first refusal, in it
+            out = {}
+            den = 1
+            for negate, term in chain(((False, node[1]),), node[2]):
+                factors = term[1] if term[0] == "prod" else (term,)
+                k, num, d, mono, beta = fold(factors)
+                if k == len(factors):
+                    if not num:
+                        continue
+                    value = ((tuple(beta), {tuple(mono): num}),)
+                else:
+                    value, d = finish(factors, k, num, d, mono, beta)
+                    value = value.items()
+                c = -1 if negate else 1
+                if d != den:
+                    if den % d:
+                        grow = d // gcd(den, d)
+                        for f in out.values():
+                            for m in f:
+                                f[m] *= grow
+                        den *= grow
+                    c *= den // d
+                for alpha, g in value:
+                    f = out.get(alpha)
+                    if f is None:
+                        if p:
+                            out[alpha] = {m: v * c % p for m, v in g.items()}
+                        else:
+                            out[alpha] = {m: v * c for m, v in g.items()}
+                        continue
+                    for m, v in g.items():
+                        v = f.get(m, 0) + v * c
+                        if p:
+                            v %= p
+                        if v:
+                            f[m] = v
+                        else:
+                            del f[m]
+                    if not f:
+                        del out[alpha]
+            return canonical(out, den)
+        factors = node[1] if kind == "prod" else (node,)
+        return finish(factors, *fold(factors))
 
     return ev(node)
 

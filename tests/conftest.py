@@ -1,6 +1,7 @@
 """Shared deterministic random generators for the property suites, the
-in-process CLI runner, and the base-p^e digit split of a polynomial that
-the polynomial and level-matrix suites use as an oracle."""
+in-process CLI runner, the base-p^e digit split of a polynomial that the
+polynomial and level-matrix suites use as an oracle, and the per-atom
+evaluator that the parser suite checks the folding evaluator against."""
 
 import io
 import random
@@ -10,8 +11,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from weylops import DiffOp, DomainError, FieldSpec, Polynomial, PolyRing
+from weylops import DiffOp, DomainError, FieldSpec, ParseError, Polynomial, PolyRing
 from weylops.cli import main
+from weylops.diffop import canonical, core_add, core_mul, core_neg, core_pow
+from weylops.opparser import _DSUGAR, _error_at
 
 # Property tests draw the same examples on every run (seeded from each
 # test's own source), so the suite's wall time is comparable between runs.
@@ -127,3 +130,70 @@ def frobenius_reassemble(ring: PolyRing, pieces: dict, e: int) -> Polynomial:
             exp = tuple(q * m + b for m, b in zip(mu, lam))
             out[exp] = (out.get(exp, 0) + c) % p
     return Polynomial(ring, {exp: c for exp, c in out.items() if c})
+
+
+def reference_evaluate(node, ring: PolyRing):
+    """The parser's evaluator before it folded normal-ordered atoms: every
+    atom becomes an operator core, and a product multiplies its factors
+    one at a time through ``core_mul``, a sum adds its terms one at a time
+    through ``core_add``."""
+    p, n = ring.characteristic, ring.nvars
+    zero = (0,) * n
+
+    def unit(i):
+        return tuple(1 if j == i else 0 for j in range(n))
+
+    def scalar(c, den=1):
+        if p:
+            c %= p
+            return ({zero: {zero: c}}, 1) if c else ({}, 1)
+        return canonical({zero: {zero: c}} if c else {}, den)
+
+    def ev(node):
+        kind = node[0]
+        if kind == "int":
+            return scalar(node[1])
+        if kind == "rat":
+            num, den = node[1], node[2]
+            if (den % p if p else den) == 0:
+                raise DomainError("division by zero")
+            return scalar(num * pow(den, -1, p)) if p else scalar(num, den)
+        if kind == "name":
+            name = node[1]
+            if name in ring.var_names:
+                return {zero: {unit(ring.var_names.index(name)): 1}}, 1
+            sugar = _DSUGAR.match(name)
+            if sugar:
+                digits = sugar.group(1)
+                if len(digits) <= len(str(n)) and int(digits) <= n:
+                    return {unit(int(digits) - 1): {zero: 1}}, 1
+            raise _error_at(f"unknown identifier {name!r}", node[2], node[3])
+        if kind == "dop":
+            alpha = node[1]
+            if len(alpha) != n:
+                raise _error_at(
+                    f"d[...] needs {n} entries, got {len(alpha)}", node[2], node[3]
+                )
+            return {alpha: {zero: 1}}, 1
+        if kind == "neg":
+            return core_neg(ev(node[1]), p)
+        if kind == "sum":
+            acc = ev(node[1])
+            for negate, term in node[2]:
+                value = ev(term)
+                acc = core_add(acc, core_neg(value, p) if negate else value, p)
+            return acc
+        if kind == "prod":
+            factors = node[1]
+            acc = ev(factors[0])
+            for factor in factors[1:]:
+                acc = core_mul(acc, ev(factor), p)
+            return acc
+        if kind == "pow":
+            acc = ev(node[1])
+            for e in node[2]:
+                acc = core_pow(acc, e, p, n)
+            return acc
+        raise ParseError(f"unknown AST node {kind!r}")
+
+    return ev(node)

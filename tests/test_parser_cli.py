@@ -174,6 +174,20 @@ def test_cli_order_level_bracket():
     assert (code, out) == (0, "1\n")
 
 
+def test_cli_expressions_starting_with_minus():
+    # a negative answer reads back as an argument, with or without "--"
+    assert run_cli(["normalize", "-d[1]"]) == (0, "-d[1]\n", "")
+    assert run_cli(["apply", "-d1", "--to", "-x1"]) == (0, "1\n", "")
+    assert run_cli(["bracket", "x1", "-d1"]) == (0, "1\n", "")
+    assert run_cli(["--nvars", "2", "transpose", "-x1*d2"]) == (0, "x1*d[0,1]\n", "")
+    assert run_cli(["normalize", "--", "-d[1]"]) == (0, "-d[1]\n", "")
+    # a misspelled option is still a usage error
+    for args in (["normalize", "--jsn", "d1"], ["apply", "d1", "--too", "x1"],
+                 ["order", "d1", "--char", "2"]):
+        code, out, err = run_cli(args)
+        assert (code, out) == (1, "") and err.startswith("usage error:")
+
+
 def test_cli_exit_codes(tmp_path):
     assert run_cli(["normalize", "d1*"])[0] == 2  # parse error
     assert run_cli(["level", "d1"])[0] == 3  # char-0 precondition
