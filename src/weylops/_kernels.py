@@ -38,8 +38,10 @@ gamma_i = k <= min(m_i, alpha_i), entries that vanish mod p (Lucas zeros)
 left out.  A row depends on a few exponents only and is built once per
 call.  Each choice of one entry per row goes straight into one
 accumulator of unreduced ints, reduced once per output term at the end.
-Binomials come from ``_binom``, as in ``binom_product``: Lucas' theorem
-past ``BINOM_BITS_LIMIT`` bits in characteristic p, a refusal there in
+The transposition uses the product's rows with beta = 0, where the
+extra factor C(alpha_i-k, alpha_i-k) is 1.  Binomials come from
+``_binom``, as in ``binom_product``: Lucas' theorem past
+``BINOM_BITS_LIMIT`` bits in characteristic p, a refusal there in
 characteristic 0.
 
 One bound, ``WORK_LIMIT`` coefficient products, holds in every kernel
@@ -267,18 +269,6 @@ def _mul_row(m, a, b, p):
     return row
 
 
-def _transpose_row(m, a, p):
-    """The row of one variable in ``diffop_transpose``: for x^m in f and the
-    exponent a of its basis element, one entry (a-k, m-k, C(m,k)) per
-    k <= min(m, a), zeros left out."""
-    row = []
-    for k in range(min(m, a) + 1):
-        c = _binom(m, k, p)
-        if c:
-            row.append((a - k, m - k, c))
-    return row
-
-
 def _reduced(out, p):
     """The accumulated ints of ``out`` reduced mod p, zero coefficients and
     zero operator terms dropped: one reduction per output term."""
@@ -387,8 +377,9 @@ def diffop_transpose(xi, p):
     divided-power Leibniz rule d^[alpha]*f = sum over gamma <= alpha of
     d^[gamma](f)*d^[alpha-gamma] (no binomial factor).  As in ``diffop_mul``
     each monomial x^m of f is walked once, through one row per variable
-    (alpha_i-k, m_i-k, C(m_i,k)) for k <= min(m_i, alpha_i), into one
-    accumulator of ints reduced once per output term.
+    (alpha_i-k, m_i-k, C(m_i,k)) for k <= min(m_i, alpha_i), the product's
+    row with beta_i = 0, into one accumulator of ints reduced once per
+    output term.
     """
     out = {}
     work = 0
@@ -403,7 +394,7 @@ def diffop_transpose(xi, p):
             for key in zip(m, alpha):
                 row = rows.get(key)
                 if row is None:
-                    row = rows[key] = _transpose_row(*key, p)
+                    row = rows[key] = _mul_row(*key, 0, p)
                 rs.append(row)
             if odd:
                 c = -c

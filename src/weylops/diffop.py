@@ -17,8 +17,9 @@ exponent tuples to coefficient dicts of ints and ``den > 0`` is one
 denominator for all of them, with gcd(den, every numerator) == 1 and
 den == 1 for the zero operator (the content/primitive-part form).  Over
 F_p the ints are residues and den is 1.  The core functions below
-(``canonical``, ``core_add``, ``core_neg``, ``core_mul``, ``core_pow``)
-work on such pairs, so the kernels only ever see ints.  A ``Polynomial``
+(``canonical``, ``core_add``, ``core_neg``, ``core_sum``, ``core_mul``,
+``core_pow``) work on such pairs, so the kernels only ever see ints;
+``core_sum`` is the one n-ary sum.  A ``Polynomial``
 is stored the same way, so a coefficient passes between the two as its
 core; ``DiffOp.terms``, the view with ``Polynomial`` coefficients, is
 built on read.
@@ -61,6 +62,50 @@ def core_add(a, b, p: int):
 
 def core_neg(a, p: int):
     return K.diffop_neg(a[0], p), a[1]
+
+
+def core_sum(parts, p: int):
+    """The canonical core of the sum of c*num/den over the parts (num, den,
+    c), c nonzero in the field and num reduced over F_p; ({}, 1) if none.
+
+    The parts go into one accumulator over one denominator, grown by lcm
+    and reduced once.  Keys keep the order a chain of ``core_add`` calls
+    leaves (new keys last, cancelled keys dropped at once): a later product
+    meets the terms, and so its first refusal, in it.  A key's first
+    appearance copies its coefficient dict, so no part is mutated.
+    """
+    out = {}
+    den = 1
+    for num, d, c in parts:
+        if d != den:
+            if den % d:
+                grow = d // gcd(den, d)
+                for f in out.values():
+                    for m in f:
+                        f[m] *= grow
+                den *= grow
+            c *= den // d
+        for alpha, g in num.items():
+            f = out.get(alpha)
+            if f is None:
+                if c == 1:
+                    out[alpha] = dict(g)
+                elif p:
+                    out[alpha] = {m: v * c % p for m, v in g.items()}
+                else:
+                    out[alpha] = {m: v * c for m, v in g.items()}
+                continue
+            for m, v in g.items():
+                v = f.get(m, 0) + v * c
+                if p:
+                    v %= p
+                if v:
+                    f[m] = v
+                else:
+                    del f[m]
+            if not f:
+                del out[alpha]
+    return canonical(out, den)
 
 
 def core_mul(a, b, p: int):
@@ -268,7 +313,8 @@ class DiffOp:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        parts = (self.num, self.den, 1), (other.num, other.den, -1)
+        return DiffOp._core(self.ring, core_sum(parts, self.ring.characteristic))
 
     def __rsub__(self, other):
         return -(self - other)

@@ -10,8 +10,7 @@ invariants whenever the group order is invertible in the field.
 
 from __future__ import annotations
 
-from . import _kernels as K
-from .diffop import DiffOp, canonical
+from .diffop import DiffOp, core_sum
 from .errors import DomainError
 from .linalg import Matrix
 from .poly import Polynomial, PolyRing, RingMap, apply_ring_map
@@ -154,15 +153,13 @@ def reynolds(G: FiniteGroup, xi: DiffOp) -> DiffOp:
             f"group order {G.order} is not invertible in characteristic "
             f"{field.characteristic}"
         )
-    total = DiffOp.zero(xi.ring)
-    for g in G:
-        total = total + act_on_op(g, xi)
+    # 1/|G| goes into the parts: a factor of each denominator over Q, the
+    # multiplier |G|^-1 mod p over F_p
     p = field.characteristic
-    if p:
-        core = K.diffop_scale(total.num, pow(G.order, -1, p), p), 1
-    else:
-        core = canonical(total.num, total.den * G.order)
-    return DiffOp._core(xi.ring, core)
+    c, scale = (pow(G.order, -1, p), 1) if p else (1, G.order)
+    return DiffOp._core(xi.ring, core_sum(
+        [(img.num, img.den * scale, c) for img in (act_on_op(g, xi) for g in G)], p
+    ))
 
 
 def is_invariant(G: FiniteGroup, xi: DiffOp) -> bool:

@@ -148,19 +148,9 @@ class LevelMatrix:
 
     def __add__(self, other: LevelMatrix) -> LevelMatrix:
         self._check(other)
-        p = self.ring.characteristic
-        out = dict(self.cells)
-        for key, b in other.cells.items():
-            a = out.get(key)
-            if a is None:
-                out[key] = b
-                continue
-            s = K.poly_add(a, b, p)
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return LevelMatrix._from_cells(self.basis, out)
+        return LevelMatrix._from_cells(self.basis, K.diffop_add(
+            self.cells, other.cells, self.ring.characteristic
+        ))
 
     def __mul__(self, other: LevelMatrix) -> LevelMatrix:
         """Product over nonzero cells only: cell (i, k) meets the cells of

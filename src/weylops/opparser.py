@@ -30,9 +30,10 @@ kernels (so Lucas zeros and their size refusal are the same).  From the
 first factor that does not fold (a variable after a ``d``, a
 parenthesized expression, a power of anything but a variable) the
 factors multiply one at a time through ``core_mul``.  A sum adds its
-terms into one accumulator over one denominator and reduces it once.  The
-value, and every error with its message and its left-to-right order, are
-those of multiplying and adding the atoms one at a time.
+terms into one accumulator over one denominator, ``diffop.core_sum``,
+and reduces it once.  The value, and every error with its message and
+its left-to-right order, are those of multiplying and adding the atoms
+one at a time.
 
 Nothing here estimates what evaluation costs: the term kernels refuse
 work past ``_kernels.WORK_LIMIT`` themselves.  Folded atoms form no
@@ -42,11 +43,10 @@ kernel product and so draw nothing from that bound.
 from __future__ import annotations
 
 import re
-from itertools import chain
 from math import gcd
 
 from ._kernels import _binom
-from .diffop import DiffOp, canonical, core_mul, core_neg, core_pow
+from .diffop import DiffOp, core_mul, core_neg, core_pow, core_sum
 from .errors import DomainError, ParseError
 from .poly import PolyRing
 
@@ -237,8 +237,8 @@ def evaluate(node, ring: PolyRing):
 
     A product folds its leading run of normal-ordered atoms into one term
     (module docstring); the factors after that run multiply one at a time
-    through ``core_mul``.  A sum adds its terms, folded or not, into one
-    accumulator over one denominator and reduces it once.
+    through ``core_mul``.  A sum adds its terms, folded or not, through
+    ``core_sum``.
     """
     p, n = ring.characteristic, ring.nvars
     index = {name: i for i, name in enumerate(ring.var_names)}
@@ -349,50 +349,16 @@ def evaluate(node, ring: PolyRing):
     def ev(node):
         kind = node[0]
         if kind == "sum":
-            # one accumulator over one denominator, kept in the order a run
-            # of core_add calls leaves (a key goes last when it first
-            # appears and is dropped when its value cancels): a later
-            # product meets the terms, and so its first refusal, in it
-            out = {}
-            den = 1
-            for negate, term in chain(((False, node[1]),), node[2]):
+            parts = []
+            for negate, term in ((False, node[1]), *node[2]):
                 factors = term[1] if term[0] == "prod" else (term,)
                 k, num, d, mono, beta = fold(factors)
-                if k == len(factors):
-                    if not num:
-                        continue
-                    value = ((tuple(beta), {tuple(mono): num}),)
-                else:
-                    value, d = finish(factors, k, num, d, mono, beta)
-                    value = value.items()
                 c = -1 if negate else 1
-                if d != den:
-                    if den % d:
-                        grow = d // gcd(den, d)
-                        for f in out.values():
-                            for m in f:
-                                f[m] *= grow
-                        den *= grow
-                    c *= den // d
-                for alpha, g in value:
-                    f = out.get(alpha)
-                    if f is None:
-                        if p:
-                            out[alpha] = {m: v * c % p for m, v in g.items()}
-                        else:
-                            out[alpha] = {m: v * c for m, v in g.items()}
-                        continue
-                    for m, v in g.items():
-                        v = f.get(m, 0) + v * c
-                        if p:
-                            v %= p
-                        if v:
-                            f[m] = v
-                        else:
-                            del f[m]
-                    if not f:
-                        del out[alpha]
-            return canonical(out, den)
+                if k < len(factors):
+                    parts.append((*finish(factors, k, num, d, mono, beta), c))
+                elif num:
+                    parts.append(({tuple(beta): {tuple(mono): num}}, d, c))
+            return core_sum(parts, p)
         factors = node[1] if kind == "prod" else (node,)
         return finish(factors, *fold(factors))
 

@@ -28,7 +28,7 @@ from math import comb, factorial, lcm, prod
 
 from . import _kernels as K
 from . import exponents
-from .diffop import DiffOp, canonical
+from .diffop import DiffOp, canonical, core_mul, core_pow, core_sum
 from .errors import DomainError
 from .linalg import Matrix
 from .poly import Polynomial, PolyRing, RingMap, substitute
@@ -65,34 +65,40 @@ def twisted_transpose(twist, xi: DiffOp) -> DiffOp:
         raise DomainError(
             "twisted transpositions exist only in characteristic 0"
         )
+    n = ring.nvars
     twist = list(twist)
-    if len(twist) != ring.nvars:
-        raise DomainError(f"need {ring.nvars} twist polynomials")
+    if len(twist) != n:
+        raise DomainError(f"need {n} twist polynomials")
+    zero = (0,) * n
     images = []
     for i, f in enumerate(twist):
         if not isinstance(f, Polynomial) or f.ring != ring:
             raise DomainError("twist polynomials must live in the operator's ring")
-        if any(e[j] for e in f.num for j in range(ring.nvars) if j != i):
+        if any(e[j] for e in f.num for j in range(n) if j != i):
             raise DomainError(
                 f"twist polynomial {i} may only involve variable "
                 f"{ring.var_names[i]}"
             )
-        images.append(-DiffOp.partial(ring, i) + f)
+        # -d_i + f over f's denominator
+        image = {tuple(int(j == i) for j in range(n)): {zero: -f.den}}
+        if f.num:
+            image[zero] = f.num
+        images.append((image, f.den))
 
     # the image of f*d^[alpha] is prod_i images[i]^alpha_i times f over
     # alpha! * den, with f the term's integer coefficient
-    zero = (0,) * ring.nvars
-    out = DiffOp.zero(ring)
+    parts = []
     for alpha, f in xi.num.items():
-        op = DiffOp._core(ring, canonical(
-            {zero: f}, xi.den * prod(factorial(a) for a in alpha)
-        ))
+        term = {zero: f}, 1
         image = None
         for i, a in enumerate(alpha):
             if a:
-                image = images[i] ** a if image is None else image * images[i] ** a
-        out = out + (op if image is None else image * op)
-    return out
+                power = core_pow(images[i], a, 0, n)
+                image = power if image is None else core_mul(image, power, 0)
+        if image is not None:
+            term = core_mul(image, term, 0)
+        parts.append((term[0], term[1] * xi.den * prod(factorial(a) for a in alpha), 1))
+    return DiffOp._core(ring, core_sum(parts, 0))
 
 
 class AntiAutomorphism:
@@ -204,10 +210,10 @@ def transport_by_rows(xi: DiffOp, rows, inv_rows) -> DiffOp:
             )
     zero = (0,) * n
 
-    def divided_power(k: int, a: int) -> DiffOp:
-        """l_k^[a], the sum of B[k]^beta d^[beta] over |beta| = a with beta
-        supported where B[k] is nonzero: the integer row's powers over
-        inv_den^a."""
+    def divided_power(k: int, a: int):
+        """The core of l_k^[a], the sum of B[k]^beta d^[beta] over
+        |beta| = a with beta supported where B[k] is nonzero: the integer
+        row's powers over inv_den^a."""
         row, support = inv_rows[k], supports[k]
         terms = {}
         for part in exponents.iter_graded(len(support), a):
@@ -216,22 +222,25 @@ def transport_by_rows(xi: DiffOp, rows, inv_rows) -> DiffOp:
                 beta[j] = e
             c = prod(row[j] ** e for j, e in zip(support, part))
             terms[tuple(beta)] = {zero: c % p if p else c}
-        return DiffOp._core(ring, canonical(terms, inv_den ** a))
+        return canonical(terms, inv_den ** a)
 
     # m(f) substitutes for x_j the j-th integer column over row_den
     units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
     images = [{units[i]: v for i, v in enumerate(col) if v} for col in zip(*rows)]
     powers = {}
-    one = DiffOp._core(ring, ({zero: {zero: 1}}, 1))
-    out = DiffOp.zero(ring)
+    parts = []
     for alpha, f in xi.num.items():
-        image = one
+        image = None
         for k, a in enumerate(alpha):
             if a:
-                image = image * divided_power(k, a)
+                power = divided_power(k, a)
+                image = power if image is None else core_mul(image, power, p)
         mf, mf_den = substitute(f, 1, images, row_den, p, powers)
-        out = out + DiffOp._core(ring, ({zero: mf}, mf_den)) * image
-    return DiffOp._core(ring, canonical(out.num, out.den * xi.den))
+        term = {zero: mf}, mf_den
+        if image is not None:
+            term = core_mul(term, image, p)
+        parts.append((term[0], term[1] * xi.den, 1))
+    return DiffOp._core(ring, core_sum(parts, p))
 
 
 def _integer_rows(rows, p: int):

@@ -9,6 +9,8 @@ for the canonical form: int numerators, den > 0, gcd(den, numerators) == 1,
 and den == 1 for zero.
 """
 
+import copy
+import random
 from fractions import Fraction
 from math import factorial, gcd, prod
 
@@ -29,8 +31,9 @@ from weylops import (
     standard_transpose,
     twisted_transpose,
 )
+from weylops.diffop import canonical, core_add, core_neg, core_sum
 from weylops.render import render_op
-from conftest import make_ring
+from conftest import make_ring, random_diffop
 
 RINGS = {n: make_ring(0, n) for n in (1, 2, 3)}
 
@@ -239,6 +242,63 @@ def test_cancellation_resets_the_denominator():
     whole = x1 * Fraction(1, 2) * 2
     assert (whole.num, whole.den) == ({(1, 0): 1}, 1)
     assert ((x1 * Fraction(1, 2)) - (x1 * Fraction(1, 2))).den == 1
+
+
+def _chain_sum(parts, p):
+    """The sum of the parts by a chain of ``core_add``/``core_neg`` calls."""
+    acc = {}, 1
+    for num, den, c in parts:
+        if c == -1:
+            term = core_neg(canonical(num, den), p)
+        else:
+            term = canonical(K.diffop_scale(num, c, p), den)
+        acc = core_add(acc, term, p)
+    return acc
+
+
+def _key_order(core):
+    return list(core[0]), [list(f) for f in core[0].values()]
+
+
+def test_core_sum_matches_a_chain_of_core_add():
+    """One accumulator gives the value, the outer and inner key order and
+    the untouched inputs of adding the parts one at a time."""
+    rng = random.Random(20261019)
+    for char in (0, 5):
+        ring = make_ring(char, 2)
+        for _ in range(60):
+            ops = [random_diffop(rng, ring, max_order=2, coeff_degree=2)
+                   for _ in range(rng.randint(1, 4))]
+            parts = [(op.num, op.den, rng.choice((-1, 1, 3))) for op in ops]
+            # a part over a denominator that is not in lowest terms, and
+            # parts that cancel a key and bring it back at the end
+            if char == 0:
+                op = ops[0]
+                parts.append((K.diffop_scale(op.num, 2, 0), 2 * op.den, 1))
+            first = parts[0]
+            parts += [(first[0], first[1], -first[2]), first]
+            before = copy.deepcopy(parts)
+            got, expected = core_sum(parts, char), _chain_sum(parts, char)
+            assert got == expected
+            assert _key_order(got) == _key_order(expected)
+            assert parts == before
+        op = random_diffop(rng, ring, allow_zero=False)
+        cancelled = [(op.num, op.den, 1), (op.num, op.den, -1)]
+        assert core_sum(cancelled, char) == ({}, 1)
+        assert core_sum([], char) == ({}, 1)
+
+
+def test_difference_matches_adding_the_negation():
+    rng = random.Random(20261020)
+    for char in (0, 5):
+        ring = make_ring(char, 2)
+        for _ in range(40):
+            a, b = (random_diffop(rng, ring, max_order=2, coeff_degree=2)
+                    for _ in range(2))
+            got, expected = a - b, a + (-b)
+            assert (got.num, got.den) == (expected.num, expected.den)
+            assert _key_order((got.num, 1)) == _key_order((expected.num, 1))
+            _assert_canonical(got)
 
 
 # -- the kernels only ever see ints over Q --------------------------------------
