@@ -5,8 +5,8 @@ arithmetic (``poly_add``, ``poly_neg``, ``poly_scale``, ``poly_mul``,
 ``poly_pow``) and substitution (``poly_substitute``), the
 divided-power derivatives (``partial_apply``, ``diffop_apply``), operator
 sums (``diffop_add``, ``diffop_neg``, ``diffop_scale``), the
-normal-ordered operator product (``diffop_mul``) and the standard
-transposition (``diffop_transpose``).
+normal-ordered operator product (``diffop_mul``), the commutator
+(``diffop_bracket``) and the standard transposition (``diffop_transpose``).
 
 Data layout (no classes here, wrappers live in ``poly``/``diffop``):
 
@@ -29,25 +29,31 @@ operators, ``_reduced_poly`` for polynomials.  ``poly_add`` is the
 exception: its canonical operands can only cancel or need reducing at
 the keys of the second, so it reduces those keys as it adds them.
 
-``diffop_mul`` and ``diffop_transpose`` expand d^[alpha]*g by the
-divided-power Leibniz rule, sum over gamma <= alpha of
+``diffop_mul``, ``diffop_bracket`` and ``diffop_transpose`` expand
+d^[alpha]*g by the divided-power Leibniz rule, sum over gamma <= alpha of
 d^[gamma](g)*d^[alpha-gamma], which factors by variable on a monomial x^m
 of g.  So each monomial is walked once, through one row per variable: one
 entry (output exponent, exponent of x_i, binomial factor) per
 gamma_i = k <= min(m_i, alpha_i), entries that vanish mod p (Lucas zeros)
-left out.  A row depends on a few exponents only and is built once per
-call.  Each choice of one entry per row goes straight into one
-accumulator of unreduced ints, reduced once per output term at the end.
-The transposition uses the product's rows with beta = 0, where the
-extra factor C(alpha_i-k, alpha_i-k) is 1.  Binomials come from
-``_binom``, as in ``binom_product``: Lucas' theorem past
-``BINOM_BITS_LIMIT`` bits in characteristic p, a refusal there in
+left out.  A row depends only on (m_i, alpha_i, beta_i) and p, so the
+rows live in one table per process, keyed by those four ints and stored
+as tuples.  The table's memory has a fixed bound whatever the input: it
+holds at most ``ROW_TABLE_SIZE`` rows and keeps only short rows of small
+exponents (see ``_mul_row``); any other row is built for each use.  Each
+choice of one entry per row goes straight into one accumulator of
+unreduced ints, reduced once per output term at the end.  The
+transposition uses the product's rows with beta = 0, where the extra
+factor C(alpha_i-k, alpha_i-k) is 1.  The commutator adds both products
+into one accumulator and leaves out the gamma = 0 terms, which cancel.
+Binomials come from ``_binom``, as in ``binom_product``: Lucas' theorem
+past ``BINOM_BITS_LIMIT`` bits in characteristic p, a refusal there in
 characteristic 0.
 
 One bound, ``WORK_LIMIT`` coefficient products, holds in every kernel
 whose output can outgrow its inputs: ``diffop_mul`` counts
 |f|*|g|*prod_i min(alpha_i+1, top_i(g)+1) per pair of terms f*d^[alpha],
-g*d^[beta] (|f|*|g| for alpha = 0), ``diffop_transpose`` counts
+g*d^[beta] (|f|*|g| for alpha = 0), ``diffop_bracket`` counts each of
+its two products so, from 0, ``diffop_transpose`` counts
 |f|*prod_i min(alpha_i+1, top_i(f)+1) per term, and ``poly_pow`` and
 ``poly_substitute`` count |a|*|b| per product.  The operator counts are
 the whole box of gamma, whatever entries the rows leave out.  Past the
@@ -253,10 +259,23 @@ def diffop_scale(xi, c, p):
     return {alpha: poly_scale(f, c, p) for alpha, f in xi.items()}
 
 
+# The row table (module docstring): at most ROW_TABLE_SIZE rows, each kept
+# only when it has at most ROW_KEEP_LEN entries and m + a + b is below
+# ROW_KEEP_EXPONENT, so that every int it holds is below 2^64 over Q (the
+# factor is below 2^(m+a+b)) and below the characteristic otherwise.
+ROW_TABLE_SIZE = 1 << 11
+ROW_KEEP_LEN = 8
+ROW_KEEP_EXPONENT = 64
+_ROWS = {}
+
+
 def _mul_row(m, a, b, p):
     """The row of one variable in ``diffop_mul``: for x^m in g and the
     exponents a, b of the left and right basis elements, one entry
-    (a-k+b, m-k, C(m,k)*C(a-k+b, a-k)) per k <= min(m, a), zeros left out."""
+    (a-k+b, m-k, C(m,k)*C(a-k+b, a-k)) per k <= min(m, a), zeros left out,
+    as a tuple.  A row that fits the table's bounds is stored under
+    (m, a, b, p); a full table is emptied first.  A ``DomainError`` from
+    ``_binom`` leaves the table as it was."""
     row = []
     for k in range(min(m, a) + 1):
         c = _binom(m, k, p)
@@ -266,6 +285,11 @@ def _mul_row(m, a, b, p):
                 c %= p
             if c:
                 row.append((a - k + b, m - k, c))
+    row = tuple(row)
+    if len(row) <= ROW_KEEP_LEN and m + a + b < ROW_KEEP_EXPONENT:
+        if len(_ROWS) >= ROW_TABLE_SIZE:
+            _ROWS.clear()
+        _ROWS[m, a, b, p] = row
     return row
 
 
@@ -313,21 +337,54 @@ def diffop_mul(xi, eta, p):
     each gamma_i = k <= min(m_i, alpha_i), the output exponent
     alpha_i-k+beta_i, the exponent m_i-k of x_i and the factor
     C(m_i,k)*C(alpha_i-k+beta_i, alpha_i-k).  A row depends only on
-    (m_i, alpha_i, beta_i), and is built once per call.  Each choice of
-    one entry per row, times f, goes straight into one accumulator of
-    ints, which is reduced once per output term at the end.  A left term
-    f*d^[0] needs no rows: it multiplies each g straight into the term at
-    beta.
+    (m_i, alpha_i, beta_i) and p, and comes from the row table.  Each
+    choice of one entry per row, times f, goes straight into one
+    accumulator of ints, which is reduced once per output term at the end.
+    A left term f*d^[0] needs no rows: it multiplies each g straight into
+    the term at beta.
     """
     out = {}
+    _mul_into(out, xi, eta, p, False)
+    return _reduced(out, p)
+
+
+def diffop_bracket(xi, eta, p):
+    """The commutator xi*eta - eta*xi in one accumulator.
+
+    Both orders' pairings go through ``diffop_mul``'s loop, the eta*xi ones
+    with xi negated.  The gamma = 0 term of a pairing,
+    f*g*C(alpha+beta, alpha)*d^[alpha+beta], is the same in both orders and
+    cancels, so it is never formed: it is the choice of the first entry of
+    every row when each has k = 0 (absent when the binomial vanishes
+    mod p), and a left term f*d^[0] has no other, so it is skipped whole.
+    The work of each order is counted as ``diffop_mul`` counts it, skipped
+    terms included, and the rows are built as it builds them, so each
+    refusal is the one xi*eta - eta*xi meets.
+    """
+    out = {}
+    _mul_into(out, xi, eta, p, True)
+    _mul_into(out, eta, diffop_neg(xi, p), p, True)
+    return _reduced(out, p)
+
+
+def _mul_into(out, xi, eta, p, commutator):
+    """Add xi*eta into the accumulator ``out`` (``diffop_mul``), the
+    gamma = 0 term of every pairing left out when ``commutator`` is set
+    (``diffop_bracket``).  The work bound counts from 0 for this product."""
     work = 0
-    rows = {}
+    rows = _ROWS
     # per term of eta, one past the top exponent of each variable in g
     terms = [(beta, g, [max(c) + 1 for c in zip(*g)]) for beta, g in eta.items()]
     for alpha, f in xi.items():
         size = len(f)
         if not any(alpha):
             # every row would be the one entry (beta_i, m_i, 1)
+            if commutator:
+                # that entry is the gamma = 0 term: only the work is counted
+                work += size * sum(len(g) for _, g, _ in terms)
+                if work > WORK_LIMIT:
+                    _refuse("an operator product")
+                continue
             for beta, g, _ in terms:
                 work += size * len(g)
                 if work > WORK_LIMIT:
@@ -340,6 +397,7 @@ def diffop_mul(xi, eta, p):
                         e = tuple(map(_add, e, m))
                         acc[e] = acc.get(e, 0) + cf * c
             continue
+        ps = (p,) * len(alpha)
         alpha_ends = [a + 1 for a in alpha]
         for beta, g, g_ends in terms:
             work += size * len(g) * _prod(map(min, alpha_ends, g_ends))
@@ -347,10 +405,10 @@ def diffop_mul(xi, eta, p):
                 _refuse("an operator product")
             for m, c in g.items():
                 rs = []
-                for key in zip(m, alpha, beta):
+                for key in zip(m, alpha, beta, ps):
                     row = rows.get(key)
                     if row is None:
-                        row = rows[key] = _mul_row(*key, p)
+                        row = _mul_row(*key)
                     if not row:
                         # every entry vanished mod p: x^m gives nothing, and
                         # the later rows are not built for it
@@ -359,6 +417,8 @@ def diffop_mul(xi, eta, p):
                 else:
                     for entries in _product(*rs):
                         target, mono, factors = zip(*entries)
+                        if commutator and mono == m:
+                            continue  # gamma = 0: cancels in the commutator
                         co = c * _prod(factors)
                         if p:
                             co %= p
@@ -368,7 +428,6 @@ def diffop_mul(xi, eta, p):
                         for e, cf in f.items():
                             e = tuple(map(_add, e, mono))
                             acc[e] = acc.get(e, 0) + cf * co
-    return _reduced(out, p)
 
 
 def diffop_transpose(xi, p):
@@ -378,23 +437,24 @@ def diffop_transpose(xi, p):
     d^[gamma](f)*d^[alpha-gamma] (no binomial factor).  As in ``diffop_mul``
     each monomial x^m of f is walked once, through one row per variable
     (alpha_i-k, m_i-k, C(m_i,k)) for k <= min(m_i, alpha_i), the product's
-    row with beta_i = 0, into one accumulator of ints reduced once per
-    output term.
+    row with beta_i = 0 from the same table, into one accumulator of ints
+    reduced once per output term.
     """
     out = {}
     work = 0
-    rows = {}
+    rows = _ROWS
     for alpha, f in xi.items():
         odd = sum(alpha) % 2
         work += len(f) * _prod(min(a + 1, max(c) + 1) for a, c in zip(alpha, zip(*f)))
         if work > WORK_LIMIT:
             _refuse("a transposition")
+        zeros, ps = (0,) * len(alpha), (p,) * len(alpha)
         for m, c in f.items():
             rs = []
-            for key in zip(m, alpha):
+            for key in zip(m, alpha, zeros, ps):
                 row = rows.get(key)
                 if row is None:
-                    row = rows[key] = _mul_row(*key, 0, p)
+                    row = _mul_row(*key)
                 rs.append(row)
             if odd:
                 c = -c

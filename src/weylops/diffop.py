@@ -363,9 +363,24 @@ class DiffOp:
         return f"<DiffOp {self}>"
 
 
-def bracket(xi: DiffOp, eta: DiffOp) -> DiffOp:
-    """Commutator xi*eta - eta*xi."""
-    return xi * eta - eta * xi
+def bracket(xi: DiffOp, eta) -> DiffOp:
+    """Commutator xi*eta - eta*xi; ``eta`` may be anything ``DiffOp``
+    arithmetic accepts.
+
+    The associated graded ring is commutative: in [f*d^[alpha], g*d^[beta]]
+    the leading terms f*g*C(alpha+beta, alpha)*d^[alpha+beta] of the two
+    products cancel, so the bracket of operators of orders m and n has
+    order at most m+n-1.  ``_kernels.diffop_bracket`` forms both products
+    in one accumulator without those terms, and refuses exactly where the
+    two products would.
+    """
+    other = xi._coerce(eta)
+    if other is None:
+        raise TypeError(f"cannot bracket an operator with {type(eta).__name__}")
+    return DiffOp._core(xi.ring, canonical(
+        K.diffop_bracket(xi.num, other.num, xi.ring.characteristic),
+        xi.den * other.den,
+    ))
 
 
 def order_by_bracket_oracle(xi: DiffOp, degree_bound: int = 2) -> int:

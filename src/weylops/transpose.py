@@ -86,14 +86,18 @@ def twisted_transpose(twist, xi: DiffOp) -> DiffOp:
         images.append((image, f.den))
 
     # the image of f*d^[alpha] is prod_i images[i]^alpha_i times f over
-    # alpha! * den, with f the term's integer coefficient
+    # alpha! * den, with f the term's integer coefficient; each power
+    # images[i]^a is formed once, under (i, a)
+    powers = {}
     parts = []
     for alpha, f in xi.num.items():
         term = {zero: f}, 1
         image = None
         for i, a in enumerate(alpha):
             if a:
-                power = core_pow(images[i], a, 0, n)
+                power = powers.get((i, a))
+                if power is None:
+                    power = powers[i, a] = core_pow(images[i], a, 0, n)
                 image = power if image is None else core_mul(image, power, 0)
         if image is not None:
             term = core_mul(image, term, 0)

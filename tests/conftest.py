@@ -1,7 +1,8 @@
 """Shared deterministic random generators for the property suites, the
 in-process CLI runner, the base-p^e digit split of a polynomial that the
-polynomial and level-matrix suites use as an oracle, and the per-atom
-evaluator that the parser suite checks the folding evaluator against."""
+polynomial and level-matrix suites use as an oracle, the per-atom
+evaluator that the parser suite checks the folding evaluator against, and
+the commutator as two products that the bracket suite checks against."""
 
 import io
 import random
@@ -74,6 +75,12 @@ def random_diffop(rng, ring, max_order=4, max_terms=3, coeff_degree=3,
     if not allow_zero and op.is_zero():
         return DiffOp.constant(ring, 1)
     return op
+
+
+def reference_bracket(a, b):
+    """The commutator as two full products and a difference, the form
+    ``diffop.bracket`` had before its fused kernel."""
+    return a * b - b * a
 
 
 def random_level_bounded_op(rng, ring, e, max_terms=3, coeff_degree=3):

@@ -13,8 +13,15 @@ from weylops import (
     level_by_commutation_oracle,
     order_by_bracket_oracle,
 )
-from weylops import exponents
-from conftest import make_ring, random_diffop, random_poly
+from weylops import _kernels as K, exponents
+from weylops.opparser import parse_operator
+from conftest import (
+    make_ring,
+    random_diffop,
+    random_level_bounded_op,
+    random_poly,
+    reference_bracket,
+)
 
 
 def test_apply_examples():
@@ -142,6 +149,118 @@ def test_bracket_antisymmetric_and_jacobi(rng):
             + bracket(c, bracket(a, b))
         )
         assert jacobi.is_zero()
+
+
+def _outcome(run):
+    """A call's core, or the type and message of its refusal."""
+    try:
+        op = run()
+    except DomainError as exc:
+        return type(exc), str(exc)
+    return op.den, op.num
+
+
+# pairings whose leading binomial C(alpha+beta, alpha) vanishes mod p
+LUCAS_ZEROS = {
+    2: [("x1*d1", "x1^3*d1 + x1"), ("d1", "x1^2*d1"), ("x1*d[3]", "x1^4*d[1]")],
+    3: [("x1^2*d1", "x1^4*d[2] + 2"), ("x1*d[2]", "x1^3*d[1]")],
+    5: [("x1^3*d[2]", "x1^5*d[3] + x1"), ("x1*d[4]", "x1^2*d[1]")],
+}
+
+
+@pytest.mark.parametrize("char", (0, 2, 3, 5, 1000003))
+def test_bracket_matches_two_products(char):
+    """The fused commutator against a*b - b*a, core for core, in one to
+    three variables: random operators with pure-polynomial terms on either
+    side (order 0 included), exponents at and past p, Polynomial and scalar
+    right arguments, and pairings whose leading binomial vanishes mod p.
+    The order bound m+n-1 holds throughout."""
+    rng = random.Random(3100 + char)
+    for n in (1, 2, 3):
+        R = make_ring(char, n)
+        ops = [DiffOp.zero(R), DiffOp.constant(R, 3)]
+        for _ in range(10):
+            ops.append(random_diffop(rng, R, max_order=rng.randint(0, 4),
+                                     max_terms=4, coeff_terms=3))
+            if char and char < 10:
+                ops.append(random_level_bounded_op(rng, R, 1, max_terms=4))
+        if n == 1:
+            for pair in LUCAS_ZEROS.get(char, ()):
+                ops.extend(parse_operator(text, R) for text in pair)
+        for a in ops:
+            for b in rng.sample(ops, 6):
+                got = bracket(a, b)
+                expected = reference_bracket(a, b)
+                assert (got.den, got.num) == (expected.den, expected.num)
+                assert got.is_zero() or got.order() <= a.order() + b.order() - 1
+            f = random_poly(rng, R)
+            assert bracket(a, f) == reference_bracket(a, f)
+            assert bracket(a, 2).is_zero()
+
+
+def test_bracket_keeps_the_argument_errors():
+    R, S = make_ring(0, 2), make_ring(0, 3)
+    xi = parse_operator("x1*d2 + d1", R)
+    for other in (DiffOp.partial(S, 0), S.variable(0)):
+        with pytest.raises(DomainError, match="operator ring mismatch"):
+            bracket(xi, other)
+        with pytest.raises(DomainError, match="operator ring mismatch"):
+            reference_bracket(xi, other)
+    for run in (lambda: bracket(xi, "d1"), lambda: reference_bracket(xi, "d1")):
+        with pytest.raises(TypeError):
+            run()
+
+
+BRACKET_REFUSALS = (
+    # (characteristic, nvars, left, right)
+    (0, 2, "x1^3*d[4,1] + x2 + 3*x1*d2", "x1^2*x2^3*d[3,2] - x1^3 + d[0,2]"),
+    (0, 2, "x1^3 - x2^4*d[0,3]", "x1^2*x2*d[3,4] + 2*x1*d1 + x2^2"),
+    (5, 3, "x1^4*d[3,0,1] + x2*x3", "x3^4*d[0,2,4] + x1^2*x2 + d[1,1,0]"),
+)
+
+
+@pytest.mark.parametrize("char, nvars, left, right", BRACKET_REFUSALS)
+def test_bracket_refuses_where_the_two_products_do(monkeypatch, char, nvars,
+                                                    left, right):
+    """For every WORK_LIMIT up to past the work of both products (at most
+    18 here), and binomial limits small enough to refuse some rows, the
+    fused bracket answers or refuses (type and message) exactly as
+    a*b - b*a, in both argument orders.  Each call starts from an empty
+    row table, so no row built under another limit is reused."""
+    R = make_ring(char, nvars)
+    a, b = parse_operator(left, R), parse_operator(right, R)
+    default = K.BINOM_BITS_LIMIT
+    for bits in (3, 5, 8, default):
+        monkeypatch.setattr(K, "BINOM_BITS_LIMIT", bits)
+        seen = set()
+        for limit in range(24):
+            monkeypatch.setattr(K, "WORK_LIMIT", limit)
+            for x, y in ((a, b), (b, a)):
+                outcomes = []
+                for run in (bracket, reference_bracket):
+                    monkeypatch.setattr(K, "_ROWS", {})
+                    outcomes.append(_outcome(lambda: run(x, y)))
+                assert outcomes[0] == outcomes[1]
+                kind = outcomes[0][0]
+                seen.add(outcomes[0][1].split(" ")[0] if kind is DomainError
+                         else "answer")
+        if bits == default:
+            assert seen == {"an", "answer"}  # the sweep passes both products
+        elif char == 0 and bits < 8:
+            assert {"an", "binomial"} <= seen  # both guardrails were met
+
+
+def test_bracket_refuses_large_binomials_in_either_product():
+    """C(M, 2) for M = 2^8200 passes the binomial guardrail over Q: x1^M
+    brackets with d[2] through the product that commutes d[2] past x1^M,
+    which is the first one or the second one depending on the order."""
+    R = make_ring(0, 1)
+    power = DiffOp._core(R, ({(0,): {(2**8200,): 1}}, 1))
+    d = DiffOp.basis(R, (2,))
+    for x, y in ((power, d), (d, power)):
+        got = _outcome(lambda: bracket(x, y))
+        assert got[0] is DomainError and "guardrail" in got[1]
+        assert got == _outcome(lambda: reference_bracket(x, y))
 
 
 def test_order_examples():

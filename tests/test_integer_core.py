@@ -308,8 +308,8 @@ def test_operator_kernels_receive_only_ints_over_q(monkeypatch):
     """Operator products, powers, brackets, both transposes, the parser and
     the transport, and polynomial sums, products, powers, values of
     operators and substitutions hand the kernels integer numerators only."""
-    names = ("diffop_mul", "diffop_transpose", "diffop_apply", "poly_add",
-             "poly_mul", "poly_pow", "poly_substitute")
+    names = ("diffop_mul", "diffop_bracket", "diffop_transpose", "diffop_apply",
+             "poly_add", "poly_mul", "poly_pow", "poly_substitute")
     seen = dict.fromkeys(names, 0)
 
     def ints_only(value):

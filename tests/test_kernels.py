@@ -11,7 +11,8 @@ runs.
 The row kernels ``diffop_mul`` and ``diffop_transpose`` are also checked for
 exact equality against the per-gamma loops they replaced, kept here as
 references: one ``partial_apply`` of the coefficient per gamma in the box,
-reduced after every product and sum.
+reduced after every product and sum.  The process-wide row table they
+share is checked for its bounds and for never keeping a refusal.
 """
 
 import math
@@ -266,6 +267,55 @@ def test_row_kernels_past_the_binomial_guardrail():
     # monomial ends before C(20000, k) for k up to 2000 (refused past 1092)
     lucas_zero = ({(600000, 2000): {(0, 0): 1}}, {(600000, 0): {(0, 20000): 1}})
     assert K.diffop_mul(*lucas_zero, 1000003) == {}
+
+
+def test_row_table_keeps_short_rows_as_tuples(monkeypatch):
+    """Rows are tuples of (exponent, exponent, factor) tuples, shared by
+    later calls; long rows and rows of large exponents are built for each
+    use and never kept, and the table never holds more than its size."""
+    monkeypatch.setattr(K, "_ROWS", {})
+    xi = {(2, 1): {(3, 0): 1, (0, 2): 2}, (0, 0): {(1, 1): 3}}
+    eta = {(1, 3): {(2, 2): 4}, (2, 0): {(0, 0): 1}}
+    first = K.diffop_mul(xi, eta, 0)
+    assert K._ROWS
+    for key, row in K._ROWS.items():
+        m, a, b, _ = key
+        assert type(row) is tuple and all(type(e) is tuple for e in row)
+        assert row == K._mul_row(*key)
+        assert len(row) <= K.ROW_KEEP_LEN and m + a + b < K.ROW_KEEP_EXPONENT
+    kept = dict(K._ROWS)
+    assert K.diffop_mul(xi, eta, 0) == first and K._ROWS == kept
+    # a row of 21 entries, and one of large exponents, are not kept
+    long = {(20,): {(20,): 1}}
+    assert K.diffop_transpose(long, 0) == _per_gamma_transpose(long, 0)
+    assert (20, 20, 0, 0) not in K._ROWS
+    assert K.diffop_mul({(1,): {(0,): 1}}, {(70,): {(3,): 1}}, 7) == {
+        (71,): {(3,): 1}, (70,): {(2,): 3}}
+    assert (3, 1, 70, 7) not in K._ROWS
+    # a full table is emptied before the next row goes in
+    monkeypatch.setattr(K, "ROW_TABLE_SIZE", 3)
+    rng = random.Random(31)
+    for _ in range(40):
+        p = rng.choice((0, 2, 5))
+        a, b = _rand_op(rng, 2, p), _rand_op(rng, 2, p)
+        assert K.diffop_mul(a, b, p) == _per_gamma_mul(a, b, p)
+        assert len(K._ROWS) <= 3
+
+
+def test_row_table_keeps_no_refusal():
+    """A row whose binomial is refused is not stored, so the next call
+    refuses again, in the product, the commutator and the transposition."""
+    big, huge = 10**8, 2**8200
+    square = {(big,): {(0,): 1}}
+    coeff = {(2,): {(huge,): 1}}  # C(huge, 2) is refused, C(huge, 1) is not
+    runs = (lambda: K.diffop_mul(square, square, 0),
+            lambda: K.diffop_bracket(square, {(0,): {(1,): 1}, **square}, 0),
+            lambda: K.diffop_transpose(coeff, 0))
+    for run in runs:
+        for _ in range(2):
+            with pytest.raises(DomainError, match="may exceed the guardrail"):
+                run()
+    assert not any(big in key or huge in key for key in K._ROWS)
 
 
 def test_binom_product_matches_comb():

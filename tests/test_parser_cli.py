@@ -421,9 +421,27 @@ MATRIX_CHAR3_E2 = ["--char", "3", "--nvars", "2", "matrix",
                    "--e", "2"]
 
 
+# brackets with polynomial terms on both sides over Q, and over F_2 with
+# leading binomials that vanish (C(2, 1) for x1*d1 against x1^3*d1)
+BRACKETS = {
+    "bracket_char0": ["--char", "0", "--nvars", "2", "bracket",
+                      "x1^2*d[2,1] - 1/3*x2*d1 + x1^3",
+                      "x2^2*d[1,1] + 2*x1*x2 - 3/2*d[0,2]"],
+    "bracket_char2": ["--char", "2", "--nvars", "2", "bracket",
+                      "x1*d1 + x1^2*x2*d[1,2] + x2^3",
+                      "x1^3*d1 + x2*d[0,1] + x1*d[2,0]"],
+}
+
+
 def test_cli_golden_matrix_text():
     expected = (GOLDEN / "matrix_char3_e2.txt").read_text()
     assert run_cli(MATRIX_CHAR3_E2) == (0, expected, "")
+
+
+@pytest.mark.parametrize("name", sorted(BRACKETS))
+def test_cli_golden_bracket_text(name):
+    expected = (GOLDEN / f"{name}.txt").read_text()
+    assert run_cli(BRACKETS[name]) == (0, expected, "")
 
 
 @pytest.mark.parametrize(
@@ -451,6 +469,7 @@ def test_cli_golden_matrix_text():
              "--to", "x1^2*x2 + x2^3"],
         ),
         ("matrix_char3_e2.json", ["--json", *MATRIX_CHAR3_E2]),
+        *((f"{name}.json", ["--json", *args]) for name, args in sorted(BRACKETS.items())),
     ],
 )
 def test_cli_golden_json(name, args):

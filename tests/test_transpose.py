@@ -129,6 +129,31 @@ def test_twisted_with_constant_terms(rng):
         assert phi(xi * eta) == phi(eta) * phi(xi)
 
 
+def test_twisted_forms_each_power_once(monkeypatch):
+    """Terms that share a power of one variable's image share its core:
+    d[2,0], x1*d[2,1] and d[0,1] need the powers (0, 2) and (1, 1) only."""
+    import weylops.transpose as T
+
+    R = make_ring(0, 2)
+    x, y = R.gens()
+    twist = [x**2 + 1, y * 3]
+    xi = DiffOp.from_terms(R, {(2, 0): 1, (2, 1): x, (0, 1): y - 2})
+    expected = twisted_transpose(twist, xi)
+    calls = []
+    core_pow = T.core_pow
+
+    def counted(*args):
+        calls.append(args[1])
+        return core_pow(*args)
+
+    monkeypatch.setattr(T, "core_pow", counted)
+    assert twisted_transpose(twist, xi) == expected
+    assert sorted(calls) == [1, 2]
+    monkeypatch.undo()
+    phi = AntiAutomorphism.twisted(R, twist)
+    assert phi(expected) == xi
+
+
 def test_twisted_rejected_in_char_p():
     R = make_ring(2, 1)
     with pytest.raises(DomainError):
