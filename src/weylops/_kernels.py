@@ -1,10 +1,9 @@
 """Term kernels.
 
 These are the inner loops of the whole package: sparse polynomial
-arithmetic (``poly_add``, ``poly_neg``, ``poly_scale``, ``poly_mul``,
-``poly_pow``) and substitution (``poly_substitute``), the
-divided-power derivatives (``partial_apply``, ``diffop_apply``), operator
-sums (``diffop_add``, ``diffop_neg``, ``diffop_scale``), the
+arithmetic (``poly_neg``, ``poly_scale``, ``poly_mul``, ``poly_pow``) and
+substitution (``poly_substitute``), the divided-power derivatives
+(``partial_apply``, ``diffop_apply``), the one sum (``core_sum``), the
 normal-ordered operator product (``diffop_mul``), the commutator
 (``diffop_bracket``) and the standard transposition (``diffop_transpose``).
 
@@ -25,9 +24,8 @@ oracle.
 return canonical dicts (no zero values stored) and never mutate inputs.
 Each kernel that sums adds into one accumulator of unreduced values and
 reduces it mod p, dropping zeros, once at the end: ``_reduced`` for
-operators, ``_reduced_poly`` for polynomials.  ``poly_add`` is the
-exception: its canonical operands can only cancel or need reducing at
-the keys of the second, so it reduces those keys as it adds them.
+operators, ``_reduced_poly`` for polynomials.  ``core_sum``, which every
+sum in the package goes through, reduces each coefficient as it adds it.
 
 ``diffop_mul``, ``diffop_bracket`` and ``diffop_transpose`` expand
 d^[alpha]*g by the divided-power Leibniz rule, sum over gamma <= alpha of
@@ -61,8 +59,8 @@ bound a call raises ``DomainError`` before the work it counts.
 ``poly_mul`` checks nothing.
 """
 
-from itertools import product as _product
-from math import comb as _comb, prod as _prod
+from itertools import chain, product as _product
+from math import comb as _comb, gcd as _gcd, prod as _prod
 from operator import add as _add, sub as _sub
 
 from .errors import DomainError
@@ -72,27 +70,6 @@ KERNEL_BACKEND = "python"
 BINOM_BITS_LIMIT = 1 << 14
 # most coefficient products one kernel call may form (module docstring)
 WORK_LIMIT = 1 << 17
-
-
-def poly_add(a, b, p):
-    """a + b for canonical a and b: only the keys of b can cancel or need
-    reducing, so only they are visited."""
-    out = dict(a)
-    if p:
-        for exp, c in b.items():
-            c = (out.get(exp, 0) + c) % p
-            if c:
-                out[exp] = c
-            else:
-                del out[exp]
-    else:
-        for exp, c in b.items():
-            c += out.get(exp, 0)
-            if c:
-                out[exp] = c
-            else:
-                del out[exp]
-    return out
 
 
 def poly_neg(a, p):
@@ -170,10 +147,18 @@ def _comb_bounded(b, a):
     min(b, min(a, b - a) * bitlen(b)) exceeds BINOM_BITS_LIMIT bits."""
     if b > BINOM_BITS_LIMIT and min(a, b - a) * b.bit_length() > BINOM_BITS_LIMIT:
         raise DomainError(
-            f"binomial C({b}, {a}) may exceed the guardrail of "
-            f"{BINOM_BITS_LIMIT} bits"
+            f"binomial C({_int_text(b)}, {_int_text(a)}) may exceed the "
+            f"guardrail of {BINOM_BITS_LIMIT} bits"
         )
     return _comb(b, a)
+
+
+def _int_text(v):
+    """v in decimal, or its bit length when Python refuses to print it."""
+    try:
+        return str(v)
+    except ValueError:
+        return f"<an integer of {v.bit_length()} bits>"
 
 
 def _binom(b, a, p):
@@ -235,28 +220,63 @@ def diffop_apply(xi, f, p):
     return _reduced_poly(out, p)
 
 
-def diffop_add(xi, eta, p):
-    out = dict(xi)
-    for alpha, g in eta.items():
-        f = out.get(alpha)
-        if f is None:
-            out[alpha] = g
-            continue
-        h = poly_add(f, g, p)
-        if h:
-            out[alpha] = h
-        else:
-            del out[alpha]
-    return out
-
-
 def diffop_neg(xi, p):
     return {alpha: poly_neg(f, p) for alpha, f in xi.items()}
 
 
-def diffop_scale(xi, c, p):
-    """c times the operator, for c nonzero in the field."""
-    return {alpha: poly_scale(f, c, p) for alpha, f in xi.items()}
+def canonical(num, den):
+    """The operator core (num, den) with gcd(den, every numerator) divided
+    out."""
+    if den == 1 or not num:
+        return num, 1
+    g = _gcd(den, *chain.from_iterable(map(dict.values, num.values())))
+    if g == 1:
+        return num, den
+    return {a: {m: c // g for m, c in f.items()} for a, f in num.items()}, den // g
+
+
+def core_sum(parts, p):
+    """The canonical core of the sum of c*num/den over the parts (num, den,
+    c), c nonzero in the field and num reduced over F_p; ({}, 1) if none.
+
+    The parts go into one accumulator over one denominator, grown by lcm.
+    Keys keep the order of binary sums: the first part's keys in order, new
+    keys appended, a key dropped as soon as it cancels.  A later product
+    meets the terms, and so its first refusal, in that order.  A key's
+    first appearance copies its coefficient dict, so no part is mutated.
+    """
+    out = {}
+    den = 1
+    for num, d, c in parts:
+        if d != den:
+            if den % d:
+                grow = d // _gcd(den, d)
+                for f in out.values():
+                    for m in f:
+                        f[m] *= grow
+                den *= grow
+            c *= den // d
+        for alpha, g in num.items():
+            f = out.get(alpha)
+            if f is None:
+                if c == 1:
+                    out[alpha] = dict(g)
+                elif p:
+                    out[alpha] = {m: v * c % p for m, v in g.items()}
+                else:
+                    out[alpha] = {m: v * c for m, v in g.items()}
+                continue
+            for m, v in g.items():
+                v = f.get(m, 0) + v * c
+                if p:
+                    v %= p
+                if v:
+                    f[m] = v
+                else:
+                    del f[m]
+            if not f:
+                del out[alpha]
+    return canonical(out, den)
 
 
 # The row table (module docstring): at most ROW_TABLE_SIZE rows, each kept

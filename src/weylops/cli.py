@@ -43,11 +43,16 @@ class SessionConfig:
         )
 
 
+def _json_text(payload) -> str:
+    """The payload as JSON, an exponent too long to print refused."""
+    try:
+        return json.dumps(payload, indent=2)
+    except ValueError:
+        raise render.too_many_digits("an exponent") from None
+
+
 def _emit(cfg: SessionConfig, text: str, payload: dict):
-    if cfg.json_output:
-        click.echo(json.dumps(payload, indent=2))
-    else:
-        click.echo(text)
+    click.echo(_json_text(payload) if cfg.json_output else text)
 
 
 # commands that read expressions take an argument such as "-d[1]" as the
@@ -131,7 +136,7 @@ def order(cfg: SessionConfig, expr):
     """Order of an operator (-1 for zero)."""
     op = parse_operator(expr, cfg.ring())
     value = op.order()
-    _emit(cfg, str(value), _scalar_payload("order", value))
+    _emit(cfg, render.int_text(value, "the order"), _scalar_payload("order", value))
 
 
 @cli.command(context_settings=EXPR_SETTINGS)
@@ -165,7 +170,7 @@ def matrix_cmd(cfg: SessionConfig, expr, level_e):
     op = parse_operator(expr, cfg.ring())
     m = lvm.to_matrix(op, level_e)
     if cfg.json_output:
-        click.echo(json.dumps(render.level_matrix_json(m), indent=2))
+        click.echo(_json_text(render.level_matrix_json(m)))
     else:
         click.echo(f"level {m.e} matrix, size {m.basis.size}, "
                    f"basis {list(m.basis.monomials)}")
@@ -201,7 +206,7 @@ def artinian_cmd(cfg: SessionConfig, exps, n_max):
             "pairing": render.scalar_matrix_json(A.gram()),
             "adjoint": render.scalar_matrix_json(art.adjoint_table(A)),
         }
-        click.echo(json.dumps(payload, indent=2))
+        click.echo(_json_text(payload))
     else:
         click.echo(f"algebra dimension {d}, basis of {len(A.basis)} monomials")
         dims = " ".join(str(v) for v in filt.dims)
@@ -252,7 +257,7 @@ def pseudoreflections(obj):
         "elements": [render.scalar_matrix_json(g.matrix) for g in refl],
     }
     if cfg.json_output:
-        click.echo(json.dumps(payload, indent=2))
+        click.echo(_json_text(payload))
     else:
         click.echo(f"{len(refl)} pseudoreflection(s)")
         for g in refl:

@@ -16,96 +16,24 @@ Every operator is stored as an integer core ``(num, den)``: ``num`` maps
 exponent tuples to coefficient dicts of ints and ``den > 0`` is one
 denominator for all of them, with gcd(den, every numerator) == 1 and
 den == 1 for the zero operator (the content/primitive-part form).  Over
-F_p the ints are residues and den is 1.  The core functions below
-(``canonical``, ``core_add``, ``core_neg``, ``core_sum``, ``core_mul``,
-``core_pow``) work on such pairs, so the kernels only ever see ints;
-``core_sum`` is the one n-ary sum.  A ``Polynomial``
-is stored the same way, so a coefficient passes between the two as its
-core; ``DiffOp.terms``, the view with ``Polynomial`` coefficients, is
-built on read.
+F_p the ints are residues and den is 1.  The core functions
+(``canonical``, ``core_sum``, ``core_mul``, ``core_pow``) work on such
+pairs, so the kernels only ever see ints; ``core_sum``, from ``_kernels``,
+is the one sum, and ``+``, ``-`` and ``DiffOp(ring, terms)`` go through it.
+A ``Polynomial`` is stored the same way, so a coefficient passes between
+the two as its core; ``DiffOp.terms``, the view with ``Polynomial``
+coefficients, is built on read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
-from math import gcd, lcm
 
 from . import _kernels as K
 from . import exponents
+from ._kernels import canonical, core_sum
 from .errors import DomainError
 from .poly import Polynomial, PolyRing, canonical as poly_canonical
-
-
-def canonical(num: dict, den: int):
-    """The pair (num, den) with gcd(den, every numerator) divided out."""
-    if den == 1 or not num:
-        return num, 1
-    g = gcd(den, *chain.from_iterable(map(dict.values, num.values())))
-    if g == 1:
-        return num, den
-    return {a: {m: c // g for m, c in f.items()} for a, f in num.items()}, den // g
-
-
-def core_add(a, b, p: int):
-    """Sum of two cores."""
-    (xn, xd), (yn, yd) = a, b
-    if xd == yd:
-        return canonical(K.diffop_add(xn, yn, p), xd)
-    g = gcd(xd, yd)
-    den = xd // g * yd
-    return canonical(
-        K.diffop_add(K.diffop_scale(xn, yd // g, p), K.diffop_scale(yn, xd // g, p), p),
-        den,
-    )
-
-
-def core_neg(a, p: int):
-    return K.diffop_neg(a[0], p), a[1]
-
-
-def core_sum(parts, p: int):
-    """The canonical core of the sum of c*num/den over the parts (num, den,
-    c), c nonzero in the field and num reduced over F_p; ({}, 1) if none.
-
-    The parts go into one accumulator over one denominator, grown by lcm
-    and reduced once.  Keys keep the order a chain of ``core_add`` calls
-    leaves (new keys last, cancelled keys dropped at once): a later product
-    meets the terms, and so its first refusal, in it.  A key's first
-    appearance copies its coefficient dict, so no part is mutated.
-    """
-    out = {}
-    den = 1
-    for num, d, c in parts:
-        if d != den:
-            if den % d:
-                grow = d // gcd(den, d)
-                for f in out.values():
-                    for m in f:
-                        f[m] *= grow
-                den *= grow
-            c *= den // d
-        for alpha, g in num.items():
-            f = out.get(alpha)
-            if f is None:
-                if c == 1:
-                    out[alpha] = dict(g)
-                elif p:
-                    out[alpha] = {m: v * c % p for m, v in g.items()}
-                else:
-                    out[alpha] = {m: v * c for m, v in g.items()}
-                continue
-            for m, v in g.items():
-                v = f.get(m, 0) + v * c
-                if p:
-                    v %= p
-                if v:
-                    f[m] = v
-                else:
-                    del f[m]
-            if not f:
-                del out[alpha]
-    return canonical(out, den)
 
 
 def core_mul(a, b, p: int):
@@ -140,12 +68,10 @@ class DiffOp:
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
-        # each coefficient is canonical, so their lcm leaves no common factor
-        den = self.den = lcm(*(f.den for f in terms.values()))
-        self.num = {
-            alpha: f.num if f.den == den else K.poly_scale(f.num, den // f.den, 0)
-            for alpha, f in terms.items()
-        }
+        self.num, self.den = core_sum(
+            [({alpha: f.num}, f.den, 1) for alpha, f in terms.items() if f.num],
+            ring.characteristic,
+        )
 
     @classmethod
     def _core(cls, ring: PolyRing, core) -> DiffOp:
@@ -199,7 +125,7 @@ class DiffOp:
 
     @classmethod
     def from_terms(cls, ring: PolyRing, mapping) -> DiffOp:
-        terms = {}
+        parts = []
         for alpha, f in mapping.items():
             alpha = tuple(alpha)
             exponents.check_arity(alpha, ring.nvars)
@@ -207,14 +133,9 @@ class DiffOp:
                 f = ring.constant(f)
             if f.ring != ring:
                 raise DomainError("coefficient ring mismatch")
-            if not f.is_zero():
-                g = terms.get(alpha)
-                f = f if g is None else g + f
-                if f.is_zero():
-                    terms.pop(alpha, None)
-                else:
-                    terms[alpha] = f
-        return cls(ring, terms)
+            if f.num:
+                parts.append(({alpha: f.num}, f.den, 1))
+        return cls._core(ring, core_sum(parts, ring.characteristic))
 
     # -- structure ---------------------------------------------------------
 
@@ -294,27 +215,28 @@ class DiffOp:
             return DiffOp.constant(self.ring, other)
         return None
 
+    def _sum(self, *parts):
+        """The sum of the operators c*op of the pairs (op, c)."""
+        return DiffOp._core(self.ring, core_sum(
+            [(op.num, op.den, c) for op, c in parts], self.ring.characteristic
+        ))
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return DiffOp._core(self.ring, core_add(
-            (self.num, self.den), (other.num, other.den), self.ring.characteristic
-        ))
+        return self._sum((self, 1), (other, 1))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return DiffOp._core(
-            self.ring, core_neg((self.num, self.den), self.ring.characteristic)
-        )
+        return self._sum((self, -1))
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        parts = (self.num, self.den, 1), (other.num, other.den, -1)
-        return DiffOp._core(self.ring, core_sum(parts, self.ring.characteristic))
+        return self._sum((self, 1), (other, -1))
 
     def __rsub__(self, other):
         return -(self - other)

@@ -181,9 +181,5 @@ def equivariance_check(G: FiniteGroup, xi: DiffOp, allow_modular: bool = False) 
             "equivariance check is guaranteed in characteristic 0 only; "
             "pass allow_modular=True to run it anyway"
         )
-    for g in G:
-        if standard_transpose(act_on_op(g, xi)) != act_on_op(
-            g, standard_transpose(xi)
-        ):
-            return False
-    return True
+    xi_t = standard_transpose(xi)  # once, not once per element
+    return all(standard_transpose(act_on_op(g, xi)) == act_on_op(g, xi_t) for g in G)

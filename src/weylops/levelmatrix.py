@@ -10,8 +10,8 @@ no twisted arithmetic is needed.
 
 A matrix stores its nonzero entries only, as residue dicts (the kernel
 layout of ``_kernels``) keyed by (row, column): ``LevelMatrix.cells``.
-Sums, products and equality work on these dicts; ``entries``, the dense
-grid of ``Polynomial`` values, is built on read.
+Sums (``_kernels.core_sum``), products and equality work on these dicts;
+``entries``, the dense grid of ``Polynomial`` values, is built on read.
 
 Both directions are closed formulas.  Column lam of the matrix of
 xi = sum f_alpha d^[alpha] is the value xi(x^lam) = sum over alpha <= lam
@@ -148,9 +148,9 @@ class LevelMatrix:
 
     def __add__(self, other: LevelMatrix) -> LevelMatrix:
         self._check(other)
-        return LevelMatrix._from_cells(self.basis, K.diffop_add(
-            self.cells, other.cells, self.ring.characteristic
-        ))
+        parts = (self.cells, 1, 1), (other.cells, 1, 1)
+        cells, _ = K.core_sum(parts, self.ring.characteristic)
+        return LevelMatrix._from_cells(self.basis, cells)
 
     def __mul__(self, other: LevelMatrix) -> LevelMatrix:
         """Product over nonzero cells only: cell (i, k) meets the cells of

@@ -46,7 +46,7 @@ import re
 from math import gcd
 
 from ._kernels import _binom
-from .diffop import DiffOp, core_mul, core_neg, core_pow, core_sum
+from .diffop import DiffOp, core_mul, core_pow, core_sum
 from .errors import DomainError, ParseError
 from .poly import PolyRing
 
@@ -336,7 +336,7 @@ def evaluate(node, ring: PolyRing):
         """The value of a factor that does not fold from an empty term."""
         kind = node[0]
         if kind == "neg":
-            return core_neg(ev(node[1]), p)
+            return core_sum(((*ev(node[1]), -1),), p)
         if kind == "pow":
             acc = ev(node[1])
             for e in node[2]:

@@ -196,19 +196,20 @@ class Polynomial:
             return self.ring.constant(other)
         return None
 
-    def __add__(self, other):
+    def _plus(self, other, c):
+        """self + c*other by ``_kernels.core_sum``, on the order-0 operator
+        cores {(0,...,0): num}."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        p = self.ring.characteristic
-        (xn, xd), (yn, yd) = (self.num, self.den), (other.num, other.den)
-        if xd == yd:
-            return Polynomial._core(self.ring, canonical(K.poly_add(xn, yn, p), xd))
-        g = gcd(xd, yd)
-        return Polynomial._core(self.ring, canonical(
-            K.poly_add(K.poly_scale(xn, yd // g, p), K.poly_scale(yn, xd // g, p), p),
-            xd // g * yd,
-        ))
+        zero = (0,) * self.ring.nvars
+        parts = [({zero: f.num} if f.num else {}, f.den, k)
+                 for f, k in ((self, 1), (other, c))]
+        num, den = K.core_sum(parts, self.ring.characteristic)
+        return Polynomial._core(self.ring, (num.get(zero, {}), den))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -218,10 +219,7 @@ class Polynomial:
         )
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return -(self - other)

@@ -13,9 +13,9 @@ coefficient is the numerator over the one denominator, printed as
 written from their nonzero cells, an empty cell as ``[]``.
 
 Python refuses to convert an integer of more than
-``sys.get_int_max_str_digits()`` decimal digits to a string; the entry
-points that print coefficients turn that ``ValueError`` into a
-``DomainError``.
+``sys.get_int_max_str_digits()`` decimal digits to a string; the text
+forms here, and the CLI's ``json.dumps``, turn that ``ValueError`` for a
+coefficient or an exponent into ``too_many_digits``' ``DomainError``.
 """
 
 from __future__ import annotations
@@ -28,11 +28,19 @@ from .errors import DomainError
 SCHEMA = "weyl-op/1"
 
 
-def _too_many_digits() -> DomainError:
+def too_many_digits(what: str = "a coefficient") -> DomainError:
     return DomainError(
-        f"a coefficient has more than {sys.get_int_max_str_digits()} decimal "
+        f"{what} has more than {sys.get_int_max_str_digits()} decimal "
         "digits, Python's limit for printing an integer"
     )
+
+
+def int_text(v: int, what: str) -> str:
+    """str(v), refused by ``too_many_digits(what)`` past the limit."""
+    try:
+        return str(v)
+    except ValueError:
+        raise too_many_digits(what) from None
 
 
 def _sorted_exponents(terms):
@@ -60,7 +68,7 @@ def _monomial_str(ring, exp) -> str:
         if e == 1:
             parts.append(name)
         elif e > 1:
-            parts.append(f"{name}^{e}")
+            parts.append(f"{name}^{int_text(e, 'an exponent')}")
     return "*".join(parts)
 
 
@@ -75,7 +83,7 @@ def _poly_text(ring, terms: dict, den: int) -> str:
             c = terms[exp]
             cs = str(c) if den == 1 else _fraction_str(c, den)
         except ValueError:
-            raise _too_many_digits() from None
+            raise too_many_digits() from None
         negative = cs.startswith("-")
         if negative:
             cs = cs[1:]
@@ -96,7 +104,7 @@ def render_poly(f) -> str:
 
 
 def _basis_symbol(alpha) -> str:
-    return "d[" + ",".join(str(a) for a in alpha) + "]"
+    return "d[" + ",".join(int_text(a, "an exponent") for a in alpha) + "]"
 
 
 def render_op(xi) -> str:
@@ -136,7 +144,7 @@ def _terms_json(terms: dict, den: int) -> list:
             for exp in _sorted_exponents(terms)
         ]
     except ValueError:
-        raise _too_many_digits() from None
+        raise too_many_digits() from None
 
 
 def poly_json(f) -> dict:
@@ -188,4 +196,4 @@ def scalar_matrix_json(mat) -> list:
     try:
         return [[str(v) for v in row] for row in mat.rows]
     except ValueError:
-        raise _too_many_digits() from None
+        raise too_many_digits() from None

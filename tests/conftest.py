@@ -1,20 +1,22 @@
 """Shared deterministic random generators for the property suites, the
 in-process CLI runner, the base-p^e digit split of a polynomial that the
-polynomial and level-matrix suites use as an oracle, the per-atom
-evaluator that the parser suite checks the folding evaluator against, and
-the commutator as two products that the bracket suite checks against."""
+polynomial and level-matrix suites use as an oracle, the binary sums that
+the sum suites check ``core_sum`` against, the per-atom evaluator that the
+parser suite checks the folding evaluator against, and the commutator as
+two products that the bracket suite checks against."""
 
 import io
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import settings
 
 from weylops import DiffOp, DomainError, FieldSpec, ParseError, Polynomial, PolyRing
 from weylops.cli import main
-from weylops.diffop import canonical, core_add, core_mul, core_neg, core_pow
+from weylops.diffop import canonical, core_mul, core_pow
 from weylops.opparser import _DSUGAR, _error_at
 
 # Property tests draw the same examples on every run (seeded from each
@@ -139,11 +141,63 @@ def frobenius_reassemble(ring: PolyRing, pieces: dict, e: int) -> Polynomial:
     return Polynomial(ring, {exp: c for exp, c in out.items() if c})
 
 
+def ref_poly_add(a: dict, b: dict, p: int) -> dict:
+    """a + b for polynomial dicts of ints or Fractions, one key at a time:
+    a's keys in order, b's new keys appended, a cancelled key dropped."""
+    out = dict(a)
+    for m, c in b.items():
+        c = out.get(m, 0) + c
+        if p:
+            c %= p
+        if c:
+            out[m] = c
+        else:
+            del out[m]
+    return out
+
+
+def ref_poly_scale(a: dict, c, p: int) -> dict:
+    """c times a polynomial dict, c nonzero in the field."""
+    return {m: v * c % p if p else v * c for m, v in a.items()}
+
+
+def ref_add(a: dict, b: dict, p: int) -> dict:
+    """a + b for operator dicts (exponent -> polynomial dict), one term at
+    a time as ``ref_poly_add`` adds coefficients, in its key order."""
+    out = dict(a)
+    for alpha, g in b.items():
+        h = ref_poly_add(out.get(alpha, {}), g, p)
+        if h:
+            out[alpha] = h
+        else:
+            out.pop(alpha, None)
+    return out
+
+
+def ref_scale(a: dict, c, p: int) -> dict:
+    """c times an operator dict, c nonzero in the field."""
+    return {alpha: ref_poly_scale(f, c, p) for alpha, f in a.items()}
+
+
+def ref_core_add(a, b, p: int):
+    """The canonical sum of two cores (num, den): both brought to the lcm
+    of the denominators, then added by ``ref_add``."""
+    (xn, xd), (yn, yd) = a, b
+    g = gcd(xd, yd)
+    return canonical(
+        ref_add(ref_scale(xn, yd // g, p), ref_scale(yn, xd // g, p), p), xd // g * yd
+    )
+
+
+def ref_core_neg(a, p: int):
+    return ref_scale(a[0], -1, p), a[1]
+
+
 def reference_evaluate(node, ring: PolyRing):
     """The parser's evaluator before it folded normal-ordered atoms: every
     atom becomes an operator core, and a product multiplies its factors
     one at a time through ``core_mul``, a sum adds its terms one at a time
-    through ``core_add``."""
+    through ``ref_core_add``."""
     p, n = ring.characteristic, ring.nvars
     zero = (0,) * n
 
@@ -183,12 +237,12 @@ def reference_evaluate(node, ring: PolyRing):
                 )
             return {alpha: {zero: 1}}, 1
         if kind == "neg":
-            return core_neg(ev(node[1]), p)
+            return ref_core_neg(ev(node[1]), p)
         if kind == "sum":
             acc = ev(node[1])
             for negate, term in node[2]:
                 value = ev(term)
-                acc = core_add(acc, core_neg(value, p) if negate else value, p)
+                acc = ref_core_add(acc, ref_core_neg(value, p) if negate else value, p)
             return acc
         if kind == "prod":
             factors = node[1]

@@ -12,11 +12,13 @@ and den == 1 for zero.
 import copy
 import random
 from fractions import Fraction
-from math import factorial, gcd, prod
+from math import factorial, gcd, lcm, prod
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import weylops._kernels as K
+from weylops import diffop, invariants, opparser, transpose
 from weylops import (
     DiffOp,
     FiniteGroup,
@@ -31,9 +33,22 @@ from weylops import (
     standard_transpose,
     twisted_transpose,
 )
-from weylops.diffop import canonical, core_add, core_neg, core_sum
+from weylops.diffop import canonical, core_sum
+from weylops.levelmatrix import SIZE_LIMIT, LevelMatrix, to_matrix
+from weylops.poly import Polynomial
 from weylops.render import render_op
-from conftest import make_ring, random_diffop
+from conftest import (
+    make_ring,
+    random_diffop,
+    random_level_bounded_op,
+    random_poly,
+    ref_add,
+    ref_core_add,
+    ref_core_neg,
+    ref_poly_add,
+    ref_poly_scale,
+    ref_scale,
+)
 
 RINGS = {n: make_ring(0, n) for n in (1, 2, 3)}
 
@@ -73,11 +88,11 @@ def _fraction_mul(a: dict, b: dict) -> dict:
 
 
 def _fraction_add(a: dict, b: dict) -> dict:
-    return K.diffop_add(a, b, 0)
+    return ref_add(a, b, 0)
 
 
 def _fraction_scale(a: dict, c) -> dict:
-    return K.diffop_scale(a, Fraction(c), 0) if c else {}
+    return ref_scale(a, Fraction(c), 0) if c else {}
 
 
 def _fraction_twisted(twist, xi: dict, n: int) -> dict:
@@ -166,8 +181,8 @@ def test_polynomial_arithmetic_and_apply_match_fraction_oracle(data):
     f, g = (data.draw(_polys(ring)) for _ in range(2))
     a, b = f.terms, g.terms
     _check_poly(f, a)
-    _check_poly(f + g, K.poly_add(a, b, 0))
-    _check_poly(f - g, K.poly_add(a, K.poly_neg(b, 0), 0))
+    _check_poly(f + g, ref_poly_add(a, b, 0))
+    _check_poly(f - g, ref_poly_add(a, ref_poly_scale(b, -1, 0), 0))
     _check_poly(f * g, K.poly_mul(a, b, 0))
     _check_poly(f * Fraction(-4, 3), K.poly_scale(a, Fraction(-4, 3), 0))
     n = data.draw(st.integers(0, 3))
@@ -245,14 +260,15 @@ def test_cancellation_resets_the_denominator():
 
 
 def _chain_sum(parts, p):
-    """The sum of the parts by a chain of ``core_add``/``core_neg`` calls."""
+    """The sum of the parts by a chain of binary sums, ``ref_core_add``
+    and ``ref_core_neg``, as ``core_add`` and ``core_neg`` added them."""
     acc = {}, 1
     for num, den, c in parts:
         if c == -1:
-            term = core_neg(canonical(num, den), p)
+            term = ref_core_neg(canonical(num, den), p)
         else:
-            term = canonical(K.diffop_scale(num, c, p), den)
-        acc = core_add(acc, term, p)
+            term = canonical(ref_scale(num, c, p), den)
+        acc = ref_core_add(acc, term, p)
     return acc
 
 
@@ -274,7 +290,7 @@ def test_core_sum_matches_a_chain_of_core_add():
             # parts that cancel a key and bring it back at the end
             if char == 0:
                 op = ops[0]
-                parts.append((K.diffop_scale(op.num, 2, 0), 2 * op.den, 1))
+                parts.append((ref_scale(op.num, 2, 0), 2 * op.den, 1))
             first = parts[0]
             parts += [(first[0], first[1], -first[2]), first]
             before = copy.deepcopy(parts)
@@ -301,21 +317,106 @@ def test_difference_matches_adding_the_negation():
             _assert_canonical(got)
 
 
+def _assert_core(core, p):
+    """The canonical form of a core (num, den): nonzero ints (residues
+    below p over F_p), no empty coefficient, den > 0 in lowest terms, and
+    den == 1 over F_p and for zero."""
+    num, den = core
+    values = [c for f in num.values() for c in f.values()]
+    assert all(num.values())
+    assert all(type(c) is int and c and (0 < c < p if p else True) for c in values)
+    assert type(den) is int and den > 0 and gcd(den, *values) == 1
+    if p or not num:
+        assert den == 1
+
+
+def _cancelling(rng, core, other, p):
+    """other plus some of core's terms negated, so that a sum with core
+    cancels whole keys and single coefficients."""
+    num, den = core
+    part = {a: ref_poly_scale(f, -1, p) for a, f in num.items() if rng.random() < 0.5}
+    return ref_core_add(canonical(part, den), other, p)
+
+
+def _same_sum(got, expected, p):
+    _assert_core(got, p)
+    assert got == expected
+    assert _key_order(got) == _key_order(expected)
+
+
+@pytest.mark.parametrize("p", (0, 2, 3, 5, 1000003))
+def test_every_sum_matches_the_binary_sum_oracles(p):
+    """Polynomial ``+``/``-``, DiffOp ``+``/``-``/unary ``-``, DiffOp(ring,
+    terms) and LevelMatrix ``+`` all add through ``core_sum``; each gives
+    the value, the canonical form and the key order at both levels of the
+    binary sums in ``conftest``, which add one key at a time."""
+    rng = random.Random(20261021 + p)
+    for _ in range(30):
+        ring = make_ring(p, rng.randint(1, 2))
+        zero = (0,) * ring.nvars
+
+        def poly_core(f):
+            return ({zero: f.num} if f.num else {}, f.den)
+
+        f = random_poly(rng, ring)
+        num, den = _cancelling(rng, poly_core(f), poly_core(random_poly(rng, ring)), p)
+        g = Polynomial._core(ring, (num.get(zero, {}), den))
+        # a g whose denominator differs from f's
+        if not p and rng.random() < 0.5:
+            g = g * Fraction(rng.randint(1, 5), rng.randint(1, 7))
+        x, y = poly_core(f), poly_core(g)
+        _same_sum(poly_core(f + g), ref_core_add(x, y, p), p)
+        _same_sum(poly_core(f - g), ref_core_add(x, ref_core_neg(y, p), p), p)
+
+        xi = random_diffop(rng, ring, max_order=2, coeff_degree=2)
+        x = xi.num, xi.den
+        eta = DiffOp._core(ring, _cancelling(
+            rng, x, (lambda op: (op.num, op.den))(random_diffop(rng, ring)), p))
+        y = eta.num, eta.den
+        for got, expected in (
+            (xi + eta, ref_core_add(x, y, p)),
+            (xi - eta, ref_core_add(x, ref_core_neg(y, p), p)),
+            (-xi, ref_core_neg(x, p)),
+        ):
+            _same_sum((got.num, got.den), expected, p)
+        # the field view back, in a shuffled term order
+        terms = list(eta.terms.items())
+        rng.shuffle(terms)
+        den = lcm(*(c.den for _, c in terms))
+        expected = {a: ref_poly_scale(c.num, den // c.den, p) for a, c in terms}, den
+        built = DiffOp(ring, dict(terms))
+        _same_sum((built.num, built.den), expected, p)
+
+        if p:
+            e = 1 if p**ring.nvars <= SIZE_LIMIT else 0
+            a = to_matrix(random_level_bounded_op(rng, ring, e), e)
+            cells = _cancelling(
+                rng, (a.cells, 1), (to_matrix(random_level_bounded_op(rng, ring, e), e).cells, 1),
+                p)[0]
+            b = LevelMatrix._from_cells(a.basis, cells)
+            _same_sum(((a + b).cells, 1), (ref_add(a.cells, b.cells, p), 1), p)
+    # a zero coefficient leaves no term behind
+    built = DiffOp(ring, {zero: ring.zero(), (1,) * ring.nvars: ring.one()})
+    assert (built.num, built.den) == ({(1,) * ring.nvars: {zero: 1}}, 1)
+
+
 # -- the kernels only ever see ints over Q --------------------------------------
 
 
 def test_operator_kernels_receive_only_ints_over_q(monkeypatch):
     """Operator products, powers, brackets, both transposes, the parser and
-    the transport, and polynomial sums, products, powers, values of
-    operators and substitutions hand the kernels integer numerators only."""
+    the transport, and operator and polynomial sums, products, powers,
+    values of operators and substitutions hand the kernels integer
+    numerators only.  ``core_sum`` is watched under every name it is
+    imported by, its parts (num, den, c) included."""
     names = ("diffop_mul", "diffop_bracket", "diffop_transpose", "diffop_apply",
-             "poly_add", "poly_mul", "poly_pow", "poly_substitute")
+             "core_sum", "poly_mul", "poly_pow", "poly_substitute")
     seen = dict.fromkeys(names, 0)
 
     def ints_only(value):
         if isinstance(value, dict):
             value = list(value.values())
-        if isinstance(value, list):
+        if isinstance(value, (list, tuple)):
             for v in value:
                 ints_only(v)
         else:
@@ -329,7 +430,9 @@ def test_operator_kernels_receive_only_ints_over_q(monkeypatch):
             ints_only(list(args))
             return kernel(*args)
 
-        monkeypatch.setattr(K, name, guarded)
+        for module in (K, diffop, opparser, transpose, invariants):
+            if getattr(module, name, None) is kernel:
+                monkeypatch.setattr(module, name, guarded)
 
     for name in names:
         wrap(name)

@@ -105,7 +105,6 @@ def test_poly_kernels_match_reference(p):
         n = rng.randint(1, 3)
         a, b = _rand_poly(rng, n, p), _rand_poly(rng, n, p)
         c = Fraction(-3, 2) if p == 0 else rng.randrange(p)
-        assert K.poly_add(a, b, p) == _ref_add(a, b, p)
         assert K.poly_neg(a, p) == _reduce({e: -v for e, v in a.items()}, p)
         assert K.poly_scale(a, c, p) == _reduce({e: v * c for e, v in a.items()}, p)
         assert K.poly_mul(a, b, p) == _ref_mul(a, b, p)
@@ -174,8 +173,9 @@ def test_diffop_mul_with_alpha_far_above_the_coefficient(p):
 
 
 def _per_gamma_mul(xi, eta, p):
-    """diffop_mul as one partial_apply, poly_mul, poly_scale and poly_add per
-    gamma in the box (the work bound left out)."""
+    """diffop_mul as one partial_apply, poly_mul and poly_scale per gamma in
+    the box, each added into its term as ``_ref_add`` adds (the work bound
+    left out)."""
     out = {}
     terms = [(beta, g, [max(c) + 1 for c in zip(*g)]) for beta, g in eta.items()]
     for alpha, f in xi.items():
@@ -191,13 +191,14 @@ def _per_gamma_mul(xi, eta, p):
                 if not factor:
                     continue
                 contrib = K.poly_scale(K.poly_mul(f, dg, p), factor, p)
-                out[target] = K.poly_add(out.get(target, {}), contrib, p)
+                out[target] = _ref_add(out.get(target, {}), contrib, p)
     return {exp: coeff for exp, coeff in out.items() if coeff}
 
 
 def _per_gamma_transpose(xi, p):
-    """diffop_transpose as one partial_apply, poly_neg and poly_add per gamma
-    in the box (the work bound left out)."""
+    """diffop_transpose as one partial_apply and poly_neg per gamma in the
+    box, each added into its term as ``_ref_add`` adds (the work bound left
+    out)."""
     out = {}
     for alpha, f in xi.items():
         ends = [min(a + 1, max(c) + 1) for a, c in zip(alpha, zip(*f))]
@@ -206,7 +207,7 @@ def _per_gamma_transpose(xi, p):
             if sum(alpha) % 2:
                 df = K.poly_neg(df, p)
             target = tuple(a - c for a, c in zip(alpha, gamma))
-            out[target] = K.poly_add(out.get(target, {}), df, p)
+            out[target] = _ref_add(out.get(target, {}), df, p)
     return {exp: coeff for exp, coeff in out.items() if coeff}
 
 
@@ -364,7 +365,7 @@ def test_pure_kernels_strip_zeros():
     p = 3
     a = {(1,): 1, (0,): 2}
     b = {(1,): 2, (0,): 1}
-    assert K.poly_add(a, b, p) == {}
+    assert K.core_sum([({(0,): a}, 1, 1), ({(0,): b}, 1, 1)], p) == ({}, 1)
     assert K.poly_scale(a, 0, p) == {}
     # (x + 2)(2x + 1) = 2x^2 + 5x + 2 = 2x^2 + 2x + 2 mod 3
     assert K.poly_mul(a, b, p) == {(2,): 2, (1,): 2, (0,): 2}

@@ -356,6 +356,38 @@ def test_cli_coefficient_past_the_printing_limit():
         assert "decimal digits" in err and "Traceback" not in err
 
 
+# a ^ chain multiplies exponents: N^N has ~4800 digits, past Python's 4300
+_N = "9" * 2400
+_HUGE = f"x1^{_N}^{_N}"
+
+
+@pytest.mark.parametrize("args", [
+    ["--nvars", "1", "normalize", _HUGE],
+    ["--nvars", "1", "--json", "normalize", _HUGE],
+    ["--nvars", "1", "apply", "d1", "--to", _HUGE],
+    ["--char", "3", "transpose", f"{_HUGE}*d1"],
+    ["--nvars", "1", "bracket", _HUGE, "d1"],
+    ["--nvars", "1", "normalize", f"d[2]*{_HUGE}"],
+], ids=["normalize", "normalize-json", "apply", "transpose", "bracket", "binomial"])
+def test_cli_integers_past_the_printing_limit(args):
+    code, out, err = run_cli(args)
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert ("guardrail" if "d[2]" in args[-1] else "decimal digits") in err
+
+
+def test_cli_order_past_the_printing_limit():
+    # over F_p with p ~ 2.7e24 and a = p^176 (4300 digits), d[a]^10000 is
+    # (10000a)!/(a!)^10000 * d[10000a], and the factor is 10000! mod p by
+    # Lucas' theorem, nonzero: an order of 4304 digits
+    p = 2701059125633088797802439
+    for json_flag in ([], ["--json"]):
+        code, out, err = run_cli(["--char", str(p), *json_flag, "order",
+                                  f"d[{p**176}]^10000"])
+        assert (code, out) == (3, "")
+        assert "the order has more than" in err and "Traceback" not in err
+
+
 def test_cli_long_flat_chains():
     # sums, differences, products and power chains evaluate left to right
     assert run_cli(["normalize", "+".join(["x1"] * 2000)]) == (0, "2000*x1\n", "")
