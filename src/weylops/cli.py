@@ -43,16 +43,22 @@ class SessionConfig:
         )
 
 
-def _json_text(payload) -> str:
-    """The payload as JSON, an exponent too long to print refused."""
+def _json_text(payload, what: str = "an exponent") -> str:
+    """The payload as JSON; an integer too long to print is refused as
+    ``what``."""
     try:
         return json.dumps(payload, indent=2)
     except ValueError:
-        raise render.too_many_digits("an exponent") from None
+        raise render.too_many_digits(what) from None
 
 
-def _emit(cfg: SessionConfig, text: str, payload: dict):
-    click.echo(_json_text(payload) if cfg.json_output else text)
+def _emit(cfg: SessionConfig, value, text, payload, what: str = "an exponent"):
+    """Print value in the one form asked for: ``text(value)``, or
+    ``payload(value)`` as JSON."""
+    if cfg.json_output:
+        click.echo(_json_text(payload(value), what))
+    else:
+        click.echo(text(value))
 
 
 # commands that read expressions take an argument such as "-d[1]" as the
@@ -60,8 +66,10 @@ def _emit(cfg: SessionConfig, text: str, payload: dict):
 EXPR_SETTINGS = {"ignore_unknown_options": True}
 
 
-def _scalar_payload(kind: str, value) -> dict:
-    return {"schema": render.SCHEMA, "kind": kind, "value": value}
+def _scalar_payload(kind: str):
+    """The JSON payload of a scalar answer of this kind, as a function of
+    the value."""
+    return lambda value: {"schema": render.SCHEMA, "kind": kind, "value": value}
 
 
 @click.group()
@@ -93,7 +101,7 @@ def cli(ctx, characteristic, nvars, var_names, json_output):
 def normalize(cfg: SessionConfig, expr):
     """Parse an operator expression and print its normal form."""
     op = parse_operator(expr, cfg.ring())
-    _emit(cfg, render.render_op(op), render.op_json(op))
+    _emit(cfg, op, render.render_op, render.op_json)
 
 
 @cli.command("apply", context_settings=EXPR_SETTINGS)
@@ -106,8 +114,7 @@ def apply_cmd(cfg: SessionConfig, expr, target):
     ring = cfg.ring()
     op = parse_operator(expr, ring)
     f = parse_polynomial(target, ring)
-    result = op.apply(f)
-    _emit(cfg, render.render_poly(result), render.poly_json(result))
+    _emit(cfg, op.apply(f), render.render_poly, render.poly_json)
 
 
 @cli.command(context_settings=EXPR_SETTINGS)
@@ -125,8 +132,7 @@ def transpose(cfg: SessionConfig, expr, twist):
     else:
         polys = [parse_polynomial(s, ring) for s in twist.split(",")]
         phi = AntiAutomorphism.twisted(ring, polys)
-    result = phi(op)
-    _emit(cfg, render.render_op(result), render.op_json(result))
+    _emit(cfg, phi(op), render.render_op, render.op_json)
 
 
 @cli.command(context_settings=EXPR_SETTINGS)
@@ -135,8 +141,8 @@ def transpose(cfg: SessionConfig, expr, twist):
 def order(cfg: SessionConfig, expr):
     """Order of an operator (-1 for zero)."""
     op = parse_operator(expr, cfg.ring())
-    value = op.order()
-    _emit(cfg, render.int_text(value, "the order"), _scalar_payload("order", value))
+    _emit(cfg, op.order(), lambda v: render.int_text(v, "the order"),
+          _scalar_payload("order"), "the order")
 
 
 @cli.command(context_settings=EXPR_SETTINGS)
@@ -145,8 +151,7 @@ def order(cfg: SessionConfig, expr):
 def level(cfg: SessionConfig, expr):
     """Level of an operator (characteristic p only)."""
     op = parse_operator(expr, cfg.ring())
-    value = op.level()
-    _emit(cfg, str(value), _scalar_payload("level", value))
+    _emit(cfg, op.level(), str, _scalar_payload("level"))
 
 
 @cli.command("bracket", context_settings=EXPR_SETTINGS)
@@ -157,7 +162,7 @@ def bracket_cmd(cfg: SessionConfig, left, right):
     """Commutator of two operators."""
     ring = cfg.ring()
     result = op_bracket(parse_operator(left, ring), parse_operator(right, ring))
-    _emit(cfg, render.render_op(result), render.op_json(result))
+    _emit(cfg, result, render.render_op, render.op_json)
 
 
 @cli.command("matrix", context_settings=EXPR_SETTINGS)
@@ -250,14 +255,13 @@ def pseudoreflections(obj):
     """List the pseudoreflections in the group."""
     cfg, G = obj
     refl = G.pseudoreflections()
-    payload = {
-        "schema": render.SCHEMA,
-        "kind": "pseudoreflections",
-        "count": len(refl),
-        "elements": [render.scalar_matrix_json(g.matrix) for g in refl],
-    }
     if cfg.json_output:
-        click.echo(_json_text(payload))
+        click.echo(_json_text({
+            "schema": render.SCHEMA,
+            "kind": "pseudoreflections",
+            "count": len(refl),
+            "elements": [render.scalar_matrix_json(g.matrix) for g in refl],
+        }))
     else:
         click.echo(f"{len(refl)} pseudoreflection(s)")
         for g in refl:
@@ -274,9 +278,8 @@ def invariant_check(obj, expr):
     """Whether an operator is fixed by the whole group."""
     cfg, G = obj
     op = parse_operator(expr, cfg.ring())
-    value = inv.is_invariant(G, op)
-    _emit(cfg, "true" if value else "false",
-          _scalar_payload("invariant", value))
+    _emit(cfg, inv.is_invariant(G, op), lambda v: "true" if v else "false",
+          _scalar_payload("invariant"))
 
 
 @group_cmd.command("reynolds", context_settings=EXPR_SETTINGS)
@@ -286,8 +289,7 @@ def reynolds_cmd(obj, expr):
     """Group average of an operator."""
     cfg, G = obj
     op = parse_operator(expr, cfg.ring())
-    result = inv.reynolds(G, op)
-    _emit(cfg, render.render_op(result), render.op_json(result))
+    _emit(cfg, inv.reynolds(G, op), render.render_op, render.op_json)
 
 
 # longest usage-error message printed whole; click quotes option values

@@ -85,29 +85,56 @@ class GroupElement:
 
 
 class FiniteGroup:
-    """Explicit list of elements; closure, inverses and identity checked."""
+    """Explicit list of elements, checked to be a group from generators.
 
-    __slots__ = ("elements",)
+    A finite set of invertible matrices that holds the identity is a group
+    exactly when it is closed under products; inverses then come free.
+    ``generators`` is chosen greedily in list order: an element not yet
+    reached from the earlier generators becomes one, so each at least
+    doubles the reached subgroup and there are at most log2 |G| of them.
+    Every reached element is multiplied by every generator once, |G| times
+    |S| products, and the check refuses at the first product outside the
+    list.  The products of generators reach every element and are closed
+    under right multiplication by them, so the list is closed under
+    products.
+    """
+
+    __slots__ = ("elements", "generators")
 
     def __init__(self, elements):
         elements = list(elements)
         if not elements:
             raise DomainError("a group needs at least the identity")
-        seen = set(elements)
-        if len(seen) != len(elements):
+        by_key = {g._key: g for g in elements}
+        if len(by_key) != len(elements):
             raise DomainError("duplicate group elements")
-        identity = GroupElement(
-            Matrix.identity(elements[0].matrix.field, elements[0].n)
-        )
-        if identity not in seen:
+        one = Matrix.identity(elements[0].matrix.field, elements[0].n)
+        identity = by_key.get(tuple(map(tuple, one.rows)))
+        if identity is None:
             raise DomainError("group does not contain the identity")
+        generators, reached, inside = [], [identity], {identity._key}
+
+        def grow(x, gens):
+            """Append the products x*s, s in gens, not reached before."""
+            for s in gens:
+                key = tuple(map(tuple, (x.matrix * s.matrix).rows))
+                if key not in inside:
+                    if key not in by_key:
+                        raise DomainError("group is not closed under products")
+                    inside.add(key)
+                    reached.append(by_key[key])
+
+        done = 0  # reached[:done] is multiplied by every generator
         for g in elements:
-            if g.inverse() not in seen:
-                raise DomainError("group is not closed under inverses")
-            for h in elements:
-                if g * h not in seen:
-                    raise DomainError("group is not closed under products")
+            if g._key not in inside:
+                for x in reached[:done]:
+                    grow(x, (g,))
+                generators.append(g)
+                while done < len(reached):
+                    grow(reached[done], generators)
+                    done += 1
         self.elements = elements
+        self.generators = generators
 
     @property
     def order(self) -> int:
@@ -163,11 +190,16 @@ def reynolds(G: FiniteGroup, xi: DiffOp) -> DiffOp:
 
 
 def is_invariant(G: FiniteGroup, xi: DiffOp) -> bool:
-    return all(act_on_op(g, xi) == xi for g in G)
+    """Whether every element fixes xi: a fixed point of the generators is
+    fixed by the group."""
+    G.elements[0]._check_ring(xi.ring)
+    return all(act_on_op(g, xi) == xi for g in G.generators)
 
 
 def is_invariant_poly(G: FiniteGroup, f: Polynomial) -> bool:
-    return all(act_on_poly(g, f) == f for g in G)
+    """Whether every element fixes f, tested on the generators."""
+    G.elements[0]._check_ring(f.ring)
+    return all(act_on_poly(g, f) == f for g in G.generators)
 
 
 def equivariance_check(G: FiniteGroup, xi: DiffOp, allow_modular: bool = False) -> bool:

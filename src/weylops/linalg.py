@@ -108,18 +108,6 @@ class Matrix:
     def __rmul__(self, other):
         return self.scale(other)
 
-    def matvec(self, vec):
-        if len(vec) != self.ncols:
-            raise DomainError("vector length mismatch")
-        F = self.field
-        out = []
-        for row in self.rows:
-            acc = F.zero()
-            for a, b in zip(row, vec):
-                acc = F.add(acc, F.mul(a, b))
-            out.append(acc)
-        return out
-
     def transpose(self) -> Matrix:
         return Matrix._reduced(self.field, [list(c) for c in zip(*self.rows)])
 

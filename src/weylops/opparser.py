@@ -35,6 +35,20 @@ and reduces it once.  The value, and every error with its message and
 its left-to-right order, are those of multiplying and adding the atoms
 one at a time.
 
+``parse_operator`` reads flat text in one scanning pass, with no token
+list and no AST.  Flat text is an optional leading ``-`` and terms joined
+by ``+`` and ``-``, each a product (``*`` or juxtaposition) of ``NAT``,
+``NAT/NAT``, ``d[...]`` and ring variables with at most one ``^NAT``, and
+no variable after a nonzero ``d``.  The scanner folds each factor into
+the pending term as the evaluator does, and a sign closes the term into
+a part of one ``core_sum``, so value and key order are the evaluator's.
+At anything else (a parenthesis, a ``^`` chain, ``dN`` sugar or a name
+the ring lacks, a sign after ``*`` or after a sign, a dangling operator,
+a number past Python's digit limit, a zero denominator, a refused
+binomial) it returns without raising, and the text is parsed from the
+start by the descent and evaluated.  So every refusal, with its message
+and in its reading order, comes from the full grammar.
+
 Nothing here estimates what evaluation costs: the term kernels refuse
 work past ``_kernels.WORK_LIMIT`` themselves.  Folded atoms form no
 kernel product and so draw nothing from that bound.
@@ -50,17 +64,28 @@ from .diffop import DiffOp, core_mul, core_pow, core_sum
 from .errors import DomainError, ParseError
 from .poly import PolyRing
 
+# The one lexical grammar, read by the scanner and by the descent.  A
+# number may carry "/NAT" and a name "^NAT", the factors of flat text;
+# ``tokenize`` splits such a match back into its three tokens.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<num>\d+)
-  | (?P<dsym>d\[[^\]]*\])
-  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op>[-+*^/()])
-  | (?P<bad>.)
+    \s*
+    (?:
+        (?P<num>\d+) (?: \s* (?P<slash>/) \s* (?P<den>\d+) )?
+      | (?P<dsym>d\[[^\]]*\])
+      | (?P<ident>[A-Za-z_][A-Za-z_0-9]*) (?: \s* (?P<caret>\^) \s* (?P<exp>\d+) )?
+      | (?P<op>[-+*^/()])
+      | (?P<bad>\S)
+    )
 """,
     re.VERBOSE,
 )
+
+# a match's last group -> its tokens, as (group, token kind)
+_TOKENS_OF = {
+    "den": (("num", "num"), ("slash", "op"), ("den", "num")),
+    "exp": (("ident", "ident"), ("caret", "op"), ("exp", "num")),
+}
 
 _DSYM_BODY = re.compile(r"d\[([0-9, ]*)\]\Z")
 
@@ -90,11 +115,10 @@ def tokenize(src: str):
     tokens = []
     for m in _TOKEN_RE.finditer(src):
         kind = m.lastgroup
-        if kind == "ws":
-            continue
         if kind == "bad":
-            raise _error_at(f"unexpected character {m.group()!r}", src, m.start())
-        tokens.append((kind, m.group(), m.start()))
+            raise _error_at(f"unexpected character {m[kind]!r}", src, m.start(kind))
+        for group, token in _TOKENS_OF.get(kind, ((kind, kind),)):
+            tokens.append((token, m[group], m.start(group)))
     tokens.append(("end", "", len(src)))
     return tokens
 
@@ -299,17 +323,8 @@ def evaluate(node, ring: PolyRing):
                                         node[2], node[3])
                 else:
                     break
-                # d^[beta] * d^[gamma] = C(beta + gamma, beta) * d^[beta + gamma],
-                # one variable at a time as diffop_mul builds its rows
-                for i, g in enumerate(gamma):
-                    if g:
-                        b = beta[i]
-                        if b and num:
-                            num *= _binom(b + g, b, p)
-                            if p:
-                                num %= p
-                        beta[i] = b + g
-                        plain = False
+                num = _compose_d(num, beta, gamma, p)
+                plain = plain and not any(gamma)
             if negate:
                 num = -num
             if p:
@@ -365,8 +380,97 @@ def evaluate(node, ring: PolyRing):
     return ev(node)
 
 
+def _compose_d(num, beta, gamma, p):
+    """num times C(beta + gamma, beta), the coefficient of
+    d^[beta] * d^[gamma] = C(beta + gamma, beta) * d^[beta + gamma]; beta
+    becomes beta + gamma in place.  One variable at a time, as diffop_mul
+    builds its rows, and no binomial once num is zero."""
+    for i, g in enumerate(gamma):
+        if g:
+            b = beta[i]
+            if b and num:
+                num *= _binom(b + g, b, p)
+                if p:
+                    num %= p
+            beta[i] = b + g
+    return num
+
+
+def _scan(src: str, ring: PolyRing):
+    """The core of flat text (module docstring), folded in one pass over
+    the matches of ``_TOKEN_RE`` as ``evaluate`` folds it; None for any
+    other text and for any text ``evaluate`` refuses.  Raises nothing."""
+    p, n = ring.characteristic, ring.nvars
+    index = {name: i for i, name in enumerate(ring.var_names)}
+    matches = _TOKEN_RE.findall(src)
+    # a leading minus (the op group, 7, of the first match) negates the
+    # first factor
+    negate = bool(matches) and matches[0][7] == "-"
+    parts = []
+    c = 1  # the pending term num/den * x^mono * d^[beta] is added c times
+    num, den, mono, beta, plain = -1 if negate else 1, 1, [0] * n, [0] * n, True
+    want = True  # a factor must come next
+    try:
+        for digits, _, denom, dsym, name, _, exp, op, _ in (
+                matches[1:] if negate else matches):
+            if digits:
+                num *= int(digits)
+                if denom:
+                    b = int(denom)
+                    if not (b % p if p else b):
+                        return None
+                    if p:
+                        num *= pow(b, -1, p)
+                    else:
+                        den *= b
+            elif name:
+                i = index.get(name)
+                if i is None or not plain:
+                    return None
+                mono[i] += int(exp) if exp else 1
+            elif dsym:
+                if not _DSYM_BODY.match(dsym):
+                    return None
+                gamma = tuple(map(int, dsym[2:-1].split(",")))
+                if len(gamma) != n:
+                    return None
+                num = _compose_d(num, beta, gamma, p)
+                plain = plain and not any(gamma)
+            elif want:
+                return None
+            elif op == "*":
+                want = True
+                continue
+            elif op == "+" or op == "-":
+                if num:
+                    parts.append(({tuple(beta): {tuple(mono): num}}, den, c))
+                c = 1 if op == "+" else -1
+                num, den, mono, beta, plain = 1, 1, [0] * n, [0] * n, True
+                want = True
+                continue
+            else:
+                return None
+            if p:
+                num %= p
+            want = False
+    except (ValueError, DomainError):
+        # a d[...] entry that is not a natural, a number past Python's
+        # digit limit, or a binomial refused
+        return None
+    if want:
+        return None
+    if num:
+        parts.append(({tuple(beta): {tuple(mono): num}}, den, c))
+    return core_sum(parts, p)
+
+
 def parse_operator(src: str, ring: PolyRing) -> DiffOp:
-    return DiffOp._core(ring, evaluate(parse(src), ring))
+    """The operator that src denotes: flat text by one scanning pass, any
+    other text, and every refusal, by ``parse`` and ``evaluate``."""
+    core = _scan(src, ring)
+    if core is None:
+        core = evaluate(parse(src), ring)
+    return DiffOp._core(ring, core)
 
 
 def parse_polynomial(src: str, ring: PolyRing):

@@ -179,9 +179,6 @@ class Polynomial:
         c = self.num.get(tuple(exp), 0)
         return c if self.ring.characteristic else Fraction(c, self.den)
 
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.num)
-
     # -- arithmetic ----------------------------------------------------
 
     def _check(self, other: Polynomial):

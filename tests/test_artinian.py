@@ -177,11 +177,23 @@ def test_socle_adjoint_of_derivative():
         for j in range(A.dim):
             f = [F.one() if k == i else F.zero() for k in range(A.dim)]
             g = [F.one() if k == j else F.zero() for k in range(A.dim)]
-            lhs = _pair(A, gram, adj.matvec(f), g)
-            rhs = _pair(A, gram, f, D.matvec(g))
+            lhs = _pair(A, gram, _matvec(adj, f), g)
+            rhs = _pair(A, gram, f, _matvec(D, g))
             assert lhs == rhs
     expected = Matrix(F, [[0, 2, 0], [0, 0, 1], [0, 0, 0]])
     assert adj == expected
+
+
+def _matvec(M, vec):
+    """The matrix M times the column vector vec, in M's field."""
+    F = M.field
+    out = []
+    for row in M.rows:
+        acc = F.zero()
+        for a, b in zip(row, vec):
+            acc = F.add(acc, F.mul(a, b))
+        out.append(acc)
+    return out
 
 
 def _pair(A, gram, u, v):

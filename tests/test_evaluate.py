@@ -1,19 +1,24 @@
-"""The folding evaluator against the per-atom reference evaluator.
+"""The folding evaluator and the flat-text scanner against the per-atom
+reference evaluator.
 
 ``opparser.evaluate`` folds normal-ordered atoms into one term and the
 folded terms of a sum into one accumulator; ``conftest.reference_evaluate``
 multiplies and adds one atom at a time through the core functions.  Every
 input must give the same core, or the same exception type and message.
+``parse_operator`` scans flat text in one pass and hands anything else to
+``parse`` and ``evaluate``; through it, parse errors count too, and the
+key order at both levels must be the evaluator's.
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from weylops import DomainError, WeylOpsError
+from weylops import DomainError, ParseError, WeylOpsError, opparser
 from weylops._kernels import BINOM_BITS_LIMIT
-from weylops.opparser import evaluate, parse
+from weylops.opparser import _error_at, _scan, evaluate, parse, parse_operator, tokenize
 from conftest import CHARACTERISTICS, make_ring, reference_evaluate
 
 
@@ -93,13 +98,19 @@ def _expr(rng, n, depth=0):
 def test_fuzz_matches_the_reference_evaluator():
     rng = random.Random(20261019)
     rings = [make_ring(p, n) for n in (1, 2, 3) for p in CHARACTERISTICS]
-    outcomes = {"value": 0, "error": 0, "parse": 0}
+    outcomes = {"value": 0, "error": 0, "parse": 0, "scanned": 0}
     for k in range(2000):
         ring = rings[k % 12]
-        got = _same_outcome(_expr(rng, ring.nvars), ring)
+        text = _expr(rng, ring.nvars)
+        got = _same_outcome(text, ring)
         kind = "parse" if got is None else "value" if got[0] == "value" else "error"
         outcomes[kind] += 1
-    # the inputs reach every kind of outcome
+        scanned = _scan(text, ring)
+        if scanned is not None:
+            # the fast path took this text, and agrees with the evaluator
+            assert got == ("value", scanned), text
+            outcomes["scanned"] += 1
+    # the inputs reach every kind of outcome, and the scanner stays live
     assert min(outcomes.values()) >= 100, outcomes
 
 
@@ -141,3 +152,141 @@ def test_folded_atoms_keep_their_refusals_and_zeros():
 def test_division_by_zero_in_reading_order(text):
     _same_outcome(text, make_ring(0, 1))
     _same_outcome(text, make_ring(3, 1))
+
+
+# -- the whole of parse_operator: scanner, fallback and parse errors --------
+
+
+def _keys(core):
+    """The key order of a core at both levels."""
+    num, _ = core
+    return [(alpha, list(f)) for alpha, f in num.items()]
+
+
+def _front_end_outcome(text, ring):
+    """parse_operator and reference_evaluate(parse(text)) on text: the same
+    core with the same key order, or the same exception type and message."""
+    try:
+        op = parse_operator(text, ring)
+        got = "value", (op.num, op.den)
+    except WeylOpsError as exc:
+        got = type(exc), str(exc)
+    try:
+        node = parse(text)
+        want = "value", reference_evaluate(node, ring)
+    except WeylOpsError as exc:
+        want = type(exc), str(exc)
+    assert got == want, text
+    if got[0] == "value":
+        assert _keys(got[1]) == _keys(evaluate(node, ring)), text
+    return got
+
+
+# texts on both sides of the line between flat and not flat
+_BREAKERS = [
+    "x1^2^3", "x1^23^4", "x1 ^ 2 ^ 3", "d1", "x1*d1*x1", "2*-x1", "x1 - -x2", "+x1",
+    "*", "+", "/", "-", "3/0", "3/ 0", "d[1,0", "d[1, 0]", "d[ 2 ]", "d[]",
+    "d[1,,0]", "d[+1]", "d[1_0]", "(x1)", "x1/2", "2^3", "d[1]^2", "x", "e",
+    "d", "dx", "x1x2", "2x1", "x1 2", "\n", "\t", "1_0", "?", "- -",
+    "d[20000]*d[20000]", "d[20000]*d[20000] + (", "d[20000] d[30000]*y",
+    "1" * 4300, "1" * 4301, "2/" + "3" * 4301, "x1^" + "1" * 4301,
+    "d[" + "1" * 4301 + "]", "0*d[20000]*d[20000]", "d[1]*d[1]",
+]
+
+
+def _flat_term(rng, names, n):
+    factors = []
+    for _ in range(rng.randint(1, 4)):
+        roll = rng.random()
+        if roll < 0.3:
+            name = rng.choice(names)
+            factors.append(name + (f"^{rng.randint(0, 3)}" if rng.random() < 0.3 else ""))
+        elif roll < 0.55:
+            entries = [rng.choice([0, 0, 1, 2, 3, 20000]) if rng.random() < 0.05
+                       else rng.randint(0, 3) for _ in range(n)]
+            factors.append("d[" + rng.choice([",", ", "]).join(map(str, entries)) + "]")
+        elif roll < 0.8:
+            factors.append(str(rng.choice([0, 1, 2, 3, 5, 7, 10, 25, 10**30])))
+        else:
+            factors.append(f"{rng.randint(0, 9)}/{rng.choice([1, 2, 3, 4, 5, 6, 7, 10])}")
+    return "".join(f + rng.choice(["*", "*", " * ", " "]) for f in factors)[:-1].rstrip(" *")
+
+
+def _front_end_text(rng, names, n):
+    """A flat text, now and then broken by one of ``_BREAKERS``."""
+    text = ("-" if rng.random() < 0.3 else "") + _flat_term(rng, names, n)
+    for _ in range(rng.randint(0, 3)):
+        text += rng.choice([" + ", " - ", "+", "-"]) + _flat_term(rng, names, n)
+    if rng.random() < 0.4:
+        cut = rng.randrange(len(text) + 1)
+        joint = rng.choice(["", " ", "*", " + "])
+        text = text[:cut] + joint + rng.choice(_BREAKERS) + text[cut:]
+    return text
+
+
+def test_fuzz_parse_operator_matches_the_reference():
+    rng = random.Random(2026102201)
+    rings = [make_ring(p, n) for n in (1, 2, 3) for p in (0, 2, 3, 5, 1000003)]
+    rings += [make_ring(p, 2, ("d", "e")) for p in (0, 3)]
+    outcomes = {"value": 0, "error": 0, "parse": 0, "scanned": 0}
+    for k in range(1800):
+        ring = rings[k % len(rings)]
+        text = _front_end_text(rng, ring.var_names, ring.nvars)
+        got = _front_end_outcome(text, ring)
+        kind = ("value" if got[0] == "value" else
+                "parse" if got[0] is ParseError else "error")
+        outcomes[kind] += 1
+        outcomes["scanned"] += _scan(text, ring) is not None
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_every_breaker_alone_and_in_a_flat_sum():
+    rings = [make_ring(p, 2, names) for p in (0, 3) for names in (None, ("d", "e"))]
+    for text in _BREAKERS:
+        for ring in rings:
+            for whole in (text, f"x1*{text}", f"{text} - 2*d[1,0]", f"-3/4*d[1,1] + {text}"):
+                _front_end_outcome(whole, ring)
+
+
+# one token per match, the lexer before numbers and names carried their
+# "/NAT" and "^NAT" (the reference for ``tokenize``)
+_REFERENCE_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)|(?P<num>\d+)|(?P<dsym>d\[[^\]]*\])"
+    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^/()])|(?P<bad>.)")
+
+
+def _reference_tokens(src):
+    tokens = []
+    for m in _REFERENCE_TOKEN_RE.finditer(src):
+        if m.lastgroup == "bad":
+            raise _error_at(f"unexpected character {m.group()!r}", src, m.start())
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, m.group(), m.start()))
+    return tokens + [("end", "", len(src))]
+
+
+def test_tokens_match_the_one_token_per_match_lexer():
+    rng = random.Random(2026102202)
+    texts = list(_BREAKERS)
+    for _ in range(500):
+        n = rng.randint(1, 3)
+        texts.append(_expr(rng, n))
+        texts.append(_front_end_text(rng, [f"x{i}" for i in range(1, n + 1)], n))
+        texts.append("".join(rng.choice("x1d[],0 9/^*+-()\n\t?_e") for _ in range(12)))
+    for text in texts:
+        outcomes = []
+        for lexer in (tokenize, _reference_tokens):
+            try:
+                outcomes.append(lexer(text))
+            except ParseError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], text
+
+
+def test_flat_text_is_scanned_not_parsed(monkeypatch):
+    ring = make_ring(0, 3)
+    text = "-3/4*x1*x3^2*d[1,0,2] + x2 - 5 x1 d[0,1,0] + 7/2*x1^2*d[1,1,1]"
+    want = evaluate(parse(text), ring)
+    monkeypatch.setattr(opparser, "parse", None)
+    op = parse_operator(text, ring)
+    assert (op.num, op.den) == want and _keys(want) == _keys((op.num, op.den))

@@ -165,8 +165,8 @@ def test_group_action_does_no_elimination(rng, monkeypatch):
 
 
 def test_closure_check_eliminates_only_the_identity(monkeypatch):
-    """FiniteGroup builds its identity from a matrix (one elimination) and
-    checks closure under products and inverses with the carried inverses."""
+    """FiniteGroup checks closure from its generators by matrix products
+    alone, with at most one elimination."""
     elements = {"d4": list(_dihedral_group(_sign_ring().field)),
                 "gl2f3": list(_gl2_group(3))}
     calls = _count_eliminations(monkeypatch)
@@ -175,6 +175,49 @@ def test_closure_check_eliminates_only_the_identity(monkeypatch):
         FiniteGroup(elems)
         assert calls["inverse"] - before["inverse"] <= 1
         assert calls["rref"] - before["rref"] <= 1
+
+
+def test_closure_from_generators(monkeypatch):
+    """The closure check multiplies every element by every generator once,
+    and the generators reach the whole list."""
+    from weylops import linalg
+
+    F = _sign_ring().field
+    mul = linalg.Matrix.__mul__
+    for elems in (list(_gl2_group(2)), list(_gl2_group(3)), list(_dihedral_group(F)),
+                  list(_s3_group(F))):
+        calls = []
+        monkeypatch.setattr(linalg.Matrix, "__mul__",
+                            lambda a, b: calls.append(1) or mul(a, b))
+        S = FiniteGroup(elems).generators
+        monkeypatch.undo()
+        assert len(calls) == len(elems) * len(S) and 2 ** len(S) <= len(elems)
+        reached = set()
+        frontier = [GroupElement(Matrix.identity(elems[0].matrix.field, elems[0].n))]
+        while frontier:
+            g = frontier.pop()
+            if g not in reached:
+                reached.add(g)
+                frontier.extend(g * s for s in S)
+        assert reached == set(elems)
+
+
+def test_invariance_is_tested_on_the_generators(rng):
+    """A fixed point of the generators is fixed by every element; the
+    ring is checked even when the group has no generator."""
+    R = _sign_ring()
+    for G in (_rotation_group(R.field), _dihedral_group(R.field)):
+        assert len(G.generators) < G.order
+        for _ in range(10):
+            xi = random_diffop(rng, R, max_order=2, max_terms=2)
+            for op in (xi, reynolds(G, xi)):
+                assert is_invariant(G, op) == all(act_on_op(g, op) == op for g in G)
+    trivial = FiniteGroup([GroupElement(Matrix.identity(R.field, 2))])
+    assert trivial.generators == [] and is_invariant(trivial, DiffOp.partial(R, 0))
+    with pytest.raises(DomainError):
+        is_invariant(trivial, DiffOp.partial(make_ring(0, 3), 0))
+    with pytest.raises(DomainError):
+        is_invariant_poly(trivial, make_ring(0, 3).variable(0))
 
 
 def test_group_validation():
@@ -186,8 +229,12 @@ def test_group_validation():
         GroupElement(Matrix(F, [[1, 1], [1, 1]]))  # singular
     rot = GroupElement(Matrix(F, [[0, -1], [1, 0]]))
     ident = GroupElement(Matrix.identity(F, 2))
-    with pytest.raises(DomainError):
-        FiniteGroup([ident, rot])  # not closed
+    for elems, message in (([ident, rot], "not closed under products"),
+                           ([ident, minus, ident], "duplicate"),
+                           ([minus, rot], "does not contain the identity"),
+                           ([], "at least the identity")):
+        with pytest.raises(DomainError, match=message):
+            FiniteGroup(elems)
 
 
 def test_act_on_poly_examples():
@@ -355,6 +402,10 @@ def test_equivariance_char_p_needs_flag(rng):
     assert equivariance_check(G, xi, allow_modular=True)
 
 
+def _is_constant(f):
+    return all(sum(e) == 0 for e in f.num)
+
+
 def test_transformed_derivatives_are_constant_derivations(rng):
     R = _sign_ring()
     for G in (_rotation_group(R.field), _dihedral_group(R.field)):
@@ -362,4 +413,4 @@ def test_transformed_derivatives_are_constant_derivations(rng):
             for i in range(2):
                 moved = act_on_op(g, DiffOp.partial(R, i))
                 assert moved.is_derivation()
-                assert all(f.is_constant() for f in moved.terms.values())
+                assert all(_is_constant(f) for f in moved.terms.values())

@@ -388,6 +388,24 @@ def test_cli_order_past_the_printing_limit():
         assert "the order has more than" in err and "Traceback" not in err
 
 
+def test_cli_renders_only_the_printed_form(monkeypatch):
+    from weylops import render
+
+    def refuse(*args):
+        raise AssertionError("rendered a form that is not printed")
+
+    commands = (["normalize", "d1*x1"], ["apply", "d1", "--to", "x1^2"],
+                ["transpose", "x1*d1"], ["bracket", "d1", "x1"])
+    for flag, skipped in (([], ("op_json", "poly_json")),
+                          (["--json"], ("render_op", "render_poly"))):
+        with monkeypatch.context() as m:
+            for name in skipped:
+                m.setattr(render, name, refuse)
+            for args in commands:
+                code, out, err = run_cli([*flag, *args])
+                assert (code, err) == (0, ""), args
+
+
 def test_cli_long_flat_chains():
     # sums, differences, products and power chains evaluate left to right
     assert run_cli(["normalize", "+".join(["x1"] * 2000)]) == (0, "2000*x1\n", "")
