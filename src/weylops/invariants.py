@@ -13,8 +13,8 @@ from __future__ import annotations
 from .diffop import DiffOp, core_sum
 from .errors import DomainError
 from .linalg import Matrix
-from .poly import Polynomial, PolyRing, RingMap, apply_ring_map
-from .transpose import standard_transpose, transport_by_rows
+from .poly import Polynomial, PolyRing, RingMap, substitute
+from .transpose import prepare_substitution, standard_transpose, transport_prepared
 # not called here; perfbench/tests checks that its tracer rebinds this
 # imported name
 from .transpose import transport_via_coordinates  # noqa: F401
@@ -27,9 +27,17 @@ class GroupElement:
     from a matrix alone; products and inverses of elements carry theirs
     along ((gh)^-1 = h^-1 g^-1), so the group operations and the action
     eliminate nothing.
+
+    The substitution is prepared on the element's first action and kept
+    (``transpose.Substitution``): whether it is the identity, the images of
+    the variables as integer polynomials over one denominator, and the
+    inverse's integer rows with their supports.  So building a group and
+    checking its closure prepare nothing, and every later action on a
+    polynomial or an operator reuses the record.  Its size depends on the
+    matrix alone; nothing that depends on an operator is kept.
     """
 
-    __slots__ = ("matrix", "_inverse", "_key")
+    __slots__ = ("matrix", "_inverse", "_key", "_substitution")
 
     def __init__(self, matrix: Matrix):
         if matrix.nrows != matrix.ncols:
@@ -44,6 +52,7 @@ class GroupElement:
         self.matrix = matrix
         self._inverse = inverse
         self._key = tuple(tuple(r) for r in matrix.rows)
+        self._substitution = None
 
     @classmethod
     def _with_inverse(cls, matrix: Matrix, inverse: Matrix) -> GroupElement:
@@ -63,8 +72,18 @@ class GroupElement:
     def inverse(self) -> GroupElement:
         return GroupElement._with_inverse(self._inverse, self.matrix)
 
+    def substitution(self):
+        """The prepared substitution (class docstring), built on first use."""
+        sub = self._substitution
+        if sub is None:
+            sub = self._substitution = prepare_substitution(
+                self.matrix.rows, self._inverse.rows,
+                self.matrix.field.characteristic,
+            )
+        return sub
+
     def is_identity(self) -> bool:
-        return self.matrix == Matrix.identity(self.matrix.field, self.n)
+        return self.substitution().identity
 
     def __eq__(self, other):
         return isinstance(other, GroupElement) and self._key == other._key
@@ -156,15 +175,20 @@ def is_pseudoreflection(g: GroupElement) -> bool:
 
 
 def act_on_poly(g: GroupElement, f: Polynomial) -> Polynomial:
-    """Substitution action of the matrix on a polynomial."""
-    return apply_ring_map(g.ring_map(f.ring), f)
+    """Substitution action of the matrix on a polynomial, by the prepared
+    images of the variables."""
+    g._check_ring(f.ring)
+    sub = g.substitution()
+    return Polynomial._core(f.ring, substitute(
+        f.num, f.den, sub.images, sub.row_den, f.ring.characteristic, {}
+    ))
 
 
 def act_on_op(g: GroupElement, xi: DiffOp) -> DiffOp:
     """Conjugation action on an operator, in normal form: the transport
-    along g, with g's carried inverse as B."""
+    along g, with g's carried inverse as B, by its prepared substitution."""
     g._check_ring(xi.ring)
-    return transport_by_rows(xi, g.matrix.rows, g._inverse.rows)
+    return transport_prepared(xi, g.substitution())
 
 
 def reynolds(G: FiniteGroup, xi: DiffOp) -> DiffOp:

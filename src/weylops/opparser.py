@@ -66,7 +66,7 @@ from .poly import PolyRing
 
 # The one lexical grammar, read by the scanner and by the descent.  A
 # number may carry "/NAT" and a name "^NAT", the factors of flat text;
-# ``tokenize`` splits such a match back into its three tokens.
+# ``_lex`` splits such a match back into its three tokens.
 _TOKEN_RE = re.compile(
     r"""
     \s*
@@ -109,43 +109,54 @@ def _natural(text, src, offset):
                         src, offset) from None
 
 
-def tokenize(src: str):
-    """The tokens of src as (kind, text, offset) tuples, ending with an
-    ("end", "", len(src)) token."""
-    tokens = []
+def _lex(src: str):
+    """The tokens of src as (kind, text, offset) tuples, one match of
+    ``_TOKEN_RE`` at a time, ending with an ("end", "", len(src)) token.  A
+    character no token starts with raises when the lexer reaches it."""
     for m in _TOKEN_RE.finditer(src):
         kind = m.lastgroup
         if kind == "bad":
             raise _error_at(f"unexpected character {m[kind]!r}", src, m.start(kind))
         for group, token in _TOKENS_OF.get(kind, ((kind, kind),)):
-            tokens.append((token, m[group], m.start(group)))
-    tokens.append(("end", "", len(src)))
-    return tokens
+            yield token, m[group], m.start(group)
+    yield "end", "", len(src)
+
+
+def tokenize(src: str):
+    """The tokens of src as a list (see ``_lex``)."""
+    return list(_lex(src))
 
 
 _ATOM_STARTERS = {"num", "ident", "dsym"}
 
 
 class _Parser:
-    """Recursive descent over the tokens of src; ``tok`` is the next one."""
+    """Recursive descent over the tokens of src; ``tok`` is the next one.
+
+    Tokens are lexed one at a time, as the descent reaches them, and every
+    check of a token is made before the next one is lexed.  So the error
+    reported is the one at the lowest column: a character the lexer
+    refuses is reported only when no grammar error comes before it, and
+    wins over a grammar error at its own column.
+    """
 
     def __init__(self, src):
         self.src = src
-        self.tokens = tokenize(src)
-        self.pos = 0
-        self.tok = self.tokens[0]
+        self.tokens = _lex(src)
+        self.tok = next(self.tokens)
         self.depth = 0
 
     def advance(self):
         tok = self.tok
-        self.pos += 1
-        self.tok = self.tokens[self.pos]
+        self.tok = next(self.tokens)
         return tok
 
     def natural(self) -> int:
         """Consume a number token; past Python's digit limit, a parse error."""
-        _, text, offset = self.advance()
-        return _natural(text, self.src, offset)
+        _, text, offset = self.tok
+        value = _natural(text, self.src, offset)
+        self.advance()
+        return value
 
     def error(self, message):
         raise _error_at(message, self.src, self.tok[2])
@@ -212,7 +223,6 @@ class _Parser:
                 return ("rat", num, self.natural())
             return ("int", num)
         if kind == "dsym":
-            self.advance()
             body = _DSYM_BODY.match(text)
             if body is None:
                 raise _error_at("malformed d[...] symbol", self.src, offset)
@@ -223,6 +233,7 @@ class _Parser:
             if not all(part.isdigit() for part in parts):
                 raise _error_at("d[...] entries must be naturals", self.src, offset)
             alpha = tuple(_natural(part, self.src, offset) for part in parts)
+            self.advance()
             return ("dop", alpha, self.src, offset)
         if kind == "ident":
             self.advance()

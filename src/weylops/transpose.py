@@ -20,11 +20,23 @@ c^beta d^[beta] over |beta| = a (only beta supported where c is nonzero
 contribute), and the coefficient f goes to m(f).
 These coefficients are integral in the entries of B, so the same formula
 holds in every characteristic.
+
+The transport runs in two steps.  ``prepare_substitution`` turns the
+matrix pair into a :class:`Substitution`, which depends on the pair
+alone: whether it is the identity, the images of the x_j as integer
+polynomials over one denominator, and B's integer rows over another with
+their supports.  ``transport_prepared`` then conjugates one operator by
+it; the divided powers l_k^[a] and the powers of the variable images it
+forms depend on the operator and are dropped when it returns.
+``transport_by_rows`` and ``transport_via_coordinates`` prepare for each
+call; a group element prepares once and keeps the record
+(``invariants.GroupElement``).
 """
 
 from __future__ import annotations
 
 from math import comb, factorial, lcm, prod
+from typing import NamedTuple
 
 from . import _kernels as K
 from . import exponents
@@ -193,18 +205,60 @@ def transport_by_rows(xi: DiffOp, rows, inv_rows) -> DiffOp:
     """Conjugate the operator by the linear substitution whose matrix has
     the given rows (the image of x_j is the j-th column combination of the
     variables), given the rows of its inverse B.  Nothing checks that B
-    inverts the matrix; callers pass a verified pair.
+    inverts the matrix; callers pass a verified pair.  The pair is prepared
+    for this one call; a caller that reuses it keeps the prepared form."""
+    return transport_prepared(
+        xi, prepare_substitution(rows, inv_rows, xi.ring.characteristic)
+    )
 
-    Over Q both matrices are taken as integer rows over one common
-    denominator each, so the work is on integer cores throughout."""
+
+class Substitution(NamedTuple):
+    """A linear substitution and its inverse B, prepared for transport.
+
+    ``images`` are the images of the variables (the columns of the matrix)
+    as integer polynomial dicts over ``row_den``; ``inv_rows`` are B's rows
+    as integer rows over ``inv_den``, and ``supports`` the indices of their
+    nonzero entries.  Over F_p both denominators are 1.  Everything here
+    depends on the matrix pair alone, never on an operator.
+    """
+
+    identity: bool
+    images: list
+    row_den: int
+    inv_rows: list
+    inv_den: int
+    supports: list
+
+
+def prepare_substitution(rows, inv_rows, p: int) -> Substitution:
+    """The prepared form of the matrix pair (rows, inv_rows) over the field
+    of characteristic p, as :class:`Substitution` describes it."""
+    n = len(rows)
+    identity = all(v == (1 if i == j else 0)
+                   for i, row in enumerate(rows) for j, v in enumerate(row))
+    if identity:
+        rows = inv_rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        row_den = inv_den = 1
+    else:
+        rows, row_den = _integer_rows(rows, p)
+        inv_rows, inv_den = _integer_rows(inv_rows, p)
+    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    images = [{units[i]: v for i, v in enumerate(col) if v} for col in zip(*rows)]
+    supports = [[j for j, b in enumerate(row) if b] for row in inv_rows]
+    return Substitution(identity, images, row_den, inv_rows, inv_den, supports)
+
+
+def transport_prepared(xi: DiffOp, sub: Substitution) -> DiffOp:
+    """Conjugate the operator by a prepared substitution (the formula is in
+    the module docstring).  Over Q both matrices are integer rows over one
+    common denominator each, so the work is on integer cores throughout.
+    The divided powers and the powers of the variable images are formed
+    for this call alone."""
+    if sub.identity:
+        return xi
     ring = xi.ring
     n, p = ring.nvars, ring.characteristic
-    if all(v == (1 if i == j else 0)
-           for i, row in enumerate(rows) for j, v in enumerate(row)):
-        return xi
-    rows, row_den = _integer_rows(rows, p)
-    inv_rows, inv_den = _integer_rows(inv_rows, p)
-    supports = [[j for j, b in enumerate(row) if b] for row in inv_rows]
+    inv_rows, inv_den, supports = sub.inv_rows, sub.inv_den, sub.supports
     for alpha in xi.num:
         size = prod(comb(a + len(s) - 1, a) for a, s in zip(alpha, supports))
         if size > TRANSPORT_TERMS_LIMIT:
@@ -229,8 +283,7 @@ def transport_by_rows(xi: DiffOp, rows, inv_rows) -> DiffOp:
         return canonical(terms, inv_den ** a)
 
     # m(f) substitutes for x_j the j-th integer column over row_den
-    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-    images = [{units[i]: v for i, v in enumerate(col) if v} for col in zip(*rows)]
+    images, row_den = sub.images, sub.row_den
     powers = {}
     parts = []
     for alpha, f in xi.num.items():

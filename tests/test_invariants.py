@@ -1,5 +1,7 @@
 """Finite linear group actions, Reynolds averaging, equivariance."""
 
+from fractions import Fraction
+
 import pytest
 
 from weylops import (
@@ -246,6 +248,28 @@ def test_act_on_poly_examples():
     ident = GroupElement(Matrix.identity(R.field, 2))
     f = s**3 + t - 1
     assert act_on_poly(ident, f) == f
+
+
+def test_act_on_poly_matches_the_ring_map(rng):
+    """act_on_poly substitutes the element's prepared images: the value
+    and key order of applying its ring map, in every characteristic; and
+    is_identity agrees with comparing the matrix to the identity."""
+    from weylops.poly import apply_ring_map
+    from conftest import random_poly
+
+    F = _sign_ring().field
+    dense = GroupElement(Matrix(F, [[2, 1], [Fraction(1, 2), Fraction(-3, 4)]]))
+    for G, R in ((_dihedral_group(F), make_ring(0, 2)), (_s3_group(F), make_ring(0, 3)),
+                 (_gl2_group(2), make_ring(2, 2)), (_gl2_group(3), make_ring(3, 2)),
+                 ([dense, dense.inverse()], make_ring(0, 2))):
+        for g in G:
+            assert g.is_identity() == (
+                g.matrix == Matrix.identity(g.matrix.field, g.n))
+            for _ in range(3):
+                f = random_poly(rng, R, max_degree=3, max_terms=4)
+                moved, want = act_on_poly(g, f), apply_ring_map(g.ring_map(R), f)
+                assert moved == want and list(moved.num) == list(want.num)
+                assert moved.den == want.den
 
 
 def test_act_on_op_examples():

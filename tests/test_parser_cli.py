@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from weylops import DiffOp, DomainError, ParseError, parse_operator, parse_polynomial
-from weylops.opparser import MAX_DEPTH
+from weylops.opparser import MAX_DEPTH, parse, tokenize
 from weylops.render import op_json, render_op, render_poly
 from conftest import CHARACTERISTICS, make_ring, random_diffop, run_cli
 
@@ -86,6 +86,35 @@ def test_parse_errors_on_a_later_line():
         with pytest.raises(ParseError) as info:
             parse_operator(text, R)
         assert str(info.value) == message
+
+
+def test_parse_errors_in_reading_order():
+    """The descent lexes one token at a time, so the error at the lowest
+    column is reported, whether the grammar or the lexer finds it; at one
+    column the lexer's message wins."""
+    for text, message in (
+            ("x1 + ) ?", "unexpected token ')' (line 1, column 6)"),
+            ("(x1 ?", "unexpected character '?' (line 1, column 5)"),
+            ("x1 + ?", "unexpected character '?' (line 1, column 6)"),
+            ("x1 ^ ) ?", "exponent must be a natural number (line 1, column 6)"),
+            ("3 / x1 ?", "expected a natural number after '/' (line 1, column 5)"),
+            ("d[a] ?", "malformed d[...] symbol (line 1, column 1)"),
+            ("d[] ?", "empty d[...] symbol (line 1, column 1)"),
+            ("x1 )\n?", "trailing input ')' (line 1, column 4)"),
+            ("x1 +\n ) ?", "unexpected token ')' (line 2, column 2)"),
+            (f"{'7' * 5000} ?", "number of 5000 digits is too long (line 1, column 1)")):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == message, text
+    # tokenize still lexes the whole text first
+    with pytest.raises(ParseError, match="unexpected character '\\?' \\(line 1, column 8\\)"):
+        tokenize("x1 + ) ?")
+
+
+def test_cli_reports_the_first_error_in_reading_order():
+    code, out, err = run_cli(["normalize", "x1 + ) ?"])
+    assert (code, out) == (2, "")
+    assert "unexpected token ')' (line 1, column 6)" in err
 
 
 def test_parse_polynomial_rejects_operators():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from weylops import (
     GroupElement,
     Matrix,
     act_on_op,
+    act_on_poly,
     check_graded_sign,
     derivation_formula_check,
     standard_transpose,
@@ -22,7 +24,8 @@ from weylops import (
 from weylops import exponents
 from weylops.diffop import operator_from_monomial_values
 from weylops.poly import RingMap, apply_ring_map
-from weylops.transpose import TRANSPORT_TERMS_LIMIT
+from weylops import transpose
+from weylops.transpose import TRANSPORT_TERMS_LIMIT, transport_by_rows
 from conftest import make_ring, random_diffop, random_poly
 
 
@@ -446,6 +449,121 @@ def test_action_matches_transport_of_a_ring_map(char):
         )
         assert moved == transport_via_coordinates(with_inverse, xi)
         assert moved == _transport_oracle(m, xi)
+
+
+def _prepared_action_groups(char):
+    """Elements acting on the plane or on 3-space over the field of the
+    characteristic: the sign group, D4 and S3 in every characteristic,
+    all of GL2(F_p) for p = 2, 3, and over Q a matrix whose entries and
+    inverse's entries are not all integral."""
+    F = make_ring(char, 1).field
+    rot = GroupElement(Matrix(F, [[0, -1], [1, 0]]))
+    flip = GroupElement(Matrix(F, [[1, 0], [0, -1]]))
+    d4, r = [], GroupElement(Matrix.identity(F, 2))
+    for _ in range(4):
+        d4 += [r, r * flip]
+        r = r * rot
+    s3 = [GroupElement(Matrix(F, [[int(perm[j] == i) for j in range(3)]
+                                  for i in range(3)]))
+          for perm in permutations(range(3))]
+    groups = {"sign": [GroupElement(Matrix.identity(F, 2)),
+                       GroupElement(Matrix(F, [[-1, 0], [0, -1]]))],
+              "d4": d4, "s3": s3}
+    if char in (2, 3):
+        groups["gl2"] = _action_elements(make_ring(char, 2))
+    if char == 0:
+        dense = GroupElement(Matrix(F, [[2, 1], [Fraction(1, 2), Fraction(-3, 4)]]))
+        groups["dense"] = [dense, dense.inverse()]
+    return groups
+
+
+def _key_order(op):
+    return [(alpha, list(f)) for alpha, f in op.num.items()], op.den
+
+
+@st.composite
+def _element_and_operator(draw):
+    char = draw(st.sampled_from([0, 2, 3, 5, 1000003]))
+    groups = _prepared_action_groups(char)
+    elements = groups[draw(st.sampled_from(sorted(groups)))]
+    g = elements[draw(st.integers(0, len(elements) - 1))]
+    R = make_ring(char, g.n)
+    xi = random_diffop(random.Random(draw(st.integers(0, 2**32))), R,
+                       max_order=2, coeff_degree=2)
+    return g, xi
+
+
+@settings(max_examples=50, deadline=None)
+@given(_element_and_operator())
+def test_prepared_action_matches_bare_rows_and_oracle(data):
+    """act_on_op, through the element's prepared substitution, gives the
+    operator that transport on bare rows gives, key order included, and
+    the evaluate-and-solve oracle's value; twice in a row, so the second
+    action reads the kept record."""
+    g, xi = data
+    bare = transport_by_rows(xi, g.matrix.rows, g.inverse().matrix.rows)
+    for _ in range(2):
+        moved = act_on_op(g, xi)
+        assert moved == bare and _key_order(moved) == _key_order(bare)
+    m = RingMap.from_matrix(xi.ring, g.matrix.rows)
+    assert moved == _transport_oracle(m, xi)
+
+
+def test_prepared_action_keeps_the_guardrail():
+    """The term guardrail refuses through act_on_op with the message that
+    transport on a ring map gives, on the element's first action (which
+    prepares it) and on a later one."""
+    R = make_ring(0, 2)
+    rows = [[1, 1], [1, 2]]
+    m = RingMap.from_matrix(R, rows)
+    for xi in (DiffOp.basis(R, (128, 128)),
+               DiffOp.basis(R, (1, 0)) + DiffOp.basis(R, (128, 128))):
+        with pytest.raises(DomainError) as via_map:
+            transport_via_coordinates(m, xi)
+        assert "guardrail" in str(via_map.value)
+        g = GroupElement(Matrix(R.field, rows))
+        for _ in range(2):
+            with pytest.raises(DomainError) as via_element:
+                act_on_op(g, xi)
+            assert str(via_element.value) == str(via_map.value)
+        small = DiffOp.basis(R, (20, 20))
+        assert act_on_op(g, small) == transport_via_coordinates(m, small)
+
+
+def test_element_prepares_its_substitution_once(rng, monkeypatch):
+    """The integer rows of an element are derived on its first action and
+    never again: a second act_on_op, act_on_poly and is_identity convert
+    nothing.  The identity converts nothing at all."""
+    calls = []
+    integer_rows = transpose._integer_rows
+    monkeypatch.setattr(transpose, "_integer_rows",
+                        lambda rows, p: calls.append(p) or integer_rows(rows, p))
+    R = make_ring(0, 2)
+    g = GroupElement(Matrix(R.field, [[2, 1], [Fraction(1, 2), Fraction(-3, 4)]]))
+    ident = GroupElement(Matrix.identity(R.field, 2))
+    assert calls == []  # building an element prepares nothing
+    xi = random_diffop(rng, R, max_order=2, coeff_degree=2, allow_zero=False)
+    first = act_on_op(g, xi)
+    assert len(calls) == 2
+    assert act_on_op(g, xi) == first
+    assert act_on_poly(g, random_poly(rng, R)) is not None
+    assert not g.is_identity()
+    assert act_on_op(ident, xi) is xi and ident.is_identity()
+    assert len(calls) == 2
+
+
+def test_prepared_substitution_does_not_grow_with_operators(rng):
+    """The record an element keeps depends on its matrix alone: acting on
+    many operators of growing size leaves it equal to a fresh preparation."""
+    R = make_ring(0, 3)
+    g = GroupElement(Matrix(R.field, [[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
+    act_on_op(g, DiffOp.partial(R, 0))
+    sub = g.substitution()
+    fresh = transpose.prepare_substitution(g.matrix.rows, g.inverse().matrix.rows, 0)
+    for order in range(1, 5):
+        act_on_op(g, random_diffop(rng, R, max_order=order, coeff_degree=order))
+        act_on_poly(g, random_poly(rng, R, max_degree=order))
+    assert g.substitution() is sub and sub == fresh
 
 
 def test_level1_rigidity_coefficient_chain():
