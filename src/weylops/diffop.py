@@ -42,10 +42,22 @@ def core_mul(a, b, p: int):
 
 
 def core_pow(a, n: int, p: int, nvars: int):
-    """a**n by squaring; n == 0 gives the constant 1."""
+    """a**n by squaring; n == 0 gives the constant 1.
+
+    A base of one term of order 0, c*x^m over den, takes its closed form
+    c^n*x^(n*m) over den^n and forms no product.  Over Q a c^n or den^n
+    past ``BINOM_BITS_LIMIT`` bits is refused before it is built.
+    """
+    zero = (0,) * nvars
     if n == 0:
-        zero = (0,) * nvars
         return {zero: {zero: 1}}, 1
+    f = a[0].get(zero)
+    if len(a[0]) == 1 and f is not None and len(f) == 1:
+        (m, c), = f.items()
+        m = tuple(e * n for e in m)
+        if p:
+            return {zero: {m: pow(c, n, p)}}, 1
+        return {zero: {m: _int_power(c, n)}}, _int_power(a[1], n)
     result = None
     while True:
         if n & 1:
@@ -54,6 +66,17 @@ def core_pow(a, n: int, p: int, nvars: int):
         if not n:
             return result
         a = core_mul(a, a, p)
+
+
+def _int_power(c: int, n: int) -> int:
+    """c**n, refused past BINOM_BITS_LIMIT bits; before it is built when
+    its least bit length, n*(bitlen(c) - 1) + 1, is already past."""
+    if n * (abs(c).bit_length() - 1) < K.BINOM_BITS_LIMIT:
+        c **= n
+        if c.bit_length() <= K.BINOM_BITS_LIMIT:
+            return c
+    raise DomainError(f"a coefficient power needs more than the guardrail of "
+                      f"{K.BINOM_BITS_LIMIT} bits")
 
 
 class DiffOp:

@@ -77,7 +77,7 @@ class FieldSpec:
         return self.characteristic != 0
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FieldSpec)
             and self.characteristic == other.characteristic
         )

@@ -19,48 +19,38 @@ denominator.  Sums, products and powers are flat n-ary nodes evaluated
 left to right, so long chains cost no recursion depth; real nesting
 (parentheses and unary minus) is refused beyond ``MAX_DEPTH`` levels.
 
-Most input is already in left normal form, sum of c * x^m * d^[beta], so
-the evaluator folds it instead of multiplying atom by atom.  A product
-keeps one pending term, a scalar times x^m times d^[beta], and folds its
-factors into it from the left while the order stays normal: numbers,
-rationals and their negations, and a variable or a power of one while
-beta is zero.  ``d`` atoms compose by d^[beta]*d^[gamma] =
-C(beta+gamma, beta)*d^[beta+gamma], with the binomials of the term
-kernels (so Lucas zeros and their size refusal are the same).  From the
-first factor that does not fold (a variable after a ``d``, a
-parenthesized expression, a power of anything but a variable) the
-factors multiply one at a time through ``core_mul``.  A sum adds its
-terms into one accumulator over one denominator, ``diffop.core_sum``,
-and reduces it once.  The value, and every error with its message and
-its left-to-right order, are those of multiplying and adding the atoms
-one at a time.
+``evaluate`` multiplies atom by atom: every atom becomes an operator
+core, and products, powers, sums and negations go through the core
+functions of :mod:`weylops.diffop`, so each error comes in reading order.
 
 ``parse_operator`` reads flat text in one scanning pass, with no token
 list and no AST.  Flat text is an optional leading ``-`` and terms joined
 by ``+`` and ``-``, each a product (``*`` or juxtaposition) of ``NAT``,
 ``NAT/NAT``, ``d[...]`` and ring variables with at most one ``^NAT``, and
 no variable after a nonzero ``d``.  The scanner folds each factor into
-the pending term as the evaluator does, and a sign closes the term into
-a part of one ``core_sum``, so value and key order are the evaluator's.
-At anything else (a parenthesis, a ``^`` chain, ``dN`` sugar or a name
-the ring lacks, a sign after ``*`` or after a sign, a dangling operator,
-a number past Python's digit limit, a zero denominator, a refused
+one pending term, a scalar times x^m times d^[beta], composing ``d``
+atoms by d^[beta]*d^[gamma] = C(beta+gamma, beta)*d^[beta+gamma] with
+the binomials of the term kernels.  A sign closes the term into a part
+of one ``core_sum``, so value and key order are ``evaluate``'s.  At
+anything else (a parenthesis, a ``^`` chain, ``dN`` sugar or a name the
+ring lacks, a sign after ``*`` or after a sign, a dangling operator, a
+number past Python's digit limit, a zero denominator, a refused
 binomial) it returns without raising, and the text is parsed from the
 start by the descent and evaluated.  So every refusal, with its message
 and in its reading order, comes from the full grammar.
 
 Nothing here estimates what evaluation costs: the term kernels refuse
-work past ``_kernels.WORK_LIMIT`` themselves.  Folded atoms form no
-kernel product and so draw nothing from that bound.
+work past ``_kernels.WORK_LIMIT`` themselves, and ``core_pow`` sizes the
+coefficient of a one-term power.  Scanned atoms form no kernel product and
+so draw nothing from that bound.
 """
 
 from __future__ import annotations
 
 import re
-from math import gcd
 
 from ._kernels import _binom
-from .diffop import DiffOp, core_mul, core_pow, core_sum
+from .diffop import DiffOp, canonical, core_mul, core_pow, core_sum
 from .errors import DomainError, ParseError
 from .poly import PolyRing
 
@@ -270,123 +260,58 @@ def evaluate(node, ring: PolyRing):
     the given ring (see :mod:`weylops.diffop`); ``a/b`` is the numerator a
     over the denominator b.
 
-    A product folds its leading run of normal-ordered atoms into one term
-    (module docstring); the factors after that run multiply one at a time
-    through ``core_mul``.  A sum adds its terms, folded or not, through
-    ``core_sum``.
+    Every atom becomes a core; a product multiplies its factors one at a
+    time through ``core_mul``, a power applies ``core_pow`` once per
+    exponent, and a sum or a negation is one ``core_sum``.
     """
     p, n = ring.characteristic, ring.nvars
     index = {name: i for i, name in enumerate(ring.var_names)}
-    width = len(str(n))
+    zero = (0,) * n
 
-    def fold(factors):
-        """(k, num, den, mono, beta): the first k factors folded into the
-        term num/den * x^mono * d^[beta], num 0 for the zero term."""
-        num = den = 1
-        mono = [0] * n
-        beta = [0] * n
-        plain = True  # beta is zero, so a variable still folds in
-        k = 0
-        for node in factors:
-            kind = node[0]
-            negate = False
-            while kind == "neg":
-                node = node[1]
-                kind = node[0]
-                negate = not negate
-            if kind == "int":
-                num *= node[1]
-            elif kind == "rat":
-                if (node[2] % p if p else node[2]) == 0:
-                    raise DomainError("division by zero")
-                if p:
-                    num *= node[1] * pow(node[2], -1, p)
-                else:
-                    num *= node[1]
-                    den *= node[2]
-            elif kind == "name" and node[1] in index:
-                if not plain:
-                    break
-                mono[index[node[1]]] += 1
-            elif kind == "pow":
-                base = node[1]
-                i = index.get(base[1]) if base[0] == "name" else None
-                if i is None or not plain:
-                    break
-                e = 1
-                for f in node[2]:
-                    e *= f
-                mono[i] += e
-            else:
-                if kind == "name":
-                    sugar = _DSUGAR.match(node[1])
-                    digits = sugar and sugar.group(1)
-                    # no leading zero, so more digits than n has means past n
-                    if not digits or len(digits) > width or int(digits) > n:
-                        raise _error_at(f"unknown identifier {node[1]!r}",
-                                        node[2], node[3])
-                    i = int(digits) - 1
-                    gamma = (0,) * i + (1,) + (0,) * (n - 1 - i)
-                elif kind == "dop":
-                    gamma = node[1]
-                    if len(gamma) != n:
-                        raise _error_at(f"d[...] needs {n} entries, got {len(gamma)}",
-                                        node[2], node[3])
-                else:
-                    break
-                num = _compose_d(num, beta, gamma, p)
-                plain = plain and not any(gamma)
-            if negate:
-                num = -num
-            if p:
-                num %= p
-            k += 1
-        return k, num, den, mono, beta
+    def unit(i):
+        return (0,) * i + (1,) + (0,) * (n - 1 - i)
 
-    def finish(factors, k, num, den, mono, beta):
-        """The product of factors whose first k are folded into the term
-        (``fold``'s result)."""
-        if not k:
-            acc = unfolded(factors[0])
-            k = 1
-        elif not num:
-            acc = {}, 1
-        else:
-            g = gcd(num, den)
-            acc = {tuple(beta): {tuple(mono): num // g}}, den // g
-        for factor in factors[k:]:
-            acc = core_mul(acc, ev(factor), p)
-        return acc
-
-    def unfolded(node):
-        """The value of a factor that does not fold from an empty term."""
+    def ev(node):
         kind = node[0]
+        if kind == "int" or kind == "rat":
+            c, den = node[1], node[2] if kind == "rat" else 1
+            if not (den % p if p else den):
+                raise DomainError("division by zero")
+            if p:
+                c, den = c * pow(den, -1, p) % p, 1
+            return canonical({zero: {zero: c}}, den) if c else ({}, 1)
+        if kind == "name":
+            name = node[1]
+            if name in index:
+                return {zero: {unit(index[name]): 1}}, 1
+            sugar = _DSUGAR.match(name)
+            digits = sugar and sugar.group(1)
+            # no leading zero, so more digits than n has means past n
+            if not digits or len(digits) > len(str(n)) or int(digits) > n:
+                raise _error_at(f"unknown identifier {name!r}", node[2], node[3])
+            return {unit(int(digits) - 1): {zero: 1}}, 1
+        if kind == "dop":
+            alpha = node[1]
+            if len(alpha) != n:
+                raise _error_at(f"d[...] needs {n} entries, got {len(alpha)}",
+                                node[2], node[3])
+            return {alpha: {zero: 1}}, 1
         if kind == "neg":
             return core_sum(((*ev(node[1]), -1),), p)
+        if kind == "sum":
+            return core_sum([(*ev(node[1]), 1)] + [
+                (*ev(term), -1 if negate else 1) for negate, term in node[2]], p)
+        if kind == "prod":
+            acc = ev(node[1][0])
+            for factor in node[1][1:]:
+                acc = core_mul(acc, ev(factor), p)
+            return acc
         if kind == "pow":
             acc = ev(node[1])
             for e in node[2]:
                 acc = core_pow(acc, e, p, n)
             return acc
-        if kind == "sum" or kind == "prod":
-            return ev(node)
         raise ParseError(f"unknown AST node {kind!r}")
-
-    def ev(node):
-        kind = node[0]
-        if kind == "sum":
-            parts = []
-            for negate, term in ((False, node[1]), *node[2]):
-                factors = term[1] if term[0] == "prod" else (term,)
-                k, num, d, mono, beta = fold(factors)
-                c = -1 if negate else 1
-                if k < len(factors):
-                    parts.append((*finish(factors, k, num, d, mono, beta), c))
-                elif num:
-                    parts.append(({tuple(beta): {tuple(mono): num}}, d, c))
-            return core_sum(parts, p)
-        factors = node[1] if kind == "prod" else (node,)
-        return finish(factors, *fold(factors))
 
     return ev(node)
 
@@ -409,8 +334,8 @@ def _compose_d(num, beta, gamma, p):
 
 def _scan(src: str, ring: PolyRing):
     """The core of flat text (module docstring), folded in one pass over
-    the matches of ``_TOKEN_RE`` as ``evaluate`` folds it; None for any
-    other text and for any text ``evaluate`` refuses.  Raises nothing."""
+    the matches of ``_TOKEN_RE``; None for any other text and for any text
+    ``evaluate`` refuses.  Raises nothing."""
     p, n = ring.characteristic, ring.nvars
     index = {name: i for i, name in enumerate(ring.var_names)}
     matches = _TOKEN_RE.findall(src)

@@ -50,7 +50,7 @@ class PolyRing:
         return self.field.characteristic
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, PolyRing)
             and self.field == other.field
             and self.nvars == other.nvars

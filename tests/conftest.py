@@ -1,9 +1,10 @@
 """Shared deterministic random generators for the property suites, the
 in-process CLI runner, the base-p^e digit split of a polynomial that the
 polynomial and level-matrix suites use as an oracle, the binary sums that
-the sum suites check ``core_sum`` against, the per-atom evaluator that the
-parser suite checks the folding evaluator against, and the commutator as
-two products that the bracket suite checks against."""
+the sum suites check ``core_sum`` against, the per-atom evaluator with
+binary sums that the parser suite checks the evaluator and the scanner
+against, and the commutator as two products that the bracket suite checks
+against."""
 
 import io
 import random
@@ -194,10 +195,12 @@ def ref_core_neg(a, p: int):
 
 
 def reference_evaluate(node, ring: PolyRing):
-    """The parser's evaluator before it folded normal-ordered atoms: every
-    atom becomes an operator core, and a product multiplies its factors
-    one at a time through ``core_mul``, a sum adds its terms one at a time
-    through ``ref_core_add``."""
+    """The parser's evaluator with binary sums: every atom becomes an
+    operator core, and a product multiplies its factors one at a time
+    through ``core_mul``, a sum adds its terms one at a time through
+    ``ref_core_add``.  Its powers go through ``core_pow``, whose closed
+    form for one-term bases has its own oracle in the integer-core
+    suite."""
     p, n = ring.characteristic, ring.nvars
     zero = (0,) * n
 

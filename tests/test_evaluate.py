@@ -1,13 +1,13 @@
-"""The folding evaluator and the flat-text scanner against the per-atom
+"""The evaluator and the flat-text scanner against the per-atom
 reference evaluator.
 
-``opparser.evaluate`` folds normal-ordered atoms into one term and the
-folded terms of a sum into one accumulator; ``conftest.reference_evaluate``
-multiplies and adds one atom at a time through the core functions.  Every
-input must give the same core, or the same exception type and message.
-``parse_operator`` scans flat text in one pass and hands anything else to
-``parse`` and ``evaluate``; through it, parse errors count too, and the
-key order at both levels must be the evaluator's.
+``opparser.evaluate`` multiplies atom by atom and adds each sum in one
+``core_sum``; ``conftest.reference_evaluate`` adds one term at a time
+through the binary sum oracle.  Every input must give the same core, or
+the same exception type and message.  ``parse_operator`` scans flat text
+in one pass, folding each term, and hands anything else to ``parse`` and
+``evaluate``; through it, parse errors count too, and the key order at
+both levels must be the evaluator's.
 """
 
 import random
@@ -193,6 +193,15 @@ _BREAKERS = [
     "d[" + "1" * 4301 + "]", "0*d[20000]*d[20000]", "d[1]*d[1]",
 ]
 
+# texts where a normal-ordered run of atoms meets one that is not, and
+# one-term powers; kept apart from ``_BREAKERS`` so that the fuzz above
+# draws the inputs it always drew
+_FOLD_BOUNDARIES = [
+    "x1 d[1] x1", "d[1]*x1^0", "-(x1)*d1*x1", "x1^2^3*d[1]*x1",
+    "x1 d[1,0] x1", "d[1,0]*x1^0", "x1^2^3*d[1,0]*x1", "-x2^2 d2 x2^0 d[0,1]",
+    "(2*x1)^3*d1", "(-3/4*x2)^5^2", "2^20000*0", "(1/2)^20000 - x1",
+]
+
 
 def _flat_term(rng, names, n):
     factors = []
@@ -242,7 +251,7 @@ def test_fuzz_parse_operator_matches_the_reference():
 
 def test_every_breaker_alone_and_in_a_flat_sum():
     rings = [make_ring(p, 2, names) for p in (0, 3) for names in (None, ("d", "e"))]
-    for text in _BREAKERS:
+    for text in _BREAKERS + _FOLD_BOUNDARIES:
         for ring in rings:
             for whole in (text, f"x1*{text}", f"{text} - 2*d[1,0]", f"-3/4*d[1,1] + {text}"):
                 _front_end_outcome(whole, ring)

@@ -21,6 +21,7 @@ import weylops._kernels as K
 from weylops import diffop, invariants, opparser, transpose
 from weylops import (
     DiffOp,
+    DomainError,
     FiniteGroup,
     GroupElement,
     Matrix,
@@ -33,7 +34,7 @@ from weylops import (
     standard_transpose,
     twisted_transpose,
 )
-from weylops.diffop import canonical, core_sum
+from weylops.diffop import canonical, core_mul, core_pow, core_sum
 from weylops.levelmatrix import SIZE_LIMIT, LevelMatrix, to_matrix
 from weylops.poly import Polynomial
 from weylops.render import render_op
@@ -472,6 +473,60 @@ def test_powers_start_from_the_base(monkeypatch):
         assert len(calls) == products
         assert power == _power_oracle(c, n)
 
+
+
+def test_one_term_powers_match_a_chain_of_products(monkeypatch):
+    """A base c*x^m over den of one term and order 0 takes its closed
+    form: the value, den and key order of e products with core_mul, in
+    every characteristic, and no kernel product."""
+    zero = (0, 0)
+    one = {zero: {zero: 1}}, 1
+    for p in (0, 2, 3, 5, 1000003):
+        bases = []
+        for c in (Fraction(1), Fraction(-1), Fraction(-3, 4), Fraction(5, 7),
+                  Fraction(10**30 + 7), Fraction(-(10**30 + 7), 3**40)):
+            num, den = c.numerator, c.denominator
+            if p:
+                if not num % p or not den % p:
+                    continue
+                num, den = num * pow(den, -1, p) % p, 1
+            bases += [({zero: {m: num}}, den) for m in (zero, (1, 0), (2, 3))]
+        for base in bases:
+            chain = [one]
+            for _ in range(6):
+                chain.append(core_mul(chain[-1], base, p))
+            with monkeypatch.context() as m:
+                m.setattr(K, "diffop_mul", None)
+                for e, want in enumerate(chain):
+                    got = core_pow(base, e, p, 2)
+                    assert got == want and _key_order(got) == _key_order(want)
+
+
+def test_one_term_powers_refuse_long_coefficients():
+    """Over Q a one-term power whose coefficient or denominator passes
+    BINOM_BITS_LIMIT bits is refused before it is built; over F_p, and for
+    coefficients +-1, the exponent alone may be as large as it likes."""
+    limit = K.BINOM_BITS_LIMIT
+    x1 = {(0,): {(1,): 1}}
+    for c, den in ((2, 1), (3, 1), (1, 2), (-3, 4)):
+        base = {(0,): {(0,): c}}, den
+        with pytest.raises(DomainError, match="guardrail"):
+            core_pow(base, 10**10, 0, 1)
+        for e in (10000, 10400, limit - 1, limit):
+            bits = max(abs(c) ** e, den ** e).bit_length()
+            if bits > limit:
+                with pytest.raises(DomainError, match="guardrail"):
+                    core_pow(base, e, 0, 1)
+            else:
+                assert core_pow(base, e, 0, 1) == ({(0,): {(0,): c ** e}}, den ** e)
+    assert core_pow(({(0,): {(0,): 2}}, 1), 10**10, 5, 1) == ({(0,): {(0,): 1}}, 1)
+    assert core_pow((x1, 1), 10**4000, 0, 1) == ({(0,): {(10**4000,): 1}}, 1)
+    assert core_pow(({(0,): {(1,): -1}}, 1), 10**40 + 1, 0, 1) == (
+        {(0,): {(10**40 + 1,): -1}}, 1)
+    x = DiffOp.from_poly(RINGS[1].variable(0))
+    assert (x * Fraction(3, 2)) ** 1000 == x ** 1000 * Fraction(3**1000, 2**1000)
+    with pytest.raises(DomainError, match="guardrail"):
+        (x * 2) ** limit
 
 def _power_oracle(c, n):
     out = {(0,) * c.ring.nvars: {(0,) * c.ring.nvars: Fraction(1)}}

@@ -239,6 +239,26 @@ def test_group_validation():
             FiniteGroup(elems)
 
 
+def test_ring_check_refuses_another_field():
+    """An element over Q does not act on a ring over F_5 with as many
+    variables; a ring over a freshly built, equal field is acted on."""
+    from weylops import FieldSpec, PolyRing
+
+    G, minus = _sign_group(_sign_ring().field)
+    R5 = make_ring(5, 2)
+    for act in (lambda: act_on_op(minus, DiffOp.partial(R5, 0)),
+                lambda: act_on_poly(minus, R5.gens()[0]),
+                lambda: reynolds(G, DiffOp.partial(R5, 0))):
+        with pytest.raises(DomainError, match="does not act on this ring"):
+            act()
+    fresh = PolyRing(FieldSpec(0), 2)
+    assert fresh.field is not minus.matrix.field
+    s = fresh.gens()[0]
+    assert act_on_poly(minus, s) == -s
+    assert act_on_op(minus, DiffOp.partial(fresh, 0)) == -DiffOp.partial(fresh, 0)
+    assert reynolds(G, DiffOp.partial(fresh, 0)).is_zero()
+
+
 def test_act_on_poly_examples():
     R = _sign_ring()
     s, t = R.gens()

@@ -320,7 +320,11 @@ def test_cli_work_bound_refuses_in_time(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     for args in (["--char", "5", "normalize", "d[100000000]*x1^100000000"],
                  ["--char", "5", "transpose", "x1^100000000*d[100000000]"],
-                 c3 + ["x1^100000"]):
+                 c3 + ["x1^100000"],
+                 # a one-term power squared without bound before its
+                 # coefficient was sized
+                 ["normalize", "2^10000000000"],
+                 ["normalize", "(2*x1)^10000000000"]):
         done = subprocess.run([sys.executable, "-m", "weylops.cli", *args],
                               capture_output=True, text=True, env=env, timeout=20)
         assert (done.returncode, done.stdout) == (3, "")
@@ -388,6 +392,8 @@ def test_cli_coefficient_past_the_printing_limit():
 # a ^ chain multiplies exponents: N^N has ~4800 digits, past Python's 4300
 _N = "9" * 2400
 _HUGE = f"x1^{_N}^{_N}"
+# eight exponents of 4000 digits each, one closed-form power per exponent
+_CHAIN = "x1" + f"^{'9' * 4000}" * 8
 
 
 @pytest.mark.parametrize("args", [
@@ -397,7 +403,9 @@ _HUGE = f"x1^{_N}^{_N}"
     ["--char", "3", "transpose", f"{_HUGE}*d1"],
     ["--nvars", "1", "bracket", _HUGE, "d1"],
     ["--nvars", "1", "normalize", f"d[2]*{_HUGE}"],
-], ids=["normalize", "normalize-json", "apply", "transpose", "bracket", "binomial"])
+    ["--nvars", "1", "normalize", _CHAIN],
+], ids=["normalize", "normalize-json", "apply", "transpose", "bracket", "binomial",
+        "chain"])
 def test_cli_integers_past_the_printing_limit(args):
     code, out, err = run_cli(args)
     assert (code, out) == (3, "")
