@@ -1,11 +1,12 @@
 """Term kernels.
 
-These are the inner loops of the whole package: sparse polynomial
-arithmetic (``poly_neg``, ``poly_scale``, ``poly_mul``, ``poly_pow``) and
-substitution (``poly_substitute``), the divided-power derivatives
-(``partial_apply``, ``diffop_apply``), the one sum (``core_sum``), the
-normal-ordered operator product (``diffop_mul``), the commutator
-(``diffop_bracket``) and the standard transposition (``diffop_transpose``).
+These are the inner loops of the whole package: the one product loop
+(``mul_add``), sparse polynomial arithmetic (``poly_mul``, ``poly_pow``)
+and substitution (``poly_substitute``), the divided-power derivatives
+(``partial_apply``, ``diffop_apply``), the one sum (``core_sum``, which
+also negates and scales), the normal-ordered operator product
+(``diffop_mul``), the commutator (``diffop_bracket``) and the standard
+transposition (``diffop_transpose``).
 
 Data layout (no classes here, wrappers live in ``poly``/``diffop``):
 
@@ -24,8 +25,10 @@ oracle.
 return canonical dicts (no zero values stored) and never mutate inputs.
 Each kernel that sums adds into one accumulator of unreduced values and
 reduces it mod p, dropping zeros, once at the end: ``_reduced`` for
-operators, ``_reduced_poly`` for polynomials.  ``core_sum``, which every
-sum in the package goes through, reduces each coefficient as it adds it.
+operators, ``_reduced_poly`` for polynomials; ``mul_add`` adds a product
+of two polynomials into one, in the operand order that fixes its caller's
+key order.  ``core_sum``, which every sum in the package goes through,
+reduces each coefficient as it adds it.
 
 ``diffop_mul``, ``diffop_bracket`` and ``diffop_transpose`` expand
 d^[alpha]*g by the divided-power Leibniz rule, sum over gamma <= alpha of
@@ -56,7 +59,8 @@ its two products so, from 0, ``diffop_transpose`` counts
 ``poly_substitute`` count |a|*|b| per product.  The operator counts are
 the whole box of gamma, whatever entries the rows leave out.  Past the
 bound a call raises ``DomainError`` before the work it counts.
-``poly_mul`` checks nothing.
+``poly_mul`` and ``mul_add`` check nothing.  A one-term power forms no
+product; over Q ``int_power`` sizes its coefficient first.
 """
 
 from itertools import chain, product as _product
@@ -72,27 +76,20 @@ BINOM_BITS_LIMIT = 1 << 14
 WORK_LIMIT = 1 << 17
 
 
-def poly_neg(a, p):
-    if p:
-        return {exp: (-c) % p for exp, c in a.items()}
-    return {exp: -c for exp, c in a.items()}
-
-
-def poly_scale(a, c, p):
-    if p:
-        return _reduced_poly({exp: v * c for exp, v in a.items()}, p)
-    # over Q a product of nonzero values is nonzero
-    return {exp: v * c for exp, v in a.items()} if c else {}
+def mul_add(acc, a, b):
+    """Add the unreduced product of the polynomial dicts a and b into acc,
+    a's terms in the outer loop: the one polynomial product loop."""
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exp = tuple(map(_add, ea, eb))
+            acc[exp] = acc.get(exp, 0) + ca * cb
 
 
 def poly_mul(a, b, p):
     if len(a) > len(b):
         a, b = b, a
     out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            exp = tuple(map(_add, ea, eb))
-            out[exp] = out.get(exp, 0) + ca * cb
+    mul_add(out, a, b)
     return _reduced_poly(out, p)
 
 
@@ -108,8 +105,27 @@ def _bounded_mul(a, b, p):
     return poly_mul(a, b, p)
 
 
+def int_power(c, n):
+    """c**n for ints, refused past BINOM_BITS_LIMIT bits; before it is
+    built when its least bit length, n*(bitlen(c) - 1) + 1, is already past."""
+    if n * (abs(c).bit_length() - 1) < BINOM_BITS_LIMIT:
+        c **= n
+        if c.bit_length() <= BINOM_BITS_LIMIT:
+            return c
+    raise DomainError(f"a coefficient power needs more than the guardrail of "
+                      f"{BINOM_BITS_LIMIT} bits")
+
+
 def poly_pow(a, e, p):
-    """a**e for e >= 1, by repeated squaring."""
+    """a**e for e >= 1, a itself for e = 1.  A one-term base c*x^m takes
+    its closed form c^e*x^(e*m), forming no product (over Q an int c^e as
+    ``int_power`` bounds it); any other goes by repeated squaring."""
+    if len(a) == 1 and e > 1:
+        (m, c), = a.items()
+        m = tuple(k * e for k in m)
+        if p:
+            return {m: pow(c, e, p)}
+        return {m: int_power(c, e) if isinstance(c, int) else c**e}
     out = None
     while True:
         if e & 1:
@@ -213,15 +229,8 @@ def diffop_apply(xi, f, p):
     every alpha added into one accumulator that is reduced once."""
     out = {}
     for alpha, coeff in xi.items():
-        for d, c in partial_apply(alpha, f, p).items():
-            for e, cf in coeff.items():
-                e = tuple(map(_add, e, d))
-                out[e] = out.get(e, 0) + cf * c
+        mul_add(out, partial_apply(alpha, f, p), coeff)
     return _reduced_poly(out, p)
-
-
-def diffop_neg(xi, p):
-    return {alpha: poly_neg(f, p) for alpha, f in xi.items()}
 
 
 def canonical(num, den):
@@ -383,7 +392,7 @@ def diffop_bracket(xi, eta, p):
     """
     out = {}
     _mul_into(out, xi, eta, p, True)
-    _mul_into(out, eta, diffop_neg(xi, p), p, True)
+    _mul_into(out, eta, core_sum(((xi, 1, -1),), p)[0], p, True)
     return _reduced(out, p)
 
 
@@ -409,13 +418,7 @@ def _mul_into(out, xi, eta, p, commutator):
                 work += size * len(g)
                 if work > WORK_LIMIT:
                     _refuse("an operator product")
-                acc = out.get(beta)
-                if acc is None:
-                    acc = out[beta] = {}
-                for m, c in g.items():
-                    for e, cf in f.items():
-                        e = tuple(map(_add, e, m))
-                        acc[e] = acc.get(e, 0) + cf * c
+                mul_add(out.setdefault(beta, {}), g, f)
             continue
         ps = (p,) * len(alpha)
         alpha_ends = [a + 1 for a in alpha]

@@ -231,12 +231,13 @@ def _load_group(path, field: FieldSpec) -> inv.FiniteGroup:
         raise DomainError(f"cannot read group file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"group file is not valid JSON: {exc}") from None
-    if not isinstance(data, list):
-        raise ParseError("group file must be a JSON list of matrices")
-    elements = []
-    for rows in data:
-        elements.append(inv.GroupElement(Matrix(field, rows)))
-    return inv.FiniteGroup(elements)
+    if not (isinstance(data, list) and all(
+            isinstance(rows, list) and all(isinstance(row, list) for row in rows)
+            and all(isinstance(v, (int, float, str)) and not isinstance(v, bool)
+                    for row in rows for v in row) for rows in data)):
+        raise ParseError("group file must be a JSON list of matrices: lists of "
+                         "rows of numbers or strings")
+    return inv.FiniteGroup([inv.GroupElement(Matrix(field, rows)) for rows in data])
 
 
 @cli.group("group")

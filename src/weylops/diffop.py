@@ -45,19 +45,16 @@ def core_pow(a, n: int, p: int, nvars: int):
     """a**n by squaring; n == 0 gives the constant 1.
 
     A base of one term of order 0, c*x^m over den, takes its closed form
-    c^n*x^(n*m) over den^n and forms no product.  Over Q a c^n or den^n
-    past ``BINOM_BITS_LIMIT`` bits is refused before it is built.
+    c^n*x^(n*m) over den^n (``_kernels.poly_pow``) and forms no product.
+    Over Q a c^n or den^n past ``BINOM_BITS_LIMIT`` bits is refused before
+    it is built (``_kernels.int_power``).
     """
     zero = (0,) * nvars
     if n == 0:
         return {zero: {zero: 1}}, 1
     f = a[0].get(zero)
     if len(a[0]) == 1 and f is not None and len(f) == 1:
-        (m, c), = f.items()
-        m = tuple(e * n for e in m)
-        if p:
-            return {zero: {m: pow(c, n, p)}}, 1
-        return {zero: {m: _int_power(c, n)}}, _int_power(a[1], n)
+        return {zero: K.poly_pow(f, n, p)}, K.int_power(a[1], n)
     result = None
     while True:
         if n & 1:
@@ -68,33 +65,30 @@ def core_pow(a, n: int, p: int, nvars: int):
         a = core_mul(a, a, p)
 
 
-def _int_power(c: int, n: int) -> int:
-    """c**n, refused past BINOM_BITS_LIMIT bits; before it is built when
-    its least bit length, n*(bitlen(c) - 1) + 1, is already past."""
-    if n * (abs(c).bit_length() - 1) < K.BINOM_BITS_LIMIT:
-        c **= n
-        if c.bit_length() <= K.BINOM_BITS_LIMIT:
-            return c
-    raise DomainError(f"a coefficient power needs more than the guardrail of "
-                      f"{K.BINOM_BITS_LIMIT} bits")
-
-
 class DiffOp:
     """Operator in normal form over an integer core (module docstring).
 
     ``DiffOp(ring, terms)`` builds one from the field view: exponent tuple
-    -> nonzero polynomial of the ambient ring.  Instances are immutable
-    and all operations are pure.
+    -> polynomial of the ambient ring or scalar, exponents checked and
+    zero coefficients dropped.  Instances are immutable and all operations
+    are pure.
     """
 
     __slots__ = ("ring", "num", "den")
 
-    def __init__(self, ring: PolyRing, terms: dict):
+    def __init__(self, ring: PolyRing, terms):
+        parts = []
+        for alpha, f in terms.items():
+            alpha = tuple(alpha)
+            exponents.check_arity(alpha, ring.nvars)
+            if not isinstance(f, Polynomial):
+                f = ring.constant(f)
+            if f.ring != ring:
+                raise DomainError("coefficient ring mismatch")
+            if f.num:
+                parts.append(({alpha: f.num}, f.den, 1))
         self.ring = ring
-        self.num, self.den = core_sum(
-            [({alpha: f.num}, f.den, 1) for alpha, f in terms.items() if f.num],
-            ring.characteristic,
-        )
+        self.num, self.den = core_sum(parts, ring.characteristic)
 
     @classmethod
     def _core(cls, ring: PolyRing, core) -> DiffOp:
@@ -148,17 +142,7 @@ class DiffOp:
 
     @classmethod
     def from_terms(cls, ring: PolyRing, mapping) -> DiffOp:
-        parts = []
-        for alpha, f in mapping.items():
-            alpha = tuple(alpha)
-            exponents.check_arity(alpha, ring.nvars)
-            if not isinstance(f, Polynomial):
-                f = ring.constant(f)
-            if f.ring != ring:
-                raise DomainError("coefficient ring mismatch")
-            if f.num:
-                parts.append(({alpha: f.num}, f.den, 1))
-        return cls._core(ring, core_sum(parts, ring.characteristic))
+        return cls(ring, mapping)
 
     # -- structure ---------------------------------------------------------
 

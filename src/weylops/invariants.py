@@ -196,8 +196,9 @@ def reynolds(G: FiniteGroup, xi: DiffOp) -> DiffOp:
 
     Requires the group order to be invertible in the coefficient field
     (always in characteristic 0, and in characteristic p exactly when p
-    does not divide the order).
+    does not divide the order), after checking that G acts on xi's ring.
     """
+    G.elements[0]._check_ring(xi.ring)
     field = xi.ring.field
     if field.is_zero(field.from_int(G.order)):
         raise DomainError(
@@ -226,16 +227,13 @@ def is_invariant_poly(G: FiniteGroup, f: Polynomial) -> bool:
     return all(act_on_poly(g, f) == f for g in G.generators)
 
 
-def equivariance_check(G: FiniteGroup, xi: DiffOp, allow_modular: bool = False) -> bool:
-    """Whether the standard transposition commutes with the whole action.
+def equivariance_check(G: FiniteGroup, xi: DiffOp) -> bool:
+    """Whether the standard transposition t commutes with the whole action.
 
-    True for every linear action in characteristic 0; pass
-    ``allow_modular`` to try it experimentally in characteristic p.
+    True for every linear action over every field: t after g and g after
+    t are anti-automorphisms that agree on the generators.  t fixes the
+    polynomials and sends d^[beta] to (-1)^|beta| d^[beta], and g keeps
+    the degree |beta| of a constant-coefficient operator.
     """
-    if xi.ring.characteristic != 0 and not allow_modular:
-        raise DomainError(
-            "equivariance check is guaranteed in characteristic 0 only; "
-            "pass allow_modular=True to run it anyway"
-        )
     xi_t = standard_transpose(xi)  # once, not once per element
     return all(standard_transpose(act_on_op(g, xi)) == act_on_op(g, xi_t) for g in G)

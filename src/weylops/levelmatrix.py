@@ -10,8 +10,9 @@ no twisted arithmetic is needed.
 
 A matrix stores its nonzero entries only, as residue dicts (the kernel
 layout of ``_kernels``) keyed by (row, column): ``LevelMatrix.cells``.
-Sums (``_kernels.core_sum``), products and equality work on these dicts;
-``entries``, the dense grid of ``Polynomial`` values, is built on read.
+Sums (``_kernels.core_sum``), products (``_kernels.mul_add``) and
+equality work on these dicts; ``entries``, the dense grid of
+``Polynomial`` values, is built on read.
 
 Both directions are closed formulas.  Column lam of the matrix of
 xi = sum f_alpha d^[alpha] is the value xi(x^lam) = sum over alpha <= lam
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 from itertools import product
 from math import comb as _comb, prod as _prod
-from operator import add as _add
 
 from . import _kernels as K
 from .diffop import DiffOp
@@ -77,14 +77,6 @@ class FrobeniusBasis:
         )
 
     __hash__ = None
-
-
-def _pair_into(acc, a, b):
-    """Add the unreduced product of the root dicts a and b to acc."""
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            exp = tuple(map(_add, ea, eb))
-            acc[exp] = acc.get(exp, 0) + ca * cb
 
 
 class LevelMatrix:
@@ -162,10 +154,7 @@ class LevelMatrix:
         out = {}
         for (i, k), a in self.cells.items():
             for c, b in right.get(k, ()):
-                acc = out.get((i, c))
-                if acc is None:
-                    acc = out[i, c] = {}
-                _pair_into(acc, a, b)
+                K.mul_add(out.setdefault((i, c), {}), a, b)
         return LevelMatrix._from_cells(
             self.basis, K._reduced(out, self.ring.characteristic)
         )

@@ -193,17 +193,21 @@ class Polynomial:
             return self.ring.constant(other)
         return None
 
+    def _sum(self, *parts):
+        """The sum of c*num/den over the parts (num, den, c), c nonzero in
+        the field, by ``_kernels.core_sum`` on the order-0 operator cores
+        {(0,...,0): num}."""
+        zero = (0,) * self.ring.nvars
+        num, den = K.core_sum([({zero: f} if f else {}, d, c) for f, d, c in parts],
+                              self.ring.characteristic)
+        return Polynomial._core(self.ring, (num.get(zero, {}), den))
+
     def _plus(self, other, c):
-        """self + c*other by ``_kernels.core_sum``, on the order-0 operator
-        cores {(0,...,0): num}."""
+        """self + c*other."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        zero = (0,) * self.ring.nvars
-        parts = [({zero: f.num} if f.num else {}, f.den, k)
-                 for f, k in ((self, 1), (other, c))]
-        num, den = K.core_sum(parts, self.ring.characteristic)
-        return Polynomial._core(self.ring, (num.get(zero, {}), den))
+        return self._sum((self.num, self.den, 1), (other.num, other.den, c))
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -211,9 +215,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._core(
-            self.ring, (K.poly_neg(self.num, self.ring.characteristic), self.den)
-        )
+        return self._sum((self.num, self.den, -1))
 
     def __sub__(self, other):
         return self._plus(other, -1)
@@ -225,11 +227,10 @@ class Polynomial:
         p = self.ring.characteristic
         if isinstance(other, (int, Fraction)):
             c = self.ring.field.coerce(other)
-            if p:
-                return Polynomial._core(self.ring, (K.poly_scale(self.num, c, p), 1))
-            return Polynomial._core(self.ring, canonical(
-                K.poly_scale(self.num, c.numerator, 0), self.den * c.denominator
-            ))
+            if not c:
+                return self.ring.zero()
+            # over F_p c is an int residue, so its denominator is 1
+            return self._sum((self.num, self.den * c.denominator, c.numerator))
         if isinstance(other, Polynomial):
             self._check(other)
             return Polynomial._core(self.ring, canonical(
@@ -237,10 +238,7 @@ class Polynomial:
             ))
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -248,7 +246,7 @@ class Polynomial:
         if n == 0:
             return self.ring.one()
         return Polynomial._core(self.ring, canonical(
-            K.poly_pow(self.num, n, self.ring.characteristic), self.den**n
+            K.poly_pow(self.num, n, self.ring.characteristic), K.int_power(self.den, n)
         ))
 
     def __eq__(self, other):
@@ -350,7 +348,7 @@ def apply_ring_map(m: RingMap, f: Polynomial) -> Polynomial:
     if f.ring != m.ring:
         raise DomainError("polynomial does not live in the map's ring")
     den = lcm(*(g.den for g in m.images))
-    images = [g.num if g.den == den else K.poly_scale(g.num, den // g.den, 0)
+    images = [g.num if g.den == den else {e: c * (den // g.den) for e, c in g.num.items()}
               for g in m.images]
     return Polynomial._core(m.ring, substitute(
         f.num, f.den, images, den, m.ring.characteristic, {}
@@ -363,9 +361,10 @@ def substitute(num: dict, den: int, images: list, images_den: int, p: int, power
 
     A monomial of degree e picks up images_den^-e, so each numerator is
     lifted to the top degree t of num and the image is over
-    den * images_den^t."""
+    den * images_den^t; an images_den^t past ``BINOM_BITS_LIMIT`` bits is
+    refused (``_kernels.int_power``) before any lift is built."""
     if images_den != 1 and num:
         top = max(map(sum, num))
+        den *= K.int_power(images_den, top)
         num = {mu: c * images_den ** (top - sum(mu)) for mu, c in num.items()}
-        den *= images_den**top
     return canonical(K.poly_substitute(num, images, p, powers), den)

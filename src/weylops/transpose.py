@@ -28,9 +28,8 @@ polynomials over one denominator, and B's integer rows over another with
 their supports.  ``transport_prepared`` then conjugates one operator by
 it; the divided powers l_k^[a] and the powers of the variable images it
 forms depend on the operator and are dropped when it returns.
-``transport_by_rows`` and ``transport_via_coordinates`` prepare for each
-call; a group element prepares once and keeps the record
-(``invariants.GroupElement``).
+``transport_via_coordinates`` prepares for each call; a group element
+prepares once and keeps the record (``invariants.GroupElement``).
 """
 
 from __future__ import annotations
@@ -198,17 +197,8 @@ def transport_via_coordinates(m: RingMap, xi: DiffOp) -> DiffOp:
         inv_rows = m.inverse.matrix()
     else:
         inv_rows = Matrix(ring.field, rows).inverse().rows
-    return transport_by_rows(xi, rows, inv_rows)
-
-
-def transport_by_rows(xi: DiffOp, rows, inv_rows) -> DiffOp:
-    """Conjugate the operator by the linear substitution whose matrix has
-    the given rows (the image of x_j is the j-th column combination of the
-    variables), given the rows of its inverse B.  Nothing checks that B
-    inverts the matrix; callers pass a verified pair.  The pair is prepared
-    for this one call; a caller that reuses it keeps the prepared form."""
     return transport_prepared(
-        xi, prepare_substitution(rows, inv_rows, xi.ring.characteristic)
+        xi, prepare_substitution(rows, inv_rows, ring.characteristic)
     )
 
 
@@ -217,8 +207,10 @@ class Substitution(NamedTuple):
 
     ``images`` are the images of the variables (the columns of the matrix)
     as integer polynomial dicts over ``row_den``; ``inv_rows`` are B's rows
-    as integer rows over ``inv_den``, and ``supports`` the indices of their
-    nonzero entries.  Over F_p both denominators are 1.  Everything here
+    as integer rows over ``inv_den``, ``supports`` the indices of their
+    nonzero entries, and ``tops`` the largest of inv_den and each row's
+    absolute entries over Q, the base of the largest power that l_k^[a]
+    forms.  Over F_p both denominators and the tops are 1.  Everything here
     depends on the matrix pair alone, never on an operator.
     """
 
@@ -228,6 +220,7 @@ class Substitution(NamedTuple):
     inv_rows: list
     inv_den: int
     supports: list
+    tops: list
 
 
 def prepare_substitution(rows, inv_rows, p: int) -> Substitution:
@@ -245,7 +238,8 @@ def prepare_substitution(rows, inv_rows, p: int) -> Substitution:
     units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
     images = [{units[i]: v for i, v in enumerate(col) if v} for col in zip(*rows)]
     supports = [[j for j, b in enumerate(row) if b] for row in inv_rows]
-    return Substitution(identity, images, row_den, inv_rows, inv_den, supports)
+    tops = [1 if p else max(inv_den, *map(abs, row)) for row in inv_rows]
+    return Substitution(identity, images, row_den, inv_rows, inv_den, supports, tops)
 
 
 def transport_prepared(xi: DiffOp, sub: Substitution) -> DiffOp:
@@ -258,7 +252,7 @@ def transport_prepared(xi: DiffOp, sub: Substitution) -> DiffOp:
         return xi
     ring = xi.ring
     n, p = ring.nvars, ring.characteristic
-    inv_rows, inv_den, supports = sub.inv_rows, sub.inv_den, sub.supports
+    inv_rows, inv_den, supports, tops = sub.inv_rows, sub.inv_den, sub.supports, sub.tops
     for alpha in xi.num:
         size = prod(comb(a + len(s) - 1, a) for a, s in zip(alpha, supports))
         if size > TRANSPORT_TERMS_LIMIT:
@@ -271,14 +265,19 @@ def transport_prepared(xi: DiffOp, sub: Substitution) -> DiffOp:
     def divided_power(k: int, a: int):
         """The core of l_k^[a], the sum of B[k]^beta d^[beta] over
         |beta| = a with beta supported where B[k] is nonzero: the integer
-        row's powers over inv_den^a."""
+        row's powers over inv_den^a, each power reduced mod p as it is
+        formed, or over Q sized first, by its largest, tops[k]^a
+        (``_kernels.int_power``)."""
         row, support = inv_rows[k], supports[k]
+        if tops[k] > 1:
+            K.int_power(tops[k], a)
         terms = {}
         for part in exponents.iter_graded(len(support), a):
             beta = [0] * n
             for j, e in zip(support, part):
                 beta[j] = e
-            c = prod(row[j] ** e for j, e in zip(support, part))
+            c = prod(pow(row[j], e, p) if p else row[j] ** e
+                     for j, e in zip(support, part))
             terms[tuple(beta)] = {zero: c % p if p else c}
         return canonical(terms, inv_den ** a)
 

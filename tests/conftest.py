@@ -3,8 +3,8 @@ in-process CLI runner, the base-p^e digit split of a polynomial that the
 polynomial and level-matrix suites use as an oracle, the binary sums that
 the sum suites check ``core_sum`` against, the per-atom evaluator with
 binary sums that the parser suite checks the evaluator and the scanner
-against, and the commutator as two products that the bracket suite checks
-against."""
+against, the commutator as two products that the bracket suite checks
+against, and a spy that records the calls of a rebound function."""
 
 import io
 import random
@@ -102,6 +102,32 @@ def rng():
     return random.Random(20260810)
 
 
+@pytest.fixture
+def spy(monkeypatch):
+    """``spy(name, module, *others)`` rebinds the function ``name`` of
+    ``module``, in it and in each of ``others`` that holds the same
+    function, to a wrapper that appends each call's arguments to a list,
+    and returns that list.  ``check``, if given, sees the arguments before
+    the call."""
+
+    def install(name, module, *others, check=None):
+        fn = getattr(module, name)
+        calls = []
+
+        def recorded(*args):
+            if check is not None:
+                check(*args)
+            calls.append(args)
+            return fn(*args)
+
+        for owner in (module, *others):
+            if getattr(owner, name, None) is fn:
+                monkeypatch.setattr(owner, name, recorded)
+        return calls
+
+    return install
+
+
 def frobenius_decompose(f: Polynomial, e: int) -> dict:
     """Write f as a combination of p^e-th powers against the monomials
     with exponents below p^e, returning {lambda: g_lambda}.
@@ -160,6 +186,11 @@ def ref_poly_add(a: dict, b: dict, p: int) -> dict:
 def ref_poly_scale(a: dict, c, p: int) -> dict:
     """c times a polynomial dict, c nonzero in the field."""
     return {m: v * c % p if p else v * c for m, v in a.items()}
+
+
+def ref_poly_neg(a: dict, p: int) -> dict:
+    """-a for a polynomial dict."""
+    return ref_poly_scale(a, -1, p)
 
 
 def ref_add(a: dict, b: dict, p: int) -> dict:

@@ -185,7 +185,7 @@ def test_polynomial_arithmetic_and_apply_match_fraction_oracle(data):
     _check_poly(f + g, ref_poly_add(a, b, 0))
     _check_poly(f - g, ref_poly_add(a, ref_poly_scale(b, -1, 0), 0))
     _check_poly(f * g, K.poly_mul(a, b, 0))
-    _check_poly(f * Fraction(-4, 3), K.poly_scale(a, Fraction(-4, 3), 0))
+    _check_poly(f * Fraction(-4, 3), ref_poly_scale(a, Fraction(-4, 3), 0))
     n = data.draw(st.integers(0, 3))
     one = {(0,) * ring.nvars: Fraction(1)}
     _check_poly(f**n, K.poly_pow(a, n, 0) if n else one)
@@ -404,39 +404,27 @@ def test_every_sum_matches_the_binary_sum_oracles(p):
 # -- the kernels only ever see ints over Q --------------------------------------
 
 
-def test_operator_kernels_receive_only_ints_over_q(monkeypatch):
+def test_operator_kernels_receive_only_ints_over_q(spy):
     """Operator products, powers, brackets, both transposes, the parser and
     the transport, and operator and polynomial sums, products, powers,
     values of operators and substitutions hand the kernels integer
-    numerators only.  ``core_sum`` is watched under every name it is
-    imported by, its parts (num, den, c) included."""
+    numerators only.  Each kernel is watched under every name it is
+    imported by, ``core_sum``'s parts (num, den, c) and the accumulator of
+    ``mul_add`` included."""
     names = ("diffop_mul", "diffop_bracket", "diffop_transpose", "diffop_apply",
-             "core_sum", "poly_mul", "poly_pow", "poly_substitute")
-    seen = dict.fromkeys(names, 0)
+             "core_sum", "poly_mul", "poly_pow", "poly_substitute", "mul_add")
 
-    def ints_only(value):
-        if isinstance(value, dict):
-            value = list(value.values())
-        if isinstance(value, (list, tuple)):
-            for v in value:
-                ints_only(v)
-        else:
-            assert type(value) is int
+    def ints_only(*values):
+        for value in values:
+            if isinstance(value, dict):
+                ints_only(*value.values())
+            elif isinstance(value, (list, tuple)):
+                ints_only(*value)
+            else:
+                assert type(value) is int
 
-    def wrap(name):
-        kernel = getattr(K, name)
-
-        def guarded(*args):
-            seen[name] += 1
-            ints_only(list(args))
-            return kernel(*args)
-
-        for module in (K, diffop, opparser, transpose, invariants):
-            if getattr(module, name, None) is kernel:
-                monkeypatch.setattr(module, name, guarded)
-
-    for name in names:
-        wrap(name)
+    seen = {name: spy(name, K, diffop, opparser, transpose, invariants, check=ints_only)
+            for name in names}
     R = RINGS[2]
     F = R.field
     xi = parse_operator("1/2*x1*d1 + 2/3*x2^2*d[0,2] - 5/4", R)
@@ -452,7 +440,7 @@ def test_operator_kernels_receive_only_ints_over_q(monkeypatch):
     xi.apply(g)
     apply_ring_map(RingMap.from_matrix(R, [[1, Fraction(1, 3)], [0, 1]]), g)
     act_on_poly(swap, g)
-    assert all(seen.values()), seen
+    assert all(seen.values()), {name: len(calls) for name, calls in seen.items()}
 
 
 def test_powers_start_from_the_base(monkeypatch):

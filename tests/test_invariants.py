@@ -248,7 +248,9 @@ def test_ring_check_refuses_another_field():
     R5 = make_ring(5, 2)
     for act in (lambda: act_on_op(minus, DiffOp.partial(R5, 0)),
                 lambda: act_on_poly(minus, R5.gens()[0]),
-                lambda: reynolds(G, DiffOp.partial(R5, 0))):
+                lambda: reynolds(G, DiffOp.partial(R5, 0)),
+                # |G| = 2 is not invertible over F_2: the ring is named first
+                lambda: reynolds(G, DiffOp.partial(make_ring(2, 2), 0))):
         with pytest.raises(DomainError, match="does not act on this ring"):
             act()
     fresh = PolyRing(FieldSpec(0), 2)
@@ -435,15 +437,15 @@ def test_equivariance_random_groups(rng):
             assert equivariance_check(G, xi)
 
 
-def test_equivariance_char_p_needs_flag(rng):
-    R = make_ring(3, 2)
-    ident = GroupElement(Matrix.identity(R.field, 2))
-    minus = GroupElement(Matrix(R.field, [[2, 0], [0, 2]]))
-    G = FiniteGroup([ident, minus])
-    xi = DiffOp.partial(R, 0)
-    with pytest.raises(DomainError):
-        equivariance_check(G, xi)
-    assert equivariance_check(G, xi, allow_modular=True)
+def test_equivariance_in_characteristic_p(rng):
+    """The transposition commutes with all of GL2(F_2) and GL2(F_3),
+    divided powers of order p and beyond included (``equivariance_check``'s
+    argument)."""
+    for p in (2, 3):
+        G, R = _gl2_group(p), make_ring(p, 2)
+        for xi in [DiffOp.partial(R, 0), DiffOp.basis(R, (p, 1))] + [
+                random_diffop(rng, R, max_order=5, coeff_degree=2) for _ in range(8)]:
+            assert equivariance_check(G, xi)
 
 
 def _is_constant(f):

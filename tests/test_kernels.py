@@ -12,10 +12,14 @@ The row kernels ``diffop_mul`` and ``diffop_transpose`` are also checked for
 exact equality against the per-gamma loops they replaced, kept here as
 references: one ``partial_apply`` of the coefficient per gamma in the box,
 reduced after every product and sum.  The process-wide row table they
-share is checked for its bounds and for never keeping a refusal.
+share is checked for its bounds and for never keeping a refusal.  The
+callers of the one product loop ``mul_add`` and of the one-part
+``core_sum`` are checked, key order included, against the loops they
+replaced, kept here.
 """
 
 import math
+import operator
 import random
 from fractions import Fraction
 from itertools import product
@@ -23,7 +27,11 @@ from itertools import product
 import pytest
 
 import weylops._kernels as K
-from weylops import DomainError
+from weylops import DiffOp, DomainError
+from weylops.levelmatrix import SIZE_LIMIT, to_matrix
+from weylops.poly import canonical as poly_canonical
+from conftest import make_ring, random_diffop, random_level_bounded_op, random_poly
+from conftest import ref_poly_neg, ref_poly_scale
 
 PRIMES = (0, 2, 3, 5, 1000003, 4294967311, 2**61 - 1)
 
@@ -104,9 +112,6 @@ def test_poly_kernels_match_reference(p):
     for _ in range(60):
         n = rng.randint(1, 3)
         a, b = _rand_poly(rng, n, p), _rand_poly(rng, n, p)
-        c = Fraction(-3, 2) if p == 0 else rng.randrange(p)
-        assert K.poly_neg(a, p) == _reduce({e: -v for e, v in a.items()}, p)
-        assert K.poly_scale(a, c, p) == _reduce({e: v * c for e, v in a.items()}, p)
         assert K.poly_mul(a, b, p) == _ref_mul(a, b, p)
 
 
@@ -173,7 +178,7 @@ def test_diffop_mul_with_alpha_far_above_the_coefficient(p):
 
 
 def _per_gamma_mul(xi, eta, p):
-    """diffop_mul as one partial_apply, poly_mul and poly_scale per gamma in
+    """diffop_mul as one partial_apply, poly_mul and scaling per gamma in
     the box, each added into its term as ``_ref_add`` adds (the work bound
     left out)."""
     out = {}
@@ -190,13 +195,13 @@ def _per_gamma_mul(xi, eta, p):
                 factor = K.binom_product(target, delta, p)
                 if not factor:
                     continue
-                contrib = K.poly_scale(K.poly_mul(f, dg, p), factor, p)
+                contrib = ref_poly_scale(K.poly_mul(f, dg, p), factor, p)
                 out[target] = _ref_add(out.get(target, {}), contrib, p)
     return {exp: coeff for exp, coeff in out.items() if coeff}
 
 
 def _per_gamma_transpose(xi, p):
-    """diffop_transpose as one partial_apply and poly_neg per gamma in the
+    """diffop_transpose as one partial_apply and negation per gamma in the
     box, each added into its term as ``_ref_add`` adds (the work bound left
     out)."""
     out = {}
@@ -205,7 +210,7 @@ def _per_gamma_transpose(xi, p):
         for gamma in product(*map(range, ends)):
             df = K.partial_apply(gamma, f, p)
             if sum(alpha) % 2:
-                df = K.poly_neg(df, p)
+                df = ref_poly_neg(df, p)
             target = tuple(a - c for a, c in zip(alpha, gamma))
             out[target] = _ref_add(out.get(target, {}), df, p)
     return {exp: coeff for exp, coeff in out.items() if coeff}
@@ -366,11 +371,11 @@ def test_pure_kernels_strip_zeros():
     a = {(1,): 1, (0,): 2}
     b = {(1,): 2, (0,): 1}
     assert K.core_sum([({(0,): a}, 1, 1), ({(0,): b}, 1, 1)], p) == ({}, 1)
-    assert K.poly_scale(a, 0, p) == {}
     # (x + 2)(2x + 1) = 2x^2 + 5x + 2 = 2x^2 + 2x + 2 mod 3
     assert K.poly_mul(a, b, p) == {(2,): 2, (1,): 2, (0,): 2}
-    for result in (K.poly_mul(a, b, p), K.poly_neg(a, p)):
-        assert all(v for v in result.values())
+    assert all(K.poly_mul(a, b, p).values())
+    negated, _ = K.core_sum([({(0,): a}, 1, -1)], p)
+    assert negated == {(0,): {(1,): 2, (0,): 1}}
 
 
 def test_work_bound_counts_before_the_work(monkeypatch):
@@ -398,3 +403,174 @@ def test_work_bound_counts_before_the_work(monkeypatch):
         with pytest.raises(DomainError, match="guardrail"):
             run()
         monkeypatch.undo()
+
+
+def test_one_term_powers_in_closed_form():
+    """A one-term base c*x^m goes to c^e*x^(e*m) with no product, as e - 1
+    products give it; over Q an int c^e past BINOM_BITS_LIMIT bits is
+    refused before it is built (a Fraction, from the oracle, is not sized),
+    and a substitution through such an image is refused with it."""
+    rng = random.Random(7)
+    for p in PRIMES:
+        for _ in range(20):
+            n = rng.randint(1, 3)
+            a = _rand_poly(rng, n, p, terms=1) or {(0,) * n: 1}
+            a = dict([next(iter(a.items()))])
+            chain = a
+            for e in range(1, 7):
+                assert K.poly_pow(a, e, p) == chain
+                chain = _ref_mul(chain, a, p)
+    limit = K.BINOM_BITS_LIMIT
+    assert K.poly_pow({(1,): 2}, limit - 1, 0) == {(limit - 1,): 2 ** (limit - 1)}
+    assert K.poly_pow({(1,): Fraction(1, 2)}, limit, 0) == {(limit,): Fraction(1, 2**limit)}
+    assert K.poly_pow({(1,): 2}, 10**12, 5) == {(10**12,): pow(2, 10**12, 5)}
+    for e in (limit, 10**12):
+        with pytest.raises(DomainError, match="guardrail"):
+            K.poly_pow({(1,): -2}, e, 0)
+        with pytest.raises(DomainError, match="guardrail"):
+            K.poly_substitute({(e, 0): 1}, [{(0, 1): 4}, {(1, 0): 1}], 0, {})
+
+
+def _old_pair_into(acc, a, b):
+    """The unreduced product loop as ``poly_mul`` and the level-matrix
+    product wrote it inline."""
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exp = tuple(map(operator.add, ea, eb))
+            acc[exp] = acc.get(exp, 0) + ca * cb
+
+
+def _old_poly_mul(a, b, p):
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    _old_pair_into(out, a, b)
+    return K._reduced_poly(out, p)
+
+
+def _old_poly_neg(a, p):
+    if p:
+        return {exp: (-c) % p for exp, c in a.items()}
+    return {exp: -c for exp, c in a.items()}
+
+
+def _old_poly_scale(a, c, p):
+    if p:
+        return K._reduced_poly({exp: v * c for exp, v in a.items()}, p)
+    return {exp: v * c for exp, v in a.items()} if c else {}
+
+
+def _old_diffop_apply(xi, f, p):
+    out = {}
+    for alpha, coeff in xi.items():
+        for d, c in K.partial_apply(alpha, f, p).items():
+            for e, cf in coeff.items():
+                e = tuple(map(operator.add, e, d))
+                out[e] = out.get(e, 0) + cf * c
+    return K._reduced_poly(out, p)
+
+
+def _old_order0_mul(f, eta, p):
+    """f*d^[0] times eta, as ``_mul_into``'s alpha = 0 branch looped."""
+    out = {}
+    for beta, g in eta.items():
+        acc = out.setdefault(beta, {})
+        for m, c in g.items():
+            for e, cf in f.items():
+                e = tuple(map(operator.add, e, m))
+                acc[e] = acc.get(e, 0) + cf * c
+    return K._reduced(out, p)
+
+
+def _old_bracket(xi, eta, p):
+    out = {}
+    K._mul_into(out, xi, eta, p, True)
+    K._mul_into(out, eta, {a: _old_poly_neg(f, p) for a, f in xi.items()}, p, True)
+    return K._reduced(out, p)
+
+
+def _old_level_mul(x, y, p):
+    right = {}
+    for (k, c), b in y.cells.items():
+        right.setdefault(k, []).append((c, b))
+    out = {}
+    for (i, k), a in x.cells.items():
+        for c, b in right.get(k, ()):
+            acc = out.get((i, c))
+            if acc is None:
+                acc = out[i, c] = {}
+            _old_pair_into(acc, a, b)
+    return K._reduced(out, p)
+
+
+def _layout(d):
+    """A dict with its key order, nested coefficient dicts included."""
+    return [(k, _layout(v) if isinstance(v, dict) else v) for k, v in d.items()]
+
+
+@pytest.mark.parametrize("p", (0, 2, 3, 5, 1000003))
+def test_one_product_loop_and_one_sum_keep_every_key_order(p):
+    """``mul_add`` and the one-part ``core_sum`` give what the loops they
+    replaced gave, value, denominator and key order: polynomial negation
+    and scalar products, ``poly_mul``, ``diffop_apply``, a left factor of
+    order 0, ``diffop_bracket`` and the level-matrix product."""
+    rng = random.Random(2500 + p)
+    scalars = (0, 1, -1, 7, 12, p or 9, Fraction(-4, 7), 10**30 + 1)
+    for _ in range(30):
+        R = make_ring(p, rng.randint(1, 3))
+        zero = (0,) * R.nvars
+        f, g = (random_poly(rng, R, max_degree=4, max_terms=5) for _ in range(2))
+        xi, eta = (random_diffop(rng, R, max_order=3) for _ in range(2))
+        neg = -f
+        assert (_layout(neg.num), neg.den) == (_layout(_old_poly_neg(f.num, p)), f.den)
+        for c in scalars:
+            c = R.field.coerce(c)
+            scaled = f * c
+            if p:
+                old = _old_poly_scale(f.num, c, p), 1
+            else:
+                old = poly_canonical(_old_poly_scale(f.num, c.numerator, 0),
+                                     f.den * c.denominator)
+            assert (_layout(scaled.num), scaled.den) == (_layout(old[0]), old[1])
+            assert _layout((c * f).num) == _layout(old[0])
+        for a, b in ((f.num, g.num), (g.num, f.num), (f.num, f.num)):
+            assert _layout(K.poly_mul(a, b, p)) == _layout(_old_poly_mul(a, b, p))
+        assert _layout(K.diffop_apply(xi.num, f.num, p)) == _layout(
+            _old_diffop_apply(xi.num, f.num, p))
+        if f.num:
+            assert _layout(K.diffop_mul({zero: f.num}, eta.num, p)) == _layout(
+                _old_order0_mul(f.num, eta.num, p))
+        assert _layout(K.diffop_bracket(xi.num, eta.num, p)) == _layout(
+            _old_bracket(xi.num, eta.num, p))
+    if not p:
+        return
+    for e, n in ((0, 2), (1, 1), (1, 2), (2, 1)):
+        R = make_ring(p, n)
+        if p ** (e * n) > SIZE_LIMIT:
+            continue
+        for _ in range(5):
+            x, y = (to_matrix(random_level_bounded_op(rng, R, e, max_terms=4), e)
+                    for _ in range(2))
+            assert _layout((x * y).cells) == _layout(_old_level_mul(x, y, p))
+
+
+def test_every_unreduced_polynomial_product_goes_through_mul_add(spy):
+    """``poly_mul``, ``diffop_apply``, a left term of order 0 in
+    ``diffop_mul`` and the level-matrix product each add their products
+    through ``mul_add``, the general Leibniz terms do not."""
+    p = 3
+    f, g = {(1, 0): 1, (0, 2): 2}, {(0, 1): 1, (0, 0): 2}
+    calls = spy("mul_add", K)
+    for run, count in (
+            (lambda: K.poly_mul(f, g, p), 1),
+            (lambda: K.diffop_apply({(0, 0): g, (1, 0): f}, f, p), 2),
+            (lambda: K.diffop_mul({(0, 0): f}, {(0, 0): g, (1, 1): f}, p), 2),
+            (lambda: K.diffop_mul({(1, 0): f}, {(0, 0): g}, p), 0),
+            (lambda: K.diffop_bracket({(0, 0): f}, {(1, 0): g}, p), 0)):
+        calls.clear()
+        run()
+        assert len(calls) == count
+    x = to_matrix(DiffOp.basis(make_ring(p, 2), (1, 2)), 1)
+    calls.clear()
+    x * x
+    assert len(calls) == sum(1 for (_, k) in x.cells for (k2, _) in x.cells if k == k2)

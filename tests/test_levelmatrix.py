@@ -2,6 +2,7 @@
 
 import pytest
 
+import weylops._kernels as K
 from weylops import (
     DiffOp,
     DomainError,
@@ -12,7 +13,6 @@ from weylops import (
     to_matrix,
     to_operator,
 )
-from weylops import levelmatrix
 from weylops.diffop import operator_from_monomial_values
 from conftest import frobenius_decompose, frobenius_reassemble, make_ring
 from conftest import random_diffop, random_level_bounded_op, random_poly
@@ -230,7 +230,7 @@ def test_entries_round_trip(rng):
             assert LevelMatrix(basis, entries).entries == entries
 
 
-def test_sparse_product_matches_dense_product(rng, monkeypatch):
+def test_sparse_product_matches_dense_product(rng, spy):
     products = []
     for p, e, n in LEVEL_SHAPES:
         basis = FrobeniusBasis(make_ring(p, n), e)
@@ -243,15 +243,11 @@ def test_sparse_product_matches_dense_product(rng, monkeypatch):
             pairs = sum(1 for i in size for k in size for c in size
                         if ea[i][k] and eb[k][c])
             products.append((a, b, _dense_mul(a, b), pairs))
-    pair_into = levelmatrix._pair_into
-    formed = []
 
     def nonzero_factors_only(acc, f, g):
         assert f and g, "level matrix product formed a zero factor"
-        formed.append(1)
-        pair_into(acc, f, g)
 
-    monkeypatch.setattr(levelmatrix, "_pair_into", nonzero_factors_only)
+    formed = spy("mul_add", K, check=nonzero_factors_only)
     for a, b, expected, pairs in products:
         formed.clear()
         assert a * b == expected

@@ -321,6 +321,9 @@ def test_cli_work_bound_refuses_in_time(tmp_path):
     for args in (["--char", "5", "normalize", "d[100000000]*x1^100000000"],
                  ["--char", "5", "transpose", "x1^100000000*d[100000000]"],
                  c3 + ["x1^100000"],
+                 # a substitution lifted by 2^N and an image power 4^N
+                 # built before either was sized
+                 _scaled_swap(tmp_path) + ["x1^100000000"],
                  # a one-term power squared without bound before its
                  # coefficient was sized
                  ["normalize", "2^10000000000"],
@@ -329,6 +332,57 @@ def test_cli_work_bound_refuses_in_time(tmp_path):
                               capture_output=True, text=True, env=env, timeout=20)
         assert (done.returncode, done.stdout) == (3, "")
         assert "guardrail" in done.stderr and "Traceback" not in done.stderr
+
+
+def _scaled_swap(tmp_path):
+    """The group {1, g}, g: x1 -> 2*x2, x2 -> x1/2, whose substitution is
+    the integer images 4*x2 and x1 over the denominator 2, ready for a
+    ``reynolds`` operand."""
+    group_file = tmp_path / "scaled_swap.json"
+    group_file.write_text('[[[1, 0], [0, 1]], [[0, "1/2"], [2, 0]]]')
+    return ["--nvars", "2", "group", "--group", str(group_file), "reynolds"]
+
+
+def test_cli_substitution_powers_sized_first(tmp_path):
+    # under the scaled swap x1^N goes to (4*x2)^N over 2^N, and d[0,N] to
+    # (4*d1)^[N] over 2^N: 4^N is refused past 2^14 bits, so from N = 8192
+    # on, though 2^N still prints
+    base = _scaled_swap(tmp_path)
+    assert run_cli(base + ["x1^3*d[1,0]"]) == (
+        0, "1/2*x1^3*d[1,0] + 2*x2^3*d[0,1]\n", "")
+    for text in ("x1^8191", "d[0,8191]"):
+        code, out, err = run_cli(base + [text])
+        assert (code, err) == (0, "") and out.startswith(("1/2*x1^8191 + ", "2726870"))
+    for text in ("x1^8192", "d[0,8192]"):
+        code, out, err = run_cli(base + [text])
+        assert (code, out) == (3, "") and "guardrail of 16384 bits" in err
+
+
+def test_cli_transport_powers_reduced_as_formed(tmp_path):
+    # over F_5 the divided power (3*d1)^[N] took 3^N whole before reducing
+    # it mod 5, and ran past the timeout
+    group_file = tmp_path / "c4.json"
+    group_file.write_text("[[[1, 0], [0, 1]], [[2, 0], [0, 1]], [[4, 0], [0, 1]], "
+                          "[[3, 0], [0, 1]]]")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-m", "weylops.cli", "--char", "5", "--nvars", "2", "group",
+         "--group", str(group_file), "reynolds", "d[100000000,0] + d[100000001,1]"],
+        capture_output=True, text=True, env=env, timeout=20)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "d[100000000,0]\n", "")
+
+
+def test_cli_group_file_must_hold_matrices(tmp_path):
+    # a bare row was a TypeError traceback; a row of strings was read digit
+    # by digit, "10" as the row 1, 0
+    for i, text in enumerate(("[[5]]", '[["10", "01"]]', "[[[1, true]]]",
+                              '[[[1, {"a": 1}]]]', '{"g": [[1]]}', "[[1, [2]]]")):
+        group_file = tmp_path / f"bad{i}.json"
+        group_file.write_text(text)
+        code, out, err = run_cli(["--nvars", "1", "group", "--group", str(group_file),
+                                  "pseudoreflections"])
+        assert (code, out) == (2, ""), text
+        assert err.startswith("parse error: group file must be") and err.count("\n") == 1
 
 
 def test_cli_matrix_level_checked_before_the_work():

@@ -25,7 +25,11 @@ from weylops import exponents
 from weylops.diffop import operator_from_monomial_values
 from weylops.poly import RingMap, apply_ring_map
 from weylops import transpose
-from weylops.transpose import TRANSPORT_TERMS_LIMIT, transport_by_rows
+from weylops.transpose import (
+    TRANSPORT_TERMS_LIMIT,
+    prepare_substitution,
+    transport_prepared,
+)
 from conftest import make_ring, random_diffop, random_poly
 
 
@@ -501,7 +505,9 @@ def test_prepared_action_matches_bare_rows_and_oracle(data):
     the evaluate-and-solve oracle's value; twice in a row, so the second
     action reads the kept record."""
     g, xi = data
-    bare = transport_by_rows(xi, g.matrix.rows, g.inverse().matrix.rows)
+    bare = transport_prepared(xi, prepare_substitution(
+        g.matrix.rows, g.inverse().matrix.rows, xi.ring.characteristic
+    ))
     for _ in range(2):
         moved = act_on_op(g, xi)
         assert moved == bare and _key_order(moved) == _key_order(bare)
