@@ -126,18 +126,18 @@ class OrderFiltration:
     The chain is stored as its graded pieces: vectors in the vectorized
     (row-major, see :func:`vectorize`) coordinates, those of piece n
     spanning a complement of level n-1 in level n.  ``dims`` are the level
-    dimensions and ``stabilized_at`` the first n with no growth, or None
-    when the chain was cut first.  ``bases`` builds, when read, a matrix
-    per level whose columns span it.
+    dimensions and ``stabilized_at`` the top level, past which the chain
+    does not grow.  ``bases`` builds, when read, a matrix per level whose
+    columns span it.
     """
 
     __slots__ = ("algebra", "_pieces", "dims", "stabilized_at")
 
-    def __init__(self, algebra, pieces, stabilized_at):
+    def __init__(self, algebra, pieces):
         self.algebra = algebra
         self._pieces = pieces
         self.dims = list(accumulate(len(piece) for piece in pieces))
-        self.stabilized_at = stabilized_at
+        self.stabilized_at = len(pieces) - 1
 
     @property
     def bases(self):
@@ -155,13 +155,10 @@ class OrderFiltration:
 
     def graded_piece(self, n: int):
         """Vectors spanning a complement of level n-1 inside level n: none
-        for n < 0 or past a stabilized top.  Past the last level of a chain
-        cut by ``n_max`` the piece is unknown, and refused."""
+        for n < 0 or past the top."""
         if 0 <= n < len(self._pieces):
             return [list(v) for v in self._pieces[n]]
-        if n < 0 or self.stabilized_at is not None:
-            return []
-        raise DomainError(f"order {n} is past the last level computed")
+        return []
 
 
 def vectorize(m: Matrix):
@@ -177,6 +174,14 @@ def _refuse_large(A: ArtinianAlgebra):
     if A.dim**2 > SIZE_LIMIT:
         raise DomainError(f"endomorphism space of dimension {A.dim**2} exceeds "
                           f"the guardrail of {SIZE_LIMIT}")
+
+
+def _check_endomorphism(A: ArtinianAlgebra, xi: Matrix):
+    """Refuse a matrix that is not a d x d matrix over the algebra's field."""
+    if xi.nrows != A.dim or xi.ncols != A.dim:
+        raise DomainError("endomorphism has the wrong size")
+    if xi.field != A.field:
+        raise DomainError("endomorphism field mismatch")
 
 
 def _nonzero_depths(A: ArtinianAlgebra, xi: Matrix, limit: int):
@@ -196,10 +201,7 @@ def _nonzero_depths(A: ArtinianAlgebra, xi: Matrix, limit: int):
     """
     d, F = A.dim, A.field
     _refuse_large(A)
-    if xi.nrows != d or xi.ncols != d:
-        raise DomainError("endomorphism has the wrong size")
-    if xi.field != F:
-        raise DomainError("endomorphism field mismatch")
+    _check_endomorphism(A, xi)
     add, sub, zero = F.add, F.sub, F.zero()
     shifts = [(prod(A.exponents[i + 1 :]), a) for i, a in enumerate(A.exponents)]
     vec = {j * d + k: v for j, row in enumerate(xi.rows) for k, v in enumerate(row) if v}
@@ -282,14 +284,14 @@ def _one_variable_levels(F: FieldSpec, a: int):
     return out
 
 
-def order_filtration(A: ArtinianAlgebra, n_max: int | None = None) -> OrderFiltration:
+def order_filtration(A: ArtinianAlgebra) -> OrderFiltration:
     """The increasing chain of order subspaces inside the endomorphisms.
 
     Level 0 is spanned by the multiplication operators; each further level
     collects the endomorphisms whose commutators with every variable lie
-    one level down.  Stops at stabilization or at ``n_max`` (default twice
-    the algebra dimension).  Refuses algebras whose d*d endomorphism
-    coordinates exceed the guardrail, before building anything.
+    one level down, up to the top level, where the chain stabilizes.
+    Refuses algebras whose d*d endomorphism coordinates exceed the
+    guardrail, before building anything.
 
     The graded pieces are the Kronecker products of one-variable adapted
     basis vectors (:func:`_one_variable_levels`), by the sum of their
@@ -300,22 +302,16 @@ def order_filtration(A: ArtinianAlgebra, n_max: int | None = None) -> OrderFiltr
     F = A.field
     d = A.dim
     _refuse_large(A)
-    if n_max is None:
-        n_max = 2 * d
-
     factors = []
     for i, a in enumerate(A.exponents):
         stride = prod(A.exponents[i + 1 :])
         factors.append([(level, [((mu * d + nu) * stride, c) for (mu, nu), c in vec.items()])
                         for level, vec in _one_variable_levels(F, a)])
     top = sum(levels[-1][0] for levels in factors)
-    last = max(0, min(top, n_max))
-    pieces = [[] for _ in range(last + 1)]
+    pieces = [[] for _ in range(top + 1)]
     zero, one, mul = F.zero(), F.one(), F.mul
     for combo in product(*factors):
         level = sum(lv for lv, _ in combo)
-        if level > last:
-            continue
         terms = [(0, one)]
         for _, entries in combo:
             terms = [(at + share, mul(c, v)) for at, c in terms for share, v in entries]
@@ -323,9 +319,7 @@ def order_filtration(A: ArtinianAlgebra, n_max: int | None = None) -> OrderFiltr
         for at, c in terms:
             vec[at] = c
         pieces[level].append(vec)
-    # level top is the whole space; like the chain it replaces, it is
-    # recorded as stable only when n_max leaves room for level top+1
-    return OrderFiltration(A, pieces, top if n_max > top else None)
+    return OrderFiltration(A, pieces)
 
 
 def socle_adjoint(A: ArtinianAlgebra, xi: Matrix, unit=None) -> Matrix:
@@ -340,8 +334,7 @@ def socle_adjoint(A: ArtinianAlgebra, xi: Matrix, unit=None) -> Matrix:
     preserves every order level.
     """
     d = A.dim
-    if xi.nrows != d or xi.ncols != d:
-        raise DomainError("endomorphism has the wrong size")
+    _check_endomorphism(A, xi)
     if unit is not None:
         mult_u = A.multiplication_operator(dict(unit))
         try:

@@ -187,17 +187,15 @@ def matrix_cmd(cfg: SessionConfig, expr, level_e):
 @cli.command("artinian")
 @click.option("--exponents", "exps", required=True,
               help="Comma-separated defining exponents, e.g. 2,3.")
-@click.option("--n-max", type=int, default=None,
-              help="Cap for the filtration chain (default 2*dim).")
 @click.pass_obj
-def artinian_cmd(cfg: SessionConfig, exps, n_max):
+def artinian_cmd(cfg: SessionConfig, exps):
     """Order filtration and socle adjoint on a monomial quotient."""
     try:
         exponents = tuple(int(s) for s in exps.split(","))
     except ValueError:
         raise ParseError(f"bad exponent list {exps!r}") from None
     A = art.ArtinianAlgebra(exponents, FieldSpec(cfg.characteristic))
-    filt = art.order_filtration(A, n_max=n_max)
+    filt = art.order_filtration(A)
     d = A.dim
     if cfg.json_output:
         payload = {
@@ -215,9 +213,7 @@ def artinian_cmd(cfg: SessionConfig, exps, n_max):
     else:
         click.echo(f"algebra dimension {d}, basis of {len(A.basis)} monomials")
         dims = " ".join(str(v) for v in filt.dims)
-        stable = (f" (stable at order {filt.stabilized_at})"
-                  if filt.stabilized_at is not None else "")
-        click.echo(f"filtration dims: {dims}{stable}")
+        click.echo(f"filtration dims: {dims} (stable at order {filt.stabilized_at})")
         click.echo("socle pairing:")
         for row in A.gram().rows:
             click.echo("  " + " ".join(str(v) for v in row))
@@ -231,12 +227,14 @@ def _load_group(path, field: FieldSpec) -> inv.FiniteGroup:
         raise DomainError(f"cannot read group file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"group file is not valid JSON: {exc}") from None
+    # data[0] is read only once it has passed as a list: all() goes in order
     if not (isinstance(data, list) and all(
-            isinstance(rows, list) and all(isinstance(row, list) for row in rows)
+            isinstance(rows, list) and len(rows) == len(data[0]) > 0
+            and all(isinstance(row, list) and len(row) == len(rows) for row in rows)
             and all(isinstance(v, (int, float, str)) and not isinstance(v, bool)
                     for row in rows for v in row) for rows in data)):
-        raise ParseError("group file must be a JSON list of matrices: lists of "
-                         "rows of numbers or strings")
+        raise ParseError("group file must be a JSON list of nonempty square "
+                         "matrices of one size: lists of rows of numbers or strings")
     return inv.FiniteGroup([inv.GroupElement(Matrix(field, rows)) for rows in data])
 
 

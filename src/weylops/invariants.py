@@ -29,12 +29,12 @@ class GroupElement:
     eliminate nothing.
 
     The substitution is prepared on the element's first action and kept
-    (``transpose.Substitution``): whether it is the identity, the images of
-    the variables as integer polynomials over one denominator, and the
-    inverse's integer rows with their supports.  So building a group and
-    checking its closure prepare nothing, and every later action on a
-    polynomial or an operator reuses the record.  Its size depends on the
-    matrix alone; nothing that depends on an operator is kept.
+    (``transpose.Substitution``): whether it is the identity, and the
+    images of the variables and the inverse's rows, each as an integer
+    core over its own denominator.  So building a group and checking its
+    closure prepare nothing, and every later action on a polynomial or an
+    operator reuses the record.  Its size depends on the matrix alone;
+    nothing that depends on an operator is kept.
     """
 
     __slots__ = ("matrix", "_inverse", "_key", "_substitution")
@@ -180,7 +180,7 @@ def act_on_poly(g: GroupElement, f: Polynomial) -> Polynomial:
     g._check_ring(f.ring)
     sub = g.substitution()
     return Polynomial._core(f.ring, substitute(
-        f.num, f.den, sub.images, sub.row_den, f.ring.characteristic, {}
+        f.num, f.den, sub.images, sub.dens, f.ring.characteristic, {}
     ))
 
 

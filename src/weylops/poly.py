@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from . import _kernels as K
 from . import exponents
@@ -123,6 +123,17 @@ def canonical(num: dict, den: int):
     return {m: c // g for m, c in num.items()}, den // g
 
 
+def integer_core(terms: dict, p: int):
+    """The canonical core (num, den) of a dict of nonzero field values in
+    characteristic p: over F_p the residues themselves over 1, over Q the
+    numerators over the lcm of the lowest-terms denominators, which leaves
+    no common factor."""
+    if p:
+        return terms, 1
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
+
+
 class Polynomial:
     """Element of a :class:`PolyRing` over an integer core (module docstring).
 
@@ -135,13 +146,7 @@ class Polynomial:
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
-        if ring.characteristic:
-            self.num, self.den = terms, 1
-        else:
-            # the lcm of lowest-terms denominators leaves no common factor
-            den = lcm(*(c.denominator for c in terms.values()))
-            self.num = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
-            self.den = den
+        self.num, self.den = integer_core(terms, ring.characteristic)
 
     @classmethod
     def _core(cls, ring: PolyRing, core) -> Polynomial:
@@ -343,28 +348,31 @@ class RingMap:
 
 
 def apply_ring_map(m: RingMap, f: Polynomial) -> Polynomial:
-    """Substitution: replace each variable of f by its image under m.  The
-    images are taken as int numerators over their one denominator."""
+    """Substitution: replace each variable of f by its image under m, each
+    image taken as its own integer core."""
     if f.ring != m.ring:
         raise DomainError("polynomial does not live in the map's ring")
-    den = lcm(*(g.den for g in m.images))
-    images = [g.num if g.den == den else {e: c * (den // g.den) for e, c in g.num.items()}
-              for g in m.images]
+    dens = [g.den for g in m.images]
     return Polynomial._core(m.ring, substitute(
-        f.num, f.den, images, den, m.ring.characteristic, {}
+        f.num, f.den, [g.num for g in m.images], dens if max(dens) > 1 else None,
+        m.ring.characteristic, {}
     ))
 
 
-def substitute(num: dict, den: int, images: list, images_den: int, p: int, powers: dict):
-    """The core of num/den with each x_i replaced by images[i]/images_den,
-    for int dicts images (``powers`` as in ``_kernels.poly_substitute``).
+def substitute(num: dict, den: int, images: list, dens, p: int, powers: dict):
+    """The core of num/den with each x_i replaced by images[i]/dens[i], for
+    int dicts images (``powers`` as in ``_kernels.poly_substitute``); dens
+    is None when every denominator is 1, and then nothing is lifted.
 
-    A monomial of degree e picks up images_den^-e, so each numerator is
-    lifted to the top degree t of num and the image is over
-    den * images_den^t; an images_den^t past ``BINOM_BITS_LIMIT`` bits is
-    refused (``_kernels.int_power``) before any lift is built."""
-    if images_den != 1 and num:
-        top = max(map(sum, num))
-        den *= K.int_power(images_den, top)
-        num = {mu: c * images_den ** (top - sum(mu)) for mu, c in num.items()}
+    A monomial x^mu picks up the product of dens[i]^-mu_i, so each
+    numerator is lifted to the top exponent t_i of each variable in num and
+    the image is over den * prod dens[i]^t_i; a dens[i]^t_i past
+    ``BINOM_BITS_LIMIT`` bits is refused (``_kernels.int_power``) before
+    any lift is built."""
+    if dens is not None and num:
+        tops = [max(mu[i] for mu in num) for i in range(len(dens))]
+        for d, t in zip(dens, tops):
+            den *= K.int_power(d, t)
+        num = {mu: c * prod(d ** (t - e) for d, t, e in zip(dens, tops, mu))
+               for mu, c in num.items()}
     return canonical(K.poly_substitute(num, images, p, powers), den)

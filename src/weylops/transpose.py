@@ -23,26 +23,26 @@ holds in every characteristic.
 
 The transport runs in two steps.  ``prepare_substitution`` turns the
 matrix pair into a :class:`Substitution`, which depends on the pair
-alone: whether it is the identity, the images of the x_j as integer
-polynomials over one denominator, and B's integer rows over another with
-their supports.  ``transport_prepared`` then conjugates one operator by
-it; the divided powers l_k^[a] and the powers of the variable images it
-forms depend on the operator and are dropped when it returns.
+alone: whether it is the identity, and the images of the x_j and the rows
+of B, each as an integer core over its own denominator.
+``transport_prepared`` then conjugates one operator by it; the divided
+powers l_k^[a] and the powers of the variable images it forms depend on
+the operator and are dropped when it returns.
 ``transport_via_coordinates`` prepares for each call; a group element
 prepares once and keeps the record (``invariants.GroupElement``).
 """
 
 from __future__ import annotations
 
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, prod
 from typing import NamedTuple
 
 from . import _kernels as K
 from . import exponents
-from .diffop import DiffOp, canonical, core_mul, core_pow, core_sum
+from .diffop import DiffOp, core_mul, core_pow, core_sum
 from .errors import DomainError
 from .linalg import Matrix
-from .poly import Polynomial, PolyRing, RingMap, substitute
+from .poly import Polynomial, PolyRing, RingMap, integer_core, substitute
 
 # most term pairs that the products building prod_k l_k^[alpha_k] may form
 # for one term of an operator, bounded by the product over k of
@@ -206,20 +206,19 @@ class Substitution(NamedTuple):
     """A linear substitution and its inverse B, prepared for transport.
 
     ``images`` are the images of the variables (the columns of the matrix)
-    as integer polynomial dicts over ``row_den``; ``inv_rows`` are B's rows
-    as integer rows over ``inv_den``, ``supports`` the indices of their
-    nonzero entries, and ``tops`` the largest of inv_den and each row's
-    absolute entries over Q, the base of the largest power that l_k^[a]
-    forms.  Over F_p both denominators and the tops are 1.  Everything here
-    depends on the matrix pair alone, never on an operator.
+    as integer polynomial dicts, and ``dens`` their denominators, one per
+    image, or None when every one is 1.  ``inv_rows`` are B's rows as
+    integer cores ({j: B[k][j]} over the nonzero entries, den_k), so each
+    row's keys are its support, and ``tops`` the largest of den_k and row
+    k's absolute numerators over Q, the base of the largest power that
+    l_k^[a] forms.  Over F_p every denominator and top is 1.  Everything
+    here depends on the matrix pair alone, never on an operator.
     """
 
     identity: bool
     images: list
-    row_den: int
+    dens: list | None
     inv_rows: list
-    inv_den: int
-    supports: list
     tops: list
 
 
@@ -229,32 +228,29 @@ def prepare_substitution(rows, inv_rows, p: int) -> Substitution:
     n = len(rows)
     identity = all(v == (1 if i == j else 0)
                    for i, row in enumerate(rows) for j, v in enumerate(row))
-    if identity:
-        rows = inv_rows = [[int(i == j) for j in range(n)] for i in range(n)]
-        row_den = inv_den = 1
-    else:
-        rows, row_den = _integer_rows(rows, p)
-        inv_rows, inv_den = _integer_rows(inv_rows, p)
     units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-    images = [{units[i]: v for i, v in enumerate(col) if v} for col in zip(*rows)]
-    supports = [[j for j, b in enumerate(row) if b] for row in inv_rows]
-    tops = [1 if p else max(inv_den, *map(abs, row)) for row in inv_rows]
-    return Substitution(identity, images, row_den, inv_rows, inv_den, supports, tops)
+    images = [integer_core({units[i]: v for i, v in enumerate(col) if v}, p)
+              for col in zip(*rows)]
+    dens = [den for _, den in images]
+    inv_rows = [integer_core({j: b for j, b in enumerate(row) if b}, p)
+                for row in inv_rows]
+    tops = [1 if p else max(den, *map(abs, row.values())) for row, den in inv_rows]
+    return Substitution(identity, [image for image, _ in images],
+                        dens if max(dens) > 1 else None, inv_rows, tops)
 
 
 def transport_prepared(xi: DiffOp, sub: Substitution) -> DiffOp:
     """Conjugate the operator by a prepared substitution (the formula is in
-    the module docstring).  Over Q both matrices are integer rows over one
-    common denominator each, so the work is on integer cores throughout.
-    The divided powers and the powers of the variable images are formed
-    for this call alone."""
+    the module docstring), on integer cores throughout.  The divided
+    powers and the powers of the variable images are formed for this call
+    alone."""
     if sub.identity:
         return xi
     ring = xi.ring
     n, p = ring.nvars, ring.characteristic
-    inv_rows, inv_den, supports, tops = sub.inv_rows, sub.inv_den, sub.supports, sub.tops
+    inv_rows, tops = sub.inv_rows, sub.tops
     for alpha in xi.num:
-        size = prod(comb(a + len(s) - 1, a) for a, s in zip(alpha, supports))
+        size = prod(comb(a + len(row) - 1, a) for a, (row, _) in zip(alpha, inv_rows))
         if size > TRANSPORT_TERMS_LIMIT:
             raise DomainError(
                 f"the image of d[{','.join(map(str, alpha))}] may have more "
@@ -265,24 +261,26 @@ def transport_prepared(xi: DiffOp, sub: Substitution) -> DiffOp:
     def divided_power(k: int, a: int):
         """The core of l_k^[a], the sum of B[k]^beta d^[beta] over
         |beta| = a with beta supported where B[k] is nonzero: the integer
-        row's powers over inv_den^a, each power reduced mod p as it is
+        row's powers over den_k^a, each power reduced mod p as it is
         formed, or over Q sized first, by its largest, tops[k]^a
-        (``_kernels.int_power``)."""
-        row, support = inv_rows[k], supports[k]
+        (``_kernels.int_power``).  No prime of den_k divides every entry
+        of the row, so none of den_k^a divides every b_j^a: the core is
+        canonical."""
+        row, den = inv_rows[k]
         if tops[k] > 1:
             K.int_power(tops[k], a)
         terms = {}
-        for part in exponents.iter_graded(len(support), a):
+        for part in exponents.iter_graded(len(row), a):
             beta = [0] * n
-            for j, e in zip(support, part):
+            c = 1
+            for (j, b), e in zip(row.items(), part):
                 beta[j] = e
-            c = prod(pow(row[j], e, p) if p else row[j] ** e
-                     for j, e in zip(support, part))
+                c *= pow(b, e, p) if p else b ** e
             terms[tuple(beta)] = {zero: c % p if p else c}
-        return canonical(terms, inv_den ** a)
+        return terms, den ** a
 
-    # m(f) substitutes for x_j the j-th integer column over row_den
-    images, row_den = sub.images, sub.row_den
+    # m(f) substitutes for x_j the j-th integer column over its denominator
+    images, dens = sub.images, sub.dens
     powers = {}
     parts = []
     for alpha, f in xi.num.items():
@@ -291,18 +289,9 @@ def transport_prepared(xi: DiffOp, sub: Substitution) -> DiffOp:
             if a:
                 power = divided_power(k, a)
                 image = power if image is None else core_mul(image, power, p)
-        mf, mf_den = substitute(f, 1, images, row_den, p, powers)
+        mf, mf_den = substitute(f, 1, images, dens, p, powers)
         term = {zero: mf}, mf_den
         if image is not None:
             term = core_mul(term, image, p)
         parts.append((term[0], term[1] * xi.den, 1))
     return DiffOp._core(ring, core_sum(parts, p))
-
-
-def _integer_rows(rows, p: int):
-    """Matrix rows as int rows over one common denominator; over F_p the
-    residues themselves over 1."""
-    if p:
-        return rows, 1
-    den = lcm(*(v.denominator for row in rows for v in row))
-    return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den

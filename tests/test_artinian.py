@@ -236,6 +236,16 @@ def test_adjoint_depends_on_unit():
     assert socle_adjoint(A, D) != socle_adjoint(A, D, unit={(0,): 1, (1,): 1})
 
 
+def test_socle_adjoint_refuses_a_foreign_endomorphism():
+    # a matrix over Q was read as residues mod 5
+    A = ArtinianAlgebra((2,), FieldSpec(5))
+    with pytest.raises(DomainError) as exc:
+        socle_adjoint(A, Matrix(FieldSpec(0), [["1/2", 0], [3, "7/3"]]))
+    assert str(exc.value) == "endomorphism field mismatch"
+    with pytest.raises(DomainError, match="wrong size"):
+        socle_adjoint(A, Matrix.identity(A.field, 3))
+
+
 def test_order_preservation():
     A = ArtinianAlgebra((4,), FieldSpec(0))
     mult = A.variable_operator(0)
@@ -243,7 +253,7 @@ def test_order_preservation():
     assert verify_order_preservation(A, _euler_operator(A), 1)
 
     A2 = ArtinianAlgebra((2, 2), FieldSpec(0))
-    filt = order_filtration(A2, n_max=2)
+    filt = order_filtration(A2)
     rng = random.Random(3)
     piece = filt.graded_piece(2)
     for vec in piece[:4]:
@@ -389,15 +399,14 @@ def _bracket_pairs(A: ArtinianAlgebra, i: int):
     ]
 
 
-def _eliminated_order_filtration(A, n_max=None):
+def _eliminated_order_filtration(A):
     """The filtration by one elimination per level on (nvars * rank) x d*d
     rows: the annihilator of level n-1 applied to the brackets with every
     x_i; the free columns of the reduced form give level n and its nonzero
-    rows the next annihilator.  Returns (bases, dims, stabilized_at)."""
+    rows the next annihilator, up to level 2d.  Returns (bases, dims,
+    stabilized_at)."""
     F = A.field
     d = A.dim
-    if n_max is None:
-        n_max = 2 * d
 
     columns = [vectorize(A.multiplication_operator({mu: 1})) for mu in A.basis]
     bases = [Matrix.from_columns(F, columns)]
@@ -407,7 +416,7 @@ def _eliminated_order_filtration(A, n_max=None):
     bracket_pairs = [_bracket_pairs(A, i) for i in range(A.nvars)]
 
     stabilized_at = None
-    for n in range(1, n_max + 1):
+    for n in range(1, 2 * d + 1):
         if not ann:
             stabilized_at = n - 1
             break
@@ -429,9 +438,9 @@ def _eliminated_order_filtration(A, n_max=None):
 
 
 @cache
-def _eliminated(exps, char, n_max=None):
-    """``_eliminated_order_filtration`` once per algebra and cut."""
-    return _eliminated_order_filtration(ArtinianAlgebra(exps, FieldSpec(char)), n_max)
+def _eliminated(exps, char):
+    """``_eliminated_order_filtration`` once per algebra."""
+    return _eliminated_order_filtration(ArtinianAlgebra(exps, FieldSpec(char)))
 
 
 def _spans(bases):
@@ -465,13 +474,13 @@ def _kernel_span_contains(F, kernel):
     return contains
 
 
-def _assert_matches_elimination(A, n_max=None):
+def _assert_matches_elimination(A):
     """Same levels as the per-level elimination: equal dims, and each
     level's vectors lie in the eliminated level (so the spans are equal);
     every vector of graded piece n has order exactly n."""
     F = A.field
-    filt = order_filtration(A, n_max=n_max)
-    bases, dims, stabilized_at = _eliminated(A.exponents, F.characteristic, n_max)
+    filt = order_filtration(A)
+    bases, dims, stabilized_at = _eliminated(A.exponents, F.characteristic)
     assert (filt.dims, filt.stabilized_at) == (dims, stabilized_at)
     # level 0 is the multiplication operators, in basis order
     assert filt.graded_piece(0) == [bases[0].column(j) for j in range(A.dim)]
@@ -504,12 +513,6 @@ def test_one_variable_blocks_match_elimination(char):
         assert [n for n, _ in levels] == sorted(n for n, _ in levels)
         # each vector lies in one degree block mu - nu
         assert all(len({mu - nu for mu, nu in vec}) == 1 for _, vec in levels)
-
-
-def test_cut_chains_match_elimination():
-    for exps, char in (((2, 3), 5), ((3, 2), 2), ((1, 3), 0)):
-        for n_max in (-1, 0, 1, 4, 100):
-            _assert_matches_elimination(ArtinianAlgebra(exps, FieldSpec(char)), n_max)
 
 
 def _greedy_graded_piece(filt, n):
@@ -593,12 +596,12 @@ def test_size_limit_checked_before_work():
 
 
 def test_membership_past_a_truncated_chain():
-    """The truncated derivative on k[x]/(x^4) has order 4; a chain cut at
-    level 1 still answers for every n."""
+    """The truncated derivative on k[x]/(x^4) has order 4; membership in
+    the full chain, whose top is level 6, answers at and around it."""
     A = ArtinianAlgebra((4,), FieldSpec(0))
     D = _derivative_operator(A)
-    filt = order_filtration(A, n_max=1)
-    assert len(filt.bases) == 2
+    filt = order_filtration(A)
+    assert len(filt.bases) == 7 and filt.stabilized_at == 6
     assert order(A, D) == 4
     assert filt.contains(D, 4)
     assert filt.contains(D, 5)
@@ -607,7 +610,7 @@ def test_membership_past_a_truncated_chain():
 
 def test_membership_edge_cases():
     A = ArtinianAlgebra((2, 2), FieldSpec(0))
-    filt = order_filtration(A, n_max=0)
+    filt = order_filtration(A)
     zero = A.multiplication_operator({})
     assert filt.contains(zero, -1) and filt.contains(zero, -5)
     assert not filt.contains(A.variable_operator(1), -1)
@@ -632,18 +635,12 @@ def test_order_preservation_size_limit_checked_before_work():
 
 
 def test_graded_piece_outside_the_chain():
-    """No piece below level 0 or past a stabilized top; past a chain cut by
-    n_max the piece is unknown and refused."""
+    """No piece below level 0 or past the top."""
     filt = order_filtration(ArtinianAlgebra((2,), FieldSpec(0)))
     assert (filt.dims, filt.stabilized_at) == ([2, 3, 4], 2)
     assert len(filt.graded_piece(2)) == 1
     assert filt.graded_piece(3) == filt.graded_piece(5) == []
     assert filt.graded_piece(-1) == filt.graded_piece(-3) == []
-    cut = order_filtration(ArtinianAlgebra((4,), FieldSpec(0)), n_max=1)
-    assert cut.stabilized_at is None and len(cut.graded_piece(1)) == 3
-    assert cut.graded_piece(-1) == []
-    with pytest.raises(DomainError, match="past the last level"):
-        cut.graded_piece(2)
 
 
 def _unit_by_unit_adjoint_table(A):

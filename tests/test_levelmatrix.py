@@ -13,7 +13,9 @@ from weylops import (
     to_matrix,
     to_operator,
 )
+from weylops.artinian import ArtinianAlgebra, socle_adjoint
 from weylops.diffop import operator_from_monomial_values
+from weylops.linalg import Matrix
 from conftest import frobenius_decompose, frobenius_reassemble, make_ring
 from conftest import random_diffop, random_level_bounded_op, random_poly
 
@@ -113,6 +115,54 @@ def test_transposition_induces_matrix_antiautomorphism(rng):
 
             assert image(xi * eta) == image(eta) * image(xi)
             assert to_operator(image(xi)) == standard_transpose(xi)
+
+
+def _trace_pairing_shapes(bound):
+    """Every (p, n, e) with p in {2, 3, 5}, n <= 3, e >= 1 and p^(e*n) <= bound."""
+    return [(p, n, e) for p in (2, 3, 5) for n in (1, 2, 3)
+            for e in range(1, 9) if p ** (e * n) <= bound]
+
+
+def test_transpose_is_the_anti_transpose_of_level_matrices(rng):
+    """The trace Phi, the coefficient of x^(q-1) over S^q, pairs x^lam with
+    x^(q-1-lam) only, so its Gram matrix on the basis is the anti-diagonal,
+    and the standard transposition is the adjoint for Phi(f*g): cell
+    (N-1-c, N-1-r) of its level matrix is cell (r, c) of xi's, root entry
+    unchanged.  ``to_matrix`` builds its rows apart from
+    ``_kernels.diffop_transpose``, so this is an oracle for the Leibniz
+    rows in characteristic p."""
+    for p, n, e in _trace_pairing_shapes(256):
+        R = make_ring(p, n)
+        N = p ** (e * n)
+        for _ in range(4):
+            xi = random_level_bounded_op(rng, R, e)
+            cells = to_matrix(xi, e).cells
+            assert to_matrix(standard_transpose(xi), e).cells == {
+                (N - 1 - c, N - 1 - r): v for (r, c), v in cells.items()}
+
+
+def test_socle_adjoint_is_the_transpose_on_constant_level_matrices(rng):
+    """A constant-coefficient operator of level <= e has a constant level
+    matrix, an endomorphism of A = k[x]/(x_1^q, ..., x_n^q) on the same lex
+    basis; the socle adjoint on A sends it to the level matrix of the
+    standard transposition."""
+    for p, n, e in _trace_pairing_shapes(64):
+        R = make_ring(p, n)
+        q = p ** e
+        A = ArtinianAlgebra((q,) * n, R.field)
+        zero = (0,) * n
+
+        def constant_matrix(op):
+            cells, size = to_matrix(op, e).cells, q ** n
+            return Matrix(R.field, [[cells.get((r, c), {}).get(zero, 0) for c in range(size)]
+                                    for r in range(size)])
+
+        for _ in range(4):
+            xi = DiffOp.from_terms(R, {
+                tuple(rng.randrange(q) for _ in range(n)): R.constant(rng.randrange(1, p))
+                for _ in range(rng.randint(1, 3))})
+            assert socle_adjoint(A, constant_matrix(xi)) == constant_matrix(
+                standard_transpose(xi))
 
 
 def test_round_trip_from_arbitrary_matrix(rng):

@@ -336,24 +336,24 @@ def test_cli_work_bound_refuses_in_time(tmp_path):
 
 def _scaled_swap(tmp_path):
     """The group {1, g}, g: x1 -> 2*x2, x2 -> x1/2, whose substitution is
-    the integer images 4*x2 and x1 over the denominator 2, ready for a
-    ``reynolds`` operand."""
+    the integer image 2*x2 over 1 and x1 over 2, ready for a ``reynolds``
+    operand."""
     group_file = tmp_path / "scaled_swap.json"
     group_file.write_text('[[[1, 0], [0, 1]], [[0, "1/2"], [2, 0]]]')
     return ["--nvars", "2", "group", "--group", str(group_file), "reynolds"]
 
 
 def test_cli_substitution_powers_sized_first(tmp_path):
-    # under the scaled swap x1^N goes to (4*x2)^N over 2^N, and d[0,N] to
-    # (4*d1)^[N] over 2^N: 4^N is refused past 2^14 bits, so from N = 8192
-    # on, though 2^N still prints
+    # under the scaled swap x1^N goes to (2*x2)^N and d[0,N] to (2*d1)^[N],
+    # each image over its own denominator 1: the powers sized are the 2^N
+    # that the answer holds, refused from N = 16384 on, past 2^14 bits
     base = _scaled_swap(tmp_path)
     assert run_cli(base + ["x1^3*d[1,0]"]) == (
         0, "1/2*x1^3*d[1,0] + 2*x2^3*d[0,1]\n", "")
-    for text in ("x1^8191", "d[0,8191]"):
-        code, out, err = run_cli(base + [text])
-        assert (code, err) == (0, "") and out.startswith(("1/2*x1^8191 + ", "2726870"))
-    for text in ("x1^8192", "d[0,8192]"):
+    half = 2 ** 8191
+    assert run_cli(base + ["x1^8192"]) == (0, f"1/2*x1^8192 + {half}*x2^8192\n", "")
+    assert run_cli(base + ["d[0,8192]"]) == (0, f"{half}*d[8192,0] + 1/2*d[0,8192]\n", "")
+    for text in ("x1^16384", "d[0,16384]"):
         code, out, err = run_cli(base + [text])
         assert (code, out) == (3, "") and "guardrail of 16384 bits" in err
 
@@ -374,15 +374,26 @@ def test_cli_transport_powers_reduced_as_formed(tmp_path):
 
 def test_cli_group_file_must_hold_matrices(tmp_path):
     # a bare row was a TypeError traceback; a row of strings was read digit
-    # by digit, "10" as the row 1, 0
+    # by digit, "10" as the row 1, 0; empty, ragged, non-square and mixed
+    # sizes were domain errors (exit 3)
     for i, text in enumerate(("[[5]]", '[["10", "01"]]', "[[[1, true]]]",
-                              '[[[1, {"a": 1}]]]', '{"g": [[1]]}', "[[1, [2]]]")):
+                              '[[[1, {"a": 1}]]]', '{"g": [[1]]}', "[[1, [2]]]",
+                              "[[]]", "[[[]]]", "[[[1, 2], [3]]]", "[[[1, 2]]]",
+                              "[[[1]], [[1, 0], [0, 1]]]", "[[[1, 0], [0, 1]], [[1]]]")):
         group_file = tmp_path / f"bad{i}.json"
         group_file.write_text(text)
         code, out, err = run_cli(["--nvars", "1", "group", "--group", str(group_file),
                                   "pseudoreflections"])
         assert (code, out) == (2, ""), text
         assert err.startswith("parse error: group file must be") and err.count("\n") == 1
+    # well formed, but no group
+    for text, message in (("[]", "at least the identity"),
+                          ("[[[1, 1], [1, 1]]]", "must be invertible")):
+        group_file = tmp_path / "nogroup.json"
+        group_file.write_text(text)
+        code, out, err = run_cli(["--nvars", "2", "group", "--group", str(group_file),
+                                  "pseudoreflections"])
+        assert (code, out) == (3, "") and message in err, text
 
 
 def test_cli_matrix_level_checked_before_the_work():

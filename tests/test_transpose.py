@@ -515,6 +515,50 @@ def test_prepared_action_matches_bare_rows_and_oracle(data):
     assert moved == _transport_oracle(m, xi)
 
 
+def _ref_substitute(f, rows):
+    """f with x_j replaced by sum_i rows[i][j] x_i, one variable factor at
+    a time in Fractions."""
+    n = len(rows)
+    out = {}
+    for mu, c in f.terms.items():
+        term = {(0,) * n: c}
+        for j, e in enumerate(mu):
+            for _ in range(e):
+                step = {}
+                for m, v in term.items():
+                    for i in range(n):
+                        k = tuple(a + (t == i) for t, a in enumerate(m))
+                        step[k] = step.get(k, 0) + v * rows[i][j]
+                term = step
+        for m, v in term.items():
+            out[m] = out.get(m, 0) + v
+    return f.ring.from_terms(out)
+
+
+def test_substitution_with_mixed_denominators_matches_fractions(rng):
+    """Over Q, matrices whose images and inverse rows have different
+    denominators, some integral and some not: apply_ring_map and
+    act_on_poly agree with substituting in Fractions, and act_on_op with
+    the transport along the ring map and the evaluate-and-solve oracle."""
+    entries = [0, 0, 1, -1, 2, 3, Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5),
+               Fraction(3, 4), Fraction(-5, 6)]
+    for n in (1, 2, 2, 3):
+        R = make_ring(0, n)
+        for _ in range(4):
+            mat = Matrix(R.field, [[rng.choice(entries) for _ in range(n)] for _ in range(n)])
+            while mat.rank() < n:
+                mat = Matrix(R.field, [[rng.choice(entries) for _ in range(n)]
+                                       for _ in range(n)])
+            g = GroupElement(mat)
+            m = RingMap.from_matrix(R, mat.rows)
+            for _ in range(2):
+                f = random_poly(rng, R)
+                assert apply_ring_map(m, f) == act_on_poly(g, f) == _ref_substitute(f, mat.rows)
+                xi = random_diffop(rng, R, max_order=2, coeff_degree=2)
+                moved = act_on_op(g, xi)
+                assert moved == transport_via_coordinates(m, xi) == _transport_oracle(m, xi)
+
+
 def test_prepared_action_keeps_the_guardrail():
     """The term guardrail refuses through act_on_op with the message that
     transport on a ring map gives, on the element's first action (which
@@ -536,26 +580,25 @@ def test_prepared_action_keeps_the_guardrail():
         assert act_on_op(g, small) == transport_via_coordinates(m, small)
 
 
-def test_element_prepares_its_substitution_once(rng, monkeypatch):
-    """The integer rows of an element are derived on its first action and
-    never again: a second act_on_op, act_on_poly and is_identity convert
-    nothing.  The identity converts nothing at all."""
-    calls = []
-    integer_rows = transpose._integer_rows
-    monkeypatch.setattr(transpose, "_integer_rows",
-                        lambda rows, p: calls.append(p) or integer_rows(rows, p))
+def test_element_prepares_its_substitution_once(rng, spy):
+    """The integer cores of an element, one per image and one per row of
+    its inverse, are derived on its first action and never again: a second
+    act_on_op, act_on_poly and is_identity convert nothing."""
+    calls = spy("integer_core", transpose)
     R = make_ring(0, 2)
     g = GroupElement(Matrix(R.field, [[2, 1], [Fraction(1, 2), Fraction(-3, 4)]]))
     ident = GroupElement(Matrix.identity(R.field, 2))
     assert calls == []  # building an element prepares nothing
     xi = random_diffop(rng, R, max_order=2, coeff_degree=2, allow_zero=False)
     first = act_on_op(g, xi)
-    assert len(calls) == 2
+    assert len(calls) == 4
     assert act_on_op(g, xi) == first
     assert act_on_poly(g, random_poly(rng, R)) is not None
     assert not g.is_identity()
-    assert act_on_op(ident, xi) is xi and ident.is_identity()
-    assert len(calls) == 2
+    assert len(calls) == 4
+    assert ident.is_identity() and act_on_op(ident, xi) is xi
+    assert act_on_poly(ident, random_poly(rng, R)) is not None
+    assert len(calls) == 8
 
 
 def test_prepared_substitution_does_not_grow_with_operators(rng):
