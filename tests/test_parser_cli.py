@@ -375,11 +375,13 @@ def test_cli_transport_powers_reduced_as_formed(tmp_path):
 def test_cli_group_file_must_hold_matrices(tmp_path):
     # a bare row was a TypeError traceback; a row of strings was read digit
     # by digit, "10" as the row 1, 0; empty, ragged, non-square and mixed
-    # sizes were domain errors (exit 3)
+    # sizes were domain errors (exit 3); a float, which no field takes, was
+    # one too
     for i, text in enumerate(("[[5]]", '[["10", "01"]]', "[[[1, true]]]",
                               '[[[1, {"a": 1}]]]', '{"g": [[1]]}', "[[1, [2]]]",
                               "[[]]", "[[[]]]", "[[[1, 2], [3]]]", "[[[1, 2]]]",
-                              "[[[1]], [[1, 0], [0, 1]]]", "[[[1, 0], [0, 1]], [[1]]]")):
+                              "[[[1]], [[1, 0], [0, 1]]]", "[[[1, 0], [0, 1]], [[1]]]",
+                              "[[[1.0]], [[-1.0]]]", "[[[NaN]]]", "[[[1e400]]]")):
         group_file = tmp_path / f"bad{i}.json"
         group_file.write_text(text)
         code, out, err = run_cli(["--nvars", "1", "group", "--group", str(group_file),
