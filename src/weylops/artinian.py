@@ -34,6 +34,7 @@ from itertools import accumulate, product
 from math import lcm, prod
 
 from .errors import DomainError
+from .exponents import check as check_exponent, unit
 from .field import FieldSpec
 from .linalg import Matrix, rref
 
@@ -52,8 +53,8 @@ class ArtinianAlgebra:
     __slots__ = ("exponents", "field", "basis", "_index", "dim")
 
     def __init__(self, exponents, field: FieldSpec):
-        exponents = tuple(int(a) for a in exponents)
-        if not exponents or any(a < 1 for a in exponents):
+        exponents = check_exponent(exponents)
+        if not exponents or 0 in exponents:
             raise DomainError("defining exponents must be naturals >= 1")
         if prod(exponents) > SIZE_LIMIT:
             raise DomainError(f"algebra dimension {prod(exponents)} exceeds "
@@ -79,23 +80,23 @@ class ArtinianAlgebra:
         return None
 
     def multiplication_operator(self, coeffs_by_exponent) -> Matrix:
-        """Matrix of multiplication by sum of c * x^mu on the basis."""
+        """Matrix of multiplication by sum of c * x^mu on the basis, each mu
+        through ``exponents.check``."""
         F = self.field
         rows = [[F.zero()] * self.dim for _ in range(self.dim)]
         for mu, c in coeffs_by_exponent.items():
-            c = F.coerce(c)
+            mu, c = check_exponent(mu, self.nvars), F.coerce(c)
             if F.is_zero(c):
                 continue
             for j, nu in enumerate(self.basis):
-                target = self.monomial_product(tuple(mu), nu)
+                target = self.monomial_product(mu, nu)
                 if target is not None:
                     i = self.index(target)
                     rows[i][j] = F.add(rows[i][j], c)
         return Matrix(F, rows)
 
     def variable_operator(self, i: int) -> Matrix:
-        exp = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return self.multiplication_operator({exp: 1})
+        return self.multiplication_operator({unit(i, self.nvars): 1})
 
     def gram(self) -> Matrix:
         """Matrix of the pairing (f, g) -> socle coefficient of f*g.

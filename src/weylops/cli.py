@@ -180,6 +180,9 @@ def group_cmd(cfg: SessionConfig, group_file):
                     for row in rows for v in row) for rows in data)):
         raise ParseError("group file must be a JSON list of nonempty square "
                          "matrices of one size: lists of rows of integers or strings")
+    if data and len(data[0]) != cfg.nvars:  # refused before any elimination
+        raise DomainError(f"group matrices are {len(data[0])}x{len(data[0])}, "
+                          f"but the ring has {cfg.nvars} variables")
     field = FieldSpec(cfg.characteristic)
     return cfg, inv.FiniteGroup([inv.GroupElement(Matrix(field, rows)) for rows in data])
 

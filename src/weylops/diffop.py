@@ -22,7 +22,8 @@ pairs, so the kernels only ever see ints; ``core_sum``, from ``_kernels``,
 is the one sum, and ``+``, ``-`` and ``DiffOp(ring, terms)`` go through it.
 A ``Polynomial`` is stored the same way, so a coefficient passes between
 the two as its core; ``DiffOp.terms``, the view with ``Polynomial``
-coefficients, is built on read.
+coefficients, is built on read.  The core, sums, negation and equality
+come from ``poly.CoreElement``, the base of both element types.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from . import _kernels as K
 from . import exponents
 from ._kernels import canonical, core_sum
 from .errors import DomainError
-from .poly import Polynomial, PolyRing, canonical as poly_canonical
+from .poly import CoreElement, Polynomial, PolyRing, canonical as poly_canonical
 
 
 def core_mul(a, b, p: int):
@@ -65,22 +66,21 @@ def core_pow(a, n: int, p: int, nvars: int):
         a = core_mul(a, a, p)
 
 
-class DiffOp:
+class DiffOp(CoreElement):
     """Operator in normal form over an integer core (module docstring).
 
     ``DiffOp(ring, terms)`` builds one from the field view: exponent tuple
-    -> polynomial of the ambient ring or scalar, exponents checked and
-    zero coefficients dropped.  Instances are immutable and all operations
-    are pure.
+    -> polynomial of the ambient ring or scalar, each exponent through
+    ``exponents.check``, each scalar through ``PolyRing.constant``, and
+    zero coefficients dropped.
     """
 
-    __slots__ = ("ring", "num", "den")
+    __slots__ = ()
 
     def __init__(self, ring: PolyRing, terms):
         parts = []
         for alpha, f in terms.items():
-            alpha = tuple(alpha)
-            exponents.check_arity(alpha, ring.nvars)
+            alpha = exponents.check(alpha, ring.nvars)
             if not isinstance(f, Polynomial):
                 f = ring.constant(f)
             if f.ring != ring:
@@ -90,22 +90,12 @@ class DiffOp:
         self.ring = ring
         self.num, self.den = core_sum(parts, ring.characteristic)
 
-    @classmethod
-    def _core(cls, ring: PolyRing, core) -> DiffOp:
-        """Wrap a canonical core (num, den)."""
-        op = cls.__new__(cls)
-        op.ring = ring
-        op.num, op.den = core
-        return op
-
     @property
     def terms(self) -> dict:
         """The field view: exponent tuple -> nonzero ``Polynomial``."""
         ring, den = self.ring, self.den
-        return {
-            alpha: Polynomial._core(ring, poly_canonical(f, den))
-            for alpha, f in self.num.items()
-        }
+        return {alpha: Polynomial._core(ring, poly_canonical(f, den))
+                for alpha, f in self.num.items()}
 
     # -- factories -------------------------------------------------------
 
@@ -127,30 +117,19 @@ class DiffOp:
     @classmethod
     def basis(cls, ring: PolyRing, alpha) -> DiffOp:
         """The divided-power basis operator d^[alpha]."""
-        alpha = tuple(alpha)
-        exponents.check_arity(alpha, ring.nvars)
-        if any(a < 0 for a in alpha):
-            raise DomainError(f"negative entry in operator exponent {alpha}")
+        alpha = exponents.check(alpha, ring.nvars)
         return cls._core(ring, ({alpha: {(0,) * ring.nvars: 1}}, 1))
 
     @classmethod
     def partial(cls, ring: PolyRing, i: int) -> DiffOp:
         """The first-order derivative in the i-th variable."""
-        if not 0 <= i < ring.nvars:
-            raise DomainError(f"variable index {i} out of range")
-        return cls.basis(ring, tuple(1 if j == i else 0 for j in range(ring.nvars)))
+        return cls.basis(ring, exponents.unit(i, ring.nvars))
 
     @classmethod
     def from_terms(cls, ring: PolyRing, mapping) -> DiffOp:
         return cls(ring, mapping)
 
     # -- structure ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def __bool__(self):
-        return bool(self.num)
 
     def coefficient(self, alpha) -> Polynomial:
         f = self.num.get(tuple(alpha))
@@ -210,43 +189,17 @@ class DiffOp:
         return self.apply(f)
 
     def _coerce(self, other):
-        if isinstance(other, DiffOp):
+        if isinstance(other, CoreElement):  # an operator or a polynomial
             if other.ring != self.ring:
                 raise DomainError("operator ring mismatch")
-            return other
-        if isinstance(other, Polynomial):
-            if other.ring != self.ring:
-                raise DomainError("operator ring mismatch")
-            return DiffOp.from_poly(other)
+            return other if isinstance(other, DiffOp) else DiffOp.from_poly(other)
         if isinstance(other, (int, Fraction)):
             return DiffOp.constant(self.ring, other)
         return None
 
     def _sum(self, *parts):
-        """The sum of the operators c*op of the pairs (op, c)."""
-        return DiffOp._core(self.ring, core_sum(
-            [(op.num, op.den, c) for op, c in parts], self.ring.characteristic
-        ))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._sum((self, 1), (other, 1))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._sum((self, -1))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._sum((self, 1), (other, -1))
-
-    def __rsub__(self, other):
-        return -(self - other)
+        """The sum of the parts (class ``CoreElement``), by ``core_sum``."""
+        return DiffOp._core(self.ring, core_sum(parts, self.ring.characteristic))
 
     def __mul__(self, other):
         """Noncommutative product, self first; renormalizes."""
@@ -268,28 +221,13 @@ class DiffOp:
         if not isinstance(n, int) or n < 0:
             raise DomainError("operator powers must be natural numbers")
         ring = self.ring
-        return DiffOp._core(ring, core_pow(
-            (self.num, self.den), n, ring.characteristic, ring.nvars
-        ))
-
-    def __eq__(self, other):
-        try:
-            other = self._coerce(other)
-        except DomainError:
-            return False
-        if other is None:
-            return NotImplemented
-        return self.den == other.den and self.num == other.num
-
-    __hash__ = None
+        return DiffOp._core(ring, core_pow((self.num, self.den), n, ring.characteristic,
+                                           ring.nvars))
 
     def __str__(self):
         from .render import render_op
 
         return render_op(self)
-
-    def __repr__(self):
-        return f"<DiffOp {self}>"
 
 
 def bracket(xi: DiffOp, eta) -> DiffOp:

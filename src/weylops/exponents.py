@@ -1,9 +1,15 @@
 """Multi-exponent combinatorics.
 
 A multi-exponent is a tuple of naturals of fixed length n (the variable
-count of the ambient ring).  The partial order is componentwise; all
-binomial products are exact integers (Python bigints, so totals well past
-64 are safe), refused past the kernels' size guardrail.
+count of the ambient ring).  Every one given from outside (a key of
+``Polynomial(ring, terms)`` or ``DiffOp(ring, terms)``, a basis symbol, an
+Artinian monomial) goes through :func:`check`, every variable index
+through :func:`unit` and a level e through :func:`check_level`, so a float,
+``bool`` or negative entry is a ``DomainError``; the messages quote no
+value, since a long int cannot be printed.  The partial order is
+componentwise; all binomial products are exact integers (Python bigints,
+so totals well past 64 are safe), refused past the kernels' size
+guardrail.
 """
 
 from __future__ import annotations
@@ -14,11 +20,32 @@ from ._kernels import binom_product
 from .errors import DomainError
 
 
-def check_arity(alpha, nvars: int):
-    if len(alpha) != nvars:
-        raise DomainError(
-            f"multi-exponent {alpha} has arity {len(alpha)}, expected {nvars}"
-        )
+def check_level(e) -> int:
+    """e as a level, the e of p^e: an int (not a bool) >= 0, else ``DomainError``."""
+    if type(e) is not int or e < 0:
+        raise DomainError("level e must be a natural number")
+    return e
+
+
+def check(alpha, nvars: int | None = None) -> tuple:
+    """alpha as a multi-exponent: a tuple of ints (not bools) >= 0, of
+    length nvars when that is given, else ``DomainError``."""
+    try:
+        alpha = tuple(alpha)
+    except TypeError:
+        raise DomainError("a multi-exponent must be a sequence") from None
+    if nvars is not None and len(alpha) != nvars:
+        raise DomainError(f"multi-exponent has arity {len(alpha)}, expected {nvars}")
+    if not all(type(a) is int and a >= 0 for a in alpha):
+        raise DomainError("multi-exponent entries must be natural numbers")
+    return alpha
+
+
+def unit(i, nvars: int) -> tuple:
+    """The multi-exponent e_i of length nvars, for an int index 0 <= i < nvars."""
+    if type(i) is not int or not 0 <= i < nvars:
+        raise DomainError("variable index out of range")
+    return (0,) * i + (1,) + (0,) * (nvars - 1 - i)
 
 
 def subtract(alpha, beta):
@@ -76,11 +103,4 @@ def alternating_multinomial_sum(sigma) -> int:
     Brute-force enumeration over all beta <= sigma; exact integer result.
     The value is 1 at sigma = 0 and vanishes for every nonzero sigma.
     """
-    total = 0
-    for beta in iter_leq(sigma):
-        term = multinomial(sigma, beta)
-        if degree(beta) % 2:
-            total -= term
-        else:
-            total += term
-    return total
+    return sum((-1) ** degree(beta) * multinomial(sigma, beta) for beta in iter_leq(sigma))

@@ -35,6 +35,7 @@ from math import comb as _comb, prod as _prod
 from . import _kernels as K
 from .diffop import DiffOp
 from .errors import DomainError
+from .exponents import check_level
 from .poly import Polynomial, PolyRing
 
 SIZE_LIMIT = 256
@@ -49,9 +50,7 @@ class FrobeniusBasis:
         p = ring.characteristic
         if p == 0:
             raise DomainError("frobenius basis requires characteristic p > 0")
-        if e < 0:
-            raise DomainError("level e must be a natural number")
-        digits = e * ring.nvars
+        digits = check_level(e) * ring.nvars
         # p >= 2, so p^digits > SIZE_LIMIT once digits reaches the bit
         # length of SIZE_LIMIT: refused before p^digits is formed or printed
         if digits >= SIZE_LIMIT.bit_length():
@@ -199,9 +198,7 @@ def to_matrix(xi: DiffOp, e: int) -> LevelMatrix:
     p = xi.ring.characteristic
     if p == 0:
         raise DomainError("level matrices require characteristic p > 0")
-    if e < 0:
-        raise DomainError("level e must be a natural number")
-    if xi.level() > e:
+    if xi.level() > check_level(e):
         raise DomainError(f"operator has level {xi.level()} > {e}")
     basis = FrobeniusBasis(xi.ring, e)
     q, n = p**e, xi.ring.nvars
