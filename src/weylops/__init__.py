@@ -17,7 +17,7 @@ from .diffop import (
 )
 from .errors import DomainError, ParseError, WeylOpsError
 from .exponents import alternating_multinomial_sum
-from .field import FieldSpec, multinomial
+from .field import FieldSpec
 from .invariants import (
     FiniteGroup,
     GroupElement,
@@ -33,7 +33,6 @@ from .linalg import Matrix
 from .opparser import parse_operator, parse_polynomial
 from .poly import Polynomial, PolyRing, RingMap, apply_ring_map
 from .transpose import (
-    AntiAutomorphism,
     check_graded_sign,
     derivation_formula_check,
     standard_transpose,
@@ -45,7 +44,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArtinianAlgebra",
-    "AntiAutomorphism",
     "DiffOp",
     "DomainError",
     "FieldSpec",
@@ -72,7 +70,6 @@ __all__ = [
     "is_pseudoreflection",
     "level_by_commutation_oracle",
     "matrix_mul_consistency",
-    "multinomial",
     "order_by_bracket_oracle",
     "order_filtration",
     "parse_operator",

@@ -70,7 +70,12 @@ class ArtinianAlgebra:
         return len(self.exponents)
 
     def index(self, mu) -> int:
-        return self._index[tuple(mu)]
+        """Position of the monomial x^mu in the basis, mu through
+        ``exponents.check``."""
+        i = self._index.get(check_exponent(mu, self.nvars))
+        if i is None:
+            raise DomainError("monomial is not in the basis")
+        return i
 
     def monomial_product(self, mu, nu):
         """Exponent of the product monomial, or None when it dies."""
@@ -91,7 +96,7 @@ class ArtinianAlgebra:
             for j, nu in enumerate(self.basis):
                 target = self.monomial_product(mu, nu)
                 if target is not None:
-                    i = self.index(target)
+                    i = self._index[target]
                     rows[i][j] = F.add(rows[i][j], c)
         return Matrix(F, rows)
 

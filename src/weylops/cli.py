@@ -24,7 +24,7 @@ from .field import FieldSpec
 from .linalg import Matrix
 from .opparser import parse_operator, parse_polynomial
 from .poly import PolyRing
-from .transpose import AntiAutomorphism
+from .transpose import standard_transpose, twisted_transpose
 
 
 class SessionConfig:
@@ -65,10 +65,14 @@ def _scalar_payload(kind: str):
     return lambda value: {"schema": render.SCHEMA, "kind": kind, "value": value}
 
 
-def cli(characteristic=0, nvars=1, var_names=None, json_output=False):
+def cli(characteristic=0, nvars=None, var_names=None, json_output=False):
     """Exact differential operator calculator (divided-power form)."""
     names = None if var_names is None else tuple(s.strip() for s in var_names.split(","))
-    return (SessionConfig(characteristic, len(names) if names else nvars, names,
+    if names:
+        if nvars not in (None, len(names)):
+            raise DomainError("--nvars and --vars give different numbers of variables")
+        nvars = len(names)
+    return (SessionConfig(characteristic, 1 if nvars is None else nvars, names,
                           json_output),)
 
 
@@ -91,11 +95,10 @@ def transpose(cfg: SessionConfig, expr, twist=None):
     ring = cfg.ring()
     op = parse_operator(expr, ring)
     if twist is None:
-        phi = AntiAutomorphism.standard(ring)
+        image = standard_transpose(op)
     else:
-        polys = [parse_polynomial(s, ring) for s in twist.split(",")]
-        phi = AntiAutomorphism.twisted(ring, polys)
-    _emit(cfg, phi(op), render.render_op, render.op_json)
+        image = twisted_transpose([parse_polynomial(s, ring) for s in twist.split(",")], op)
+    _emit(cfg, image, render.render_op, render.op_json)
 
 
 def order(cfg: SessionConfig, expr):

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import exponents
 from .errors import DomainError
 
 
@@ -61,11 +60,13 @@ class FieldSpec:
     __slots__ = ("characteristic",)
 
     def __init__(self, characteristic: int = 0):
-        if characteristic >= PRIME_LIMIT:
-            raise DomainError(
-                f"characteristic {characteristic} is not below the "
-                f"primality-test limit {PRIME_LIMIT}"
-            )
+        # checked before any arithmetic; a message quotes the value only
+        # when it is below the limit, so it always prints
+        if type(characteristic) is not int:
+            raise DomainError("characteristic must be 0 or a prime, given as an int")
+        if abs(characteristic) >= PRIME_LIMIT:
+            raise DomainError("characteristic must be 0 or a prime below the "
+                              f"primality-test limit {PRIME_LIMIT}")
         if characteristic != 0 and not _is_prime(characteristic):
             raise DomainError(
                 f"characteristic must be 0 or a prime, got {characteristic}"
@@ -158,14 +159,3 @@ class FieldSpec:
     def is_zero(self, a) -> bool:
         p = self.characteristic
         return (a % p if p else a) == 0
-
-
-def multinomial(alpha, beta, spec: FieldSpec):
-    """The coefficient alpha! / (beta! (alpha-beta)!) reduced into the field.
-
-    Computed by :func:`exponents.multinomial`: an exact integer in
-    characteristic 0, the residue by Lucas' theorem in characteristic p
-    (in-field division by factorials would be undefined there).  Requires
-    beta <= alpha componentwise.
-    """
-    return spec.from_int(exponents.multinomial(alpha, beta, spec.characteristic))

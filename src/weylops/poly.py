@@ -44,6 +44,8 @@ class PolyRing:
             raise DomainError(f"nvars must be an int from 1 to {NVARS_LIMIT}")
         if var_names is None:
             var_names = tuple(f"x{i + 1}" for i in range(nvars))
+        elif isinstance(var_names, str):  # not read as its characters
+            raise DomainError("var_names must be a sequence of names, not a string")
         else:
             var_names = tuple(var_names)
         if len(var_names) != nvars or len(set(var_names)) != nvars:

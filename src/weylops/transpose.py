@@ -9,7 +9,9 @@ characteristic 0 the ring is generated in order one, and prescribing
 d_i -> -d_i + f_i with each twist polynomial f_i univariate in its own
 variable yields further ("twisted") involutive anti-automorphisms; no such
 freedom exists in characteristic p, where the twisted construction is
-refused.
+refused.  Both are plain functions, and a check that takes a
+transposition takes any function of one operator: ``standard_transpose``,
+or ``functools.partial(twisted_transpose, twist)`` for a twisted one.
 
 Conjugation by an invertible linear substitution m (the transport used
 for coordinate-invariance checks and group actions) is the contragredient
@@ -42,7 +44,7 @@ from . import exponents
 from .diffop import DiffOp, core_mul, core_pow, core_sum
 from .errors import DomainError
 from .linalg import Matrix
-from .poly import Polynomial, PolyRing, RingMap, integer_core, substitute
+from .poly import Polynomial, RingMap, integer_core, substitute
 
 # most term pairs that the products building prod_k l_k^[alpha_k] may form
 # for one term of an operator, bounded by the product over k of
@@ -116,52 +118,12 @@ def twisted_transpose(twist, xi: DiffOp) -> DiffOp:
     return DiffOp._core(ring, core_sum(parts, 0))
 
 
-class AntiAutomorphism:
-    """Callable transposition with a named kind.
-
-    ``standard`` works in every characteristic; ``twisted`` carries its
-    twist polynomials and requires characteristic 0.  The fixed-ring,
-    anti-multiplicativity and involutivity contracts are enforced by the
-    test suites rather than at construction.
-    """
-
-    __slots__ = ("kind", "ring", "twist")
-
-    def __init__(self, kind: str, ring: PolyRing, twist=None):
-        if kind not in ("standard", "twisted"):
-            raise DomainError(f"unknown transposition kind {kind!r}")
-        self.kind = kind
-        self.ring = ring
-        self.twist = tuple(twist) if twist is not None else None
-        if kind == "twisted" and self.twist is None:
-            raise DomainError("twisted transposition needs twist polynomials")
-
-    @classmethod
-    def standard(cls, ring: PolyRing) -> AntiAutomorphism:
-        return cls("standard", ring)
-
-    @classmethod
-    def twisted(cls, ring: PolyRing, twist) -> AntiAutomorphism:
-        phi = cls("twisted", ring, twist=twist)
-        phi(DiffOp.zero(ring))  # validate the twist eagerly
-        return phi
-
-    def __call__(self, xi: DiffOp) -> DiffOp:
-        if xi.ring != self.ring:
-            raise DomainError("operator ring mismatch")
-        if self.kind == "standard":
-            return standard_transpose(xi)
-        return twisted_transpose(self.twist, xi)
-
-    def __repr__(self):
-        return f"<AntiAutomorphism {self.kind} on {self.ring!r}>"
-
-
 def check_graded_sign(xi: DiffOp, phi) -> bool:
     """Whether phi(xi) + (-1)^(n+1) xi drops order, n the order of xi.
 
-    This is the statement that the induced map on the associated graded
-    ring is the identity in even degrees and -1 in odd ones.
+    phi is any transposition function of one operator.  This is the
+    statement that the induced map on the associated graded ring is the
+    identity in even degrees and -1 in odd ones.
     """
     if xi.is_zero():
         raise DomainError("graded-sign check is undefined on the zero operator")
@@ -172,7 +134,8 @@ def check_graded_sign(xi: DiffOp, phi) -> bool:
 
 def derivation_formula_check(theta: DiffOp, phi) -> bool:
     """For a derivation, phi(theta) must equal -theta plus the
-    multiplication operator by phi(theta)(1)."""
+    multiplication operator by phi(theta)(1); phi is any transposition
+    function of one operator."""
     if not theta.is_derivation():
         raise DomainError("input is not a derivation")
     image = phi(theta)

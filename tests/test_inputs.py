@@ -1,8 +1,8 @@
 """Input checks of the field-view constructors: every public constructor
-refuses a bad exponent, index, level or coefficient with ``DomainError``;
-``Polynomial(R, f.terms)`` and ``DiffOp(R, xi.terms)`` round-trip; ``==``
-on a polynomial or an operator never raises; and the variable count and
-the group-file size are refused before any work."""
+refuses a bad exponent, index, level, coefficient or characteristic with
+``DomainError``; ``Polynomial(R, f.terms)`` and ``DiffOp(R, xi.terms)``
+round-trip; ``==`` on a polynomial or an operator never raises; and the
+variable count and the group-file size are refused before any work."""
 
 import json
 import os
@@ -35,6 +35,9 @@ BAD_EXPONENTS = {
 BAD_INDICES = {"negative": -1, "float": 1.5, "bool": True, "arity": 2}
 BAD_LEVELS = {"negative": -1, "float": 1.5, "bool": True}
 BAD_COEFFICIENTS = {"text": "abc", "float": 0.5, "bool": True, "object": object()}
+# not an int, or too long to print: refused before any arithmetic
+BAD_CHARACTERISTICS = {"float": 2.0, "text": "2", "None": None, "fraction": 3.5,
+                       "bool": False, "huge": 10**5000, "huge negative": -10**5000}
 
 EXPONENT_TAKERS = {
     "Polynomial": lambda a: Polynomial(R, {a: 1}),
@@ -44,6 +47,7 @@ EXPONENT_TAKERS = {
     "DiffOp.from_terms": lambda a: DiffOp.from_terms(R, {a: R.one()}),
     "DiffOp.basis": lambda a: DiffOp.basis(R, a),
     "ArtinianAlgebra": lambda a: ArtinianAlgebra(a, FieldSpec(0)),
+    "ArtinianAlgebra.index": lambda a: A.index(a),
     "multiplication_operator": lambda a: A.multiplication_operator({a: 1}),
     "socle_adjoint unit": lambda a: socle_adjoint(A, A.variable_operator(0),
                                                   unit={a: 1, (0, 0): 1}),
@@ -72,7 +76,9 @@ CASES = [
     for what, takers, bads in (("exponent", EXPONENT_TAKERS, BAD_EXPONENTS),
                                ("index", INDEX_TAKERS, BAD_INDICES),
                                ("level", LEVEL_TAKERS, BAD_LEVELS),
-                               ("coefficient", COEFFICIENT_TAKERS, BAD_COEFFICIENTS))
+                               ("coefficient", COEFFICIENT_TAKERS, BAD_COEFFICIENTS),
+                               ("characteristic", {"FieldSpec": FieldSpec},
+                                BAD_CHARACTERISTICS))
     for name, make in takers.items()
     for kind, bad in bads.items()
 ]
@@ -88,6 +94,13 @@ def test_artinian_defining_exponents_are_at_least_one():
     for exps in ((), (0, 2)):
         with pytest.raises(DomainError, match=">= 1"):
             ArtinianAlgebra(exps, FieldSpec(0))
+
+
+def test_artinian_index_refuses_a_monomial_outside_the_basis():
+    assert A.index((1, 1)) == 3 and A.index([1, 0]) == 2
+    for algebra, mu in ((A, (2, 0)), (ArtinianAlgebra((2,), FieldSpec(0)), (5,))):
+        with pytest.raises(DomainError, match="not in the basis"):
+            algebra.index(mu)
 
 
 def test_a_coefficient_outside_the_field_is_refused():
@@ -172,6 +185,13 @@ def test_nvars_is_a_bounded_int():
     for nvars in (True, 2.0, 0, NVARS_LIMIT + 1, 10**9):
         with pytest.raises(DomainError, match="nvars"):
             PolyRing(F, nvars)
+
+
+def test_var_names_is_not_one_string():
+    F = FieldSpec(0)
+    with pytest.raises(DomainError, match="not a string"):
+        PolyRing(F, 2, "ab")
+    assert PolyRing(F, 2, ["a", "b"]).var_names == ("a", "b")
 
 
 def test_cli_refuses_a_large_nvars_at_once():

@@ -544,6 +544,18 @@ def test_variable_names_must_read_back():
     assert parse_operator(render_op(xi), R) == xi
 
 
+def test_cli_nvars_must_agree_with_vars():
+    for args in (["--nvars", "2", "--vars", "a"], ["--vars", "a,b", "--nvars", "1"],
+                 ["--nvars", "9" * 40, "--vars", "a"]):
+        code, out, err = run_cli([*args, "normalize", "a"])
+        assert (code, out) == (3, "")
+        assert err == "domain error: --nvars and --vars give different numbers of variables\n"
+        assert not any(ch.isdigit() for ch in err)
+    assert run_cli(["--nvars", "1", "--vars", "a", "normalize", "a"]) == (0, "a\n", "")
+    assert run_cli(["--vars", "a,b", "normalize", "b*a"]) == (0, "a*b\n", "")
+    assert run_cli(["--nvars", "2", "normalize", "x2"]) == (0, "x2\n", "")
+
+
 def test_cli_group_commands():
     group_file = str(GOLDEN / "group_sign.json")
     code, out, _ = run_cli(

@@ -2,13 +2,13 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylops import (
-    AntiAutomorphism,
     DiffOp,
     DomainError,
     GroupElement,
@@ -45,7 +45,7 @@ def test_standard_examples():
 def test_standard_properties(rng):
     for char in (0, 2, 3, 5):
         R = make_ring(char, 2)
-        phi = AntiAutomorphism.standard(R)
+        phi = standard_transpose
         for _ in range(25):
             xi = random_diffop(rng, R)
             eta = random_diffop(rng, R)
@@ -114,7 +114,7 @@ def test_twisted_zero_twist_is_standard(rng):
 def test_twisted_properties(rng):
     R = make_ring(0, 2)
     x, y = R.gens()
-    phi = AntiAutomorphism.twisted(R, [x**2, y * 3])
+    phi = partial(twisted_transpose, [x**2, y * 3])
     for _ in range(20):
         xi = random_diffop(rng, R, max_order=3, coeff_degree=2)
         eta = random_diffop(rng, R, max_order=3, coeff_degree=2)
@@ -128,7 +128,7 @@ def test_twisted_properties(rng):
 def test_twisted_with_constant_terms(rng):
     R = make_ring(0, 2)
     x, y = R.gens()
-    phi = AntiAutomorphism.twisted(R, [x**2 + 1, y**3 - y + 2])
+    phi = partial(twisted_transpose, [x**2 + 1, y**3 - y + 2])
     for _ in range(10):
         xi = random_diffop(rng, R, max_order=3, coeff_degree=2)
         eta = random_diffop(rng, R, max_order=3, coeff_degree=2)
@@ -157,7 +157,7 @@ def test_twisted_forms_each_power_once(monkeypatch):
     assert twisted_transpose(twist, xi) == expected
     assert sorted(calls) == [1, 2]
     monkeypatch.undo()
-    phi = AntiAutomorphism.twisted(R, twist)
+    phi = partial(twisted_transpose, twist)
     assert phi(expected) == xi
 
 
@@ -171,8 +171,8 @@ def test_twist_must_be_univariate_in_own_variable():
     R = make_ring(0, 2)
     x, y = R.gens()
     with pytest.raises(DomainError):
-        AntiAutomorphism.twisted(R, [y, R.zero()])
-    AntiAutomorphism.twisted(R, [x**3, y**2 + y])
+        twisted_transpose([y, R.zero()], DiffOp.zero(R))
+    twisted_transpose([x**3, y**2 + y], DiffOp.zero(R))
 
 
 def test_twisted_differs_from_standard():
@@ -186,10 +186,10 @@ def test_graded_sign_examples():
     R = make_ring(0, 1)
     x = R.variable(0)
     d = DiffOp.partial(R, 0)
-    std = AntiAutomorphism.standard(R)
+    std = standard_transpose
     assert check_graded_sign(d, std)
     assert check_graded_sign(x * d, std)
-    tw = AntiAutomorphism.twisted(R, [x**2])
+    tw = partial(twisted_transpose, [x**2])
     assert check_graded_sign(d * d, tw)
     with pytest.raises(DomainError):
         check_graded_sign(DiffOp.zero(R), std)
@@ -198,7 +198,7 @@ def test_graded_sign_examples():
 def test_graded_sign_random(rng):
     for char in (0, 3):
         R = make_ring(char, 2)
-        phi = AntiAutomorphism.standard(R)
+        phi = standard_transpose
         for _ in range(25):
             xi = random_diffop(rng, R, allow_zero=False)
             assert check_graded_sign(xi, phi)
@@ -208,11 +208,11 @@ def test_derivation_formula_examples():
     R = make_ring(0, 1)
     x = R.variable(0)
     d = DiffOp.partial(R, 0)
-    std = AntiAutomorphism.standard(R)
+    std = standard_transpose
     assert derivation_formula_check(d, std)
     assert standard_transpose(d).apply(R.one()).is_zero()
 
-    tw = AntiAutomorphism.twisted(R, [x**2])
+    tw = partial(twisted_transpose, [x**2])
     assert derivation_formula_check(d, tw)
     assert tw(d).apply(R.one()) == x**2
 
@@ -229,7 +229,7 @@ def test_check_on_one_tactic(rng):
     spanning-family check and the full identity hold and agree."""
     for char in (0, 3):
         R = make_ring(char, 2)
-        phi = AntiAutomorphism.standard(R)
+        phi = standard_transpose
         for alpha in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 3)):
             for beta in ((0, 0), (1, 0), (2, 1)):
                 xi = R.monomial(beta) * DiffOp.basis(R, alpha)
