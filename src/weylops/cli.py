@@ -175,6 +175,10 @@ def group_cmd(cfg: SessionConfig, group_file):
         raise DomainError(f"cannot read group file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"group file is not valid JSON: {exc}") from None
+    except (ValueError, RecursionError):  # their messages may quote the file
+        raise ParseError("group file cannot be read as JSON: it is not UTF-8, or it "
+                         "holds an integer past Python's digit limit or lists nested "
+                         "too deep") from None
     # data[0] is read only once it has passed as a list: all() goes in order
     if not (isinstance(data, list) and all(
             isinstance(rows, list) and len(rows) == len(data[0]) > 0

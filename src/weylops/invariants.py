@@ -99,8 +99,9 @@ class GroupElement:
             raise DomainError("group element does not act on this ring")
 
     def ring_map(self, ring: PolyRing) -> RingMap:
+        """The element's matrix pair as a map of ``ring``."""
         self._check_ring(ring)
-        return RingMap.from_matrix(ring, self.matrix.rows)
+        return RingMap._pair(ring, self.matrix.rows, self._inverse.rows)
 
 
 class FiniteGroup:

@@ -93,7 +93,7 @@ class Matrix:
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
-            return self.scale(other)
+            return NotImplemented
         self._check(other)
         if self.ncols != other.nrows:
             raise DomainError("matrix shape mismatch in product")
@@ -105,15 +105,8 @@ class Matrix:
             for row in self.rows
         ])
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def transpose(self) -> Matrix:
         return Matrix._reduced(self.field, [list(c) for c in zip(*self.rows)])
-
-    def is_zero(self) -> bool:
-        F = self.field
-        return all(F.is_zero(v) for r in self.rows for v in r)
 
     # -- elimination ----------------------------------------------------
 

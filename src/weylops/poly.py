@@ -12,8 +12,9 @@ every ``PolyRing`` factory calls it: exponents go through
 ``exponents.check`` and coefficients through ``FieldSpec.coerce``, zeros
 are dropped, and :func:`integer_core` gives the core.
 :class:`CoreElement` holds what polynomials and operators share: the
-core, sums, negation and equality.  Also provides substitution
-endomorphisms, on the same cores.
+core, sums, negation and equality.  :class:`RingMap` is an invertible
+linear change of variables, kept as its matrix pair, and
+:func:`apply_ring_map` substitutes its images on the same cores.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from . import _kernels as K
 from . import exponents
 from .errors import DomainError
 from .field import FieldSpec
+from .linalg import Matrix
 
 _IDENT = "[A-Za-z_][A-Za-z_0-9]*"
 
@@ -281,73 +283,56 @@ class Polynomial(CoreElement):
 
 
 class RingMap:
-    """k-algebra endomorphism of S given by the images of the variables.
-
-    When an inverse is supplied the composition with it is verified to fix
-    every variable, in both orders.
+    """The substitution automorphism of S given by an invertible matrix and
+    its inverse, with the column convention: the image of x_j is the sum of
+    rows[i][j] * x_i.  ``images`` holds those images as polynomials.
     """
 
-    __slots__ = ("ring", "images", "inverse")
-
-    def __init__(self, ring: PolyRing, images, inverse: RingMap | None = None):
-        images = list(images)
-        if len(images) != ring.nvars:
-            raise DomainError(f"need {ring.nvars} variable images, got {len(images)}")
-        for f in images:
-            if not isinstance(f, Polynomial) or f.ring != ring:
-                raise DomainError("variable images must live in the target ring")
-        self.ring = ring
-        self.images = images
-        self.inverse = inverse
-        if inverse is not None:
-            for i in range(ring.nvars):
-                x = ring.variable(i)
-                if self(inverse(x)) != x or inverse(self(x)) != x:
-                    raise DomainError("supplied inverse does not invert the map")
-
-    def __call__(self, f: Polynomial) -> Polynomial:
-        return apply_ring_map(self, f)
-
-    def is_linear(self) -> bool:
-        """True when every variable image is homogeneous of degree 1."""
-        return all(f.num and all(sum(e) == 1 for e in f.num) for f in self.images)
-
-    def matrix(self):
-        """Column-convention matrix of a linear map: image of x_j is the
-        j-th column combination of the variables."""
-        if not self.is_linear():
-            raise DomainError("ring map is not linear")
-        n = self.ring.nvars
-        rows = [[self.ring.field.zero()] * n for _ in range(n)]
-        for j, f in enumerate(self.images):
-            for exp, c in f.terms.items():
-                rows[exp.index(1)][j] = c
-        return rows
+    __slots__ = ("ring", "rows", "inverse_rows", "images")
 
     @classmethod
-    def identity(cls, ring: PolyRing) -> RingMap:
-        m = cls(ring, ring.gens())
-        m.inverse = m
+    def _pair(cls, ring: PolyRing, rows, inverse_rows) -> RingMap:
+        """Wrap a matrix pair already in the field, known to be inverse."""
+        m = cls.__new__(cls)
+        m.ring, m.rows, m.inverse_rows = ring, rows, inverse_rows
+        n = ring.nvars
+        units = [exponents.unit(i, n) for i in range(n)]
+        m.images = [Polynomial(ring, {units[i]: rows[i][j] for i in range(n)})
+                    for j in range(n)]
         return m
 
     @classmethod
     def from_matrix(cls, ring: PolyRing, rows, inverse_rows=None) -> RingMap:
-        """Linear map with the column convention of :meth:`matrix`."""
+        """The map of an invertible n x n matrix: a singular one is refused,
+        and a supplied inverse is checked by one product (a one-sided
+        inverse of a square matrix is two-sided)."""
         n = ring.nvars
         if len(rows) != n or any(len(r) != n for r in rows):
             raise DomainError(f"matrix must be {n}x{n}")
+        a = Matrix(ring.field, rows)
+        if inverse_rows is None:
+            b = a.inverse()
+        else:
+            b = Matrix(ring.field, inverse_rows)
+            if a * b != Matrix.identity(ring.field, n):
+                raise DomainError("supplied inverse does not invert the map")
+        return cls._pair(ring, a.rows, b.rows)
 
-        units = [exponents.unit(i, n) for i in range(n)]
+    @classmethod
+    def identity(cls, ring: PolyRing) -> RingMap:
+        n = ring.nvars
+        return cls.from_matrix(ring, [[int(i == j) for j in range(n)] for i in range(n)])
 
-        def images_of(mat):
-            # column j holds the coefficients of the image of x_j
-            return [Polynomial(ring, {units[i]: mat[i][j] for i in range(n)})
-                    for j in range(n)]
+    @property
+    def inverse(self) -> RingMap:
+        return RingMap._pair(self.ring, self.inverse_rows, self.rows)
 
-        inv = None
-        if inverse_rows is not None:
-            inv = cls(ring, images_of(inverse_rows))
-        return cls(ring, images_of(rows), inverse=inv)
+    def __call__(self, f: Polynomial) -> Polynomial:
+        return apply_ring_map(self, f)
+
+    def matrix(self):
+        """The rows of the matrix, entries in the field."""
+        return self.rows
 
 
 def apply_ring_map(m: RingMap, f: Polynomial) -> Polynomial:

@@ -30,8 +30,9 @@ of B, each as an integer core over its own denominator.
 ``transport_prepared`` then conjugates one operator by it; the divided
 powers l_k^[a] and the powers of the variable images it forms depend on
 the operator and are dropped when it returns.
-``transport_via_coordinates`` prepares for each call; a group element
-prepares once and keeps the record (``invariants.GroupElement``).
+``transport_via_coordinates`` prepares the pair a ``poly.RingMap``
+carries on each call; a group element prepares once and keeps the record
+(``invariants.GroupElement``).
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from . import _kernels as K
 from . import exponents
 from .diffop import DiffOp, core_mul, core_pow, core_sum
 from .errors import DomainError
-from .linalg import Matrix
 from .poly import Polynomial, RingMap, integer_core, substitute
 
 # most term pairs that the products building prod_k l_k^[alpha_k] may form
@@ -81,7 +81,7 @@ def twisted_transpose(twist, xi: DiffOp) -> DiffOp:
     n = ring.nvars
     twist = list(twist)
     if len(twist) != n:
-        raise DomainError(f"need {n} twist polynomials")
+        raise DomainError(f"need one twist polynomial per variable: {n}, got {len(twist)}")
     zero = (0,) * n
     images = []
     for i, f in enumerate(twist):
@@ -144,24 +144,13 @@ def derivation_formula_check(theta: DiffOp, phi) -> bool:
 
 
 def transport_via_coordinates(m: RingMap, xi: DiffOp) -> DiffOp:
-    """Conjugate the operator by the substitution automorphism of m, which
-    must be linear and invertible (the formula is in the module docstring).
-
-    B is read off ``m.inverse`` when the map carries one (the constructor
-    has verified it), and otherwise found by one elimination.
-    """
-    ring = xi.ring
-    if m.ring != ring:
+    """Conjugate the operator by the substitution automorphism of m (the
+    formula is in the module docstring), with B the inverse matrix m
+    carries."""
+    if m.ring != xi.ring:
         raise DomainError("map/operator ring mismatch")
-    if not m.is_linear():
-        raise DomainError("transport requires a linear map")
-    rows = m.matrix()
-    if m.inverse is not None:
-        inv_rows = m.inverse.matrix()
-    else:
-        inv_rows = Matrix(ring.field, rows).inverse().rows
     return transport_prepared(
-        xi, prepare_substitution(rows, inv_rows, ring.characteristic)
+        xi, prepare_substitution(m.rows, m.inverse_rows, xi.ring.characteristic)
     )
 
 

@@ -13,6 +13,7 @@ from conftest import run_cli
 
 GROUP_FILE = str(pathlib.Path(__file__).parent / "golden" / "group_sign.json")
 G = ["--nvars", "2", "group", "--group", GROUP_FILE]
+REFLECTION_FILE = str(pathlib.Path(__file__).parent / "golden" / "group_reflection.json")
 LEVEL_1 = "level 1 matrix, size 3, basis [(0,), (1,), (2,)]\n"
 ARTINIAN_2 = ("algebra dimension 2, basis of 2 monomials\n"
               "filtration dims: 2 3 4 (stable at order 2)\nsocle pairing:\n  0 1\n  1 0\n")
@@ -50,6 +51,10 @@ PARITY = {
         (["normalize", "--bogus"],
          (2, "", "parse error: unknown identifier 'bogus' (line 1, column 3)\n")),
         (["--char", "two", "normalize", "d1"], bad_int("--char", "two")),
+        # the root's handler runs before a sub-command's arguments are read,
+        # as click's group callback does, so its refusal comes before --help
+        (["--nvars", "2", "--vars", "a", "normalize", "--help"],
+         (3, "", "domain error: --nvars and --vars give different numbers of variables\n")),
     ],
     "apply": [
         (["apply", "d[2]", "--to", "x1^4"], ok("6*x1^2\n")),
@@ -62,6 +67,7 @@ PARITY = {
         (["apply", "d1", "--to", "x1", "--bogus"], extra("--bogus")),
         (["apply", "d1", "--to"], usage("Option '--to' requires an argument.")),
         (["--nvars", "two", "apply", "d1", "--to", "x1"], bad_int("--nvars", "two")),
+        (["apply", "d1", "--to", "0"], ok("0\n")),
     ],
     "transpose": [
         (["transpose", "d1", "--twist", "x1^2"], ok("-d[1] + x1^2\n")),
@@ -72,6 +78,8 @@ PARITY = {
         (["transpose", "d1", "x1"], extra("x1")),
         (["transpose", "d1", "--twisted", "x1"], extra("--twisted", "x1")),
         (["--nvars=two", "transpose", "d1"], bad_int("--nvars", "two")),
+        (["--nvars", "2", "transpose", "d[1,0]", "--twist", "x1"],
+         (3, "", "domain error: need one twist polynomial per variable: 2, got 1\n")),
     ],
     "order": [
         (["--json", "order", "d[3]"],
@@ -151,6 +159,8 @@ PARITY = {
         (G + ["pseudoreflections", "--", "-d[1]"], extra("-d[1]")),
         (G + ["pseudoreflections", "x"], extra("x")),
         (G + ["pseudoreflections", "--bogus"], usage("No such option '--bogus'.")),
+        (["--nvars", "2", "group", "--group", REFLECTION_FILE, "pseudoreflections"],
+         ok("1 pseudoreflection(s)\n  -1 0; 0 1\n")),
     ],
     "group invariant-check": [
         (["--json", *G, "invariant-check", "x1"],
@@ -172,6 +182,11 @@ PARITY = {
         (G + ["reynolds", "x1", "x2"], extra("x2")),
         (G + ["reynolds", "x1", "--bogus"], extra("--bogus")),
         (["--nvars", "x", *G[2:], "reynolds", "x1"], bad_int("--nvars", "x")),
+        # the group file is read before the sub-command's arguments, as by
+        # click's group callback, so the missing EXPR is not reached
+        (["group", "--group", "/nonexistent.json", "reynolds"],
+         (3, "", "domain error: cannot read group file: [Errno 2] No such file or "
+                 "directory: '/nonexistent.json'\n")),
     ],
 }
 # the options each command's --help must name

@@ -388,6 +388,18 @@ def test_cli_group_file_must_hold_matrices(tmp_path):
                                   "pseudoreflections"])
         assert (code, out) == (2, ""), text
         assert err.startswith("parse error: group file must be") and err.count("\n") == 1
+    # not UTF-8, an integer past the digit limit of int() and lists nested
+    # past the recursion limit were tracebacks (exit 1); no message quotes
+    # the file
+    for i, data in enumerate((b"\xff\xfe", b"[[[" + b"7" * 5000 + b"]]]",
+                              b"[" * 100000 + b"]" * 100000)):
+        group_file = tmp_path / f"unreadable{i}.json"
+        group_file.write_bytes(data)
+        code, out, err = run_cli(["--nvars", "1", "group", "--group", str(group_file),
+                                  "pseudoreflections"])
+        assert (code, out) == (2, ""), data[:8]
+        assert err.startswith("parse error: group file cannot be read as JSON")
+        assert err.count("\n") == 1 and "77" not in err and "\\x" not in err
     # well formed, but no group
     for text, message in (("[]", "at least the identity"),
                           ("[[[1, 1], [1, 1]]]", "must be invertible")):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylops import DomainError, FieldSpec, PolyRing, RingMap, apply_ring_map
+from weylops.linalg import Matrix
 from conftest import frobenius_decompose, frobenius_reassemble, make_ring, random_poly
 
 
@@ -87,7 +88,7 @@ def test_ring_map_identity_and_signs():
     x = R.variable(0)
     ident = RingMap.identity(R)
     assert apply_ring_map(ident, x**3 + x) == x**3 + x
-    flip = RingMap(R, [-x])
+    flip = RingMap.from_matrix(R, [[-1]])
     assert apply_ring_map(flip, x**2) == x**2
     assert apply_ring_map(flip, x**3) == -(x**3)
 
@@ -95,14 +96,14 @@ def test_ring_map_identity_and_signs():
 def test_ring_map_swap():
     R = make_ring(0, 2)
     x, y = R.gens()
-    swap = RingMap(R, [y, x])
+    swap = RingMap.from_matrix(R, [[0, 1], [1, 0]])
     assert apply_ring_map(swap, x * y**2) == x**2 * y
 
 
 def test_ring_map_is_homomorphism(rng):
     R = make_ring(3, 2)
     x, y = R.gens()
-    m = RingMap(R, [x + y, x * y + 1])
+    m = RingMap.from_matrix(R, [[1, 1], [1, 2]])  # x -> x + y, y -> x + 2y
     for _ in range(40):
         f = random_poly(rng, R)
         g = random_poly(rng, R)
@@ -114,11 +115,13 @@ def test_ring_map_is_homomorphism(rng):
 def test_ring_map_inverse_verified():
     R = make_ring(0, 1)
     x = R.variable(0)
-    good = RingMap(R, [x * 2], inverse=RingMap(R, [x * Fraction(1, 2)]))
-    assert good.inverse is not None
-    with pytest.raises(DomainError):
-        RingMap(R, [x * 2], inverse=RingMap(R, [x]))
-    # from_matrix verifies inverse_rows the same way (the transport reads it)
+    good = RingMap.from_matrix(R, [[2]], inverse_rows=[[Fraction(1, 2)]])
+    assert good.inverse.images == [x * Fraction(1, 2)]
+    with pytest.raises(DomainError, match="does not invert"):
+        RingMap.from_matrix(R, [[2]], inverse_rows=[[1]])
+    # without inverse_rows, from_matrix finds the inverse itself
+    assert RingMap.from_matrix(R, [[2]]).inverse.matrix() == [[Fraction(1, 2)]]
+    # the transport reads inverse_rows, so they are verified
     R2 = make_ring(3, 2)
     rows = [[1, 1], [0, 1]]
     assert RingMap.from_matrix(R2, rows, inverse_rows=[[1, 2], [0, 1]]).inverse
@@ -134,8 +137,10 @@ def test_ring_map_from_matrix_images():
     for char in (0, 2, 5):
         for n in (1, 2, 3):
             R = make_ring(char, n)
-            rows = [[rng.choice((0, 0, 1, -1, 2, Fraction(1, 3)))
-                     for _ in range(n)] for _ in range(n)]
+            rows = None
+            while rows is None or Matrix(R.field, rows).rank() < n:  # invertible
+                rows = [[rng.choice((0, 0, 1, -1, 2, Fraction(1, 3)))
+                         for _ in range(n)] for _ in range(n)]
             expected = [sum((R.variable(i) * R.field.coerce(rows[i][j]) for i in range(n)),
                             R.zero()) for j in range(n)]
             assert RingMap.from_matrix(R, rows).images == expected
@@ -145,8 +150,19 @@ def test_ring_map_from_matrix_images():
 
 def test_ring_map_arity_mismatch():
     R = make_ring(0, 2)
-    with pytest.raises(DomainError):
-        RingMap(R, [R.variable(0)])
+    for rows in ([[1], [0]], [[1, 0]], [[1, 0], [0, 1], [0, 0]]):
+        with pytest.raises(DomainError, match="2x2"):
+            RingMap.from_matrix(R, rows)
+
+
+def test_ring_map_refuses_a_singular_matrix():
+    """A map is an invertible substitution: a singular matrix is refused
+    when it is built, in every characteristic."""
+    for char, rows in ((0, [[0]]), (0, [[1, 2], [2, 4]]), (2, [[1, 1], [1, 1]]),
+                       (3, [[1, 2], [2, 1]])):
+        R = make_ring(char, len(rows))
+        with pytest.raises(DomainError, match="singular"):
+            RingMap.from_matrix(R, rows)
 
 
 def test_frobenius_decompose_examples():
