@@ -164,14 +164,6 @@ class DiffOp(CoreElement):
         """The coefficient at exponent 0, i.e. the value on 1."""
         return self.coefficient((0,) * self.ring.nvars)
 
-    def derivation_part(self) -> DiffOp:
-        """For order <= 1: the summand with the constant part removed."""
-        if self.order() > 1:
-            raise DomainError("derivation part defined for order <= 1 only")
-        return DiffOp._core(self.ring, canonical(
-            {a: f for a, f in self.num.items() if sum(a) == 1}, self.den
-        ))
-
     def is_derivation(self) -> bool:
         """Order <= 1 with no multiplication part (Leibniz rule holds)."""
         return all(sum(a) == 1 for a in self.num)

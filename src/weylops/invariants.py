@@ -222,12 +222,6 @@ def is_invariant(G: FiniteGroup, xi: DiffOp) -> bool:
     return all(act_on_op(g, xi) == xi for g in G.generators)
 
 
-def is_invariant_poly(G: FiniteGroup, f: Polynomial) -> bool:
-    """Whether every element fixes f, tested on the generators."""
-    G.elements[0]._check_ring(f.ring)
-    return all(act_on_poly(g, f) == f for g in G.generators)
-
-
 def equivariance_check(G: FiniteGroup, xi: DiffOp) -> bool:
     """Whether the standard transposition t commutes with the whole action.
 

@@ -62,7 +62,7 @@ class FrobeniusBasis:
             raise DomainError(f"basis size {size} exceeds the guardrail of {SIZE_LIMIT}")
         self.ring = ring
         self.e = e
-        self.monomials = sorted(product(range(p**e), repeat=ring.nvars))
+        self.monomials = tuple(product(range(p**e), repeat=ring.nvars))
 
     @property
     def size(self) -> int:

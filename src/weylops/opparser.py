@@ -112,11 +112,6 @@ def _lex(src: str):
     yield "end", "", len(src)
 
 
-def tokenize(src: str):
-    """The tokens of src as a list (see ``_lex``)."""
-    return list(_lex(src))
-
-
 _ATOM_STARTERS = {"num", "ident", "dsym"}
 
 

@@ -10,7 +10,14 @@ Polynomials and operators are rendered from their integer core: each
 coefficient is the numerator over the one denominator, printed as
 ``str(Fraction(c, den))`` would print it (one ``gcd``), so no
 ``Fraction`` is built to print it.  Level matrices are
-written from their nonzero cells, an empty cell as ``[]``.
+written from their nonzero cells.
+
+The JSON payloads reuse the tuples the core already holds: each
+exponent, each basis monomial and ``vars`` are the core's own tuples, and
+an empty level-matrix cell is the shared empty tuple ``()``.  Both of
+``json``'s encoders write a tuple as an array, so the JSON text is the
+same as from lists; what is saved is a list per term that the garbage
+collector would have to track until the answer is dropped.
 
 Python refuses to convert an integer of more than
 ``sys.get_int_max_str_digits()`` decimal digits to a string; the text
@@ -139,7 +146,7 @@ def _terms_json(terms: dict, den: int) -> list:
     """JSON terms of the polynomial with coefficients terms/den."""
     try:
         return [
-            {"exponent": list(exp),
+            {"exponent": exp,
              "coefficient": str(terms[exp]) if den == 1 else _fraction_str(terms[exp], den)}
             for exp in _sorted_exponents(terms)
         ]
@@ -153,7 +160,7 @@ def poly_json(f) -> dict:
         "schema": SCHEMA,
         "kind": "polynomial",
         "characteristic": ring.characteristic,
-        "vars": list(ring.var_names),
+        "vars": ring.var_names,
         "terms": _terms_json(f.num, f.den),
     }
 
@@ -165,9 +172,9 @@ def op_json(xi) -> dict:
         "schema": SCHEMA,
         "kind": "operator",
         "characteristic": ring.characteristic,
-        "vars": list(ring.var_names),
+        "vars": ring.var_names,
         "terms": [
-            {"exponent": list(alpha), "coefficient": _terms_json(num[alpha], den)}
+            {"exponent": alpha, "coefficient": _terms_json(num[alpha], den)}
             for alpha in _sorted_exponents(num)
         ],
     }
@@ -175,18 +182,18 @@ def op_json(xi) -> dict:
 
 def level_matrix_json(m) -> dict:
     """JSON form of a level matrix: the dense grid written from its cells,
-    ``[]`` for an empty cell."""
+    ``()`` for an empty cell."""
     ring, cells, n = m.ring, m.cells, range(m.basis.size)
     return {
         "schema": SCHEMA,
         "kind": "level-matrix",
         "characteristic": ring.characteristic,
-        "vars": list(ring.var_names),
+        "vars": ring.var_names,
         "e": m.e,
         "size": m.basis.size,
-        "basis": [list(lam) for lam in m.basis.monomials],
+        "basis": m.basis.monomials,
         "entries": [
-            [_terms_json(cells[r, c], 1) if (r, c) in cells else [] for c in n]
+            [_terms_json(cells[r, c], 1) if (r, c) in cells else () for c in n]
             for r in n
         ],
     }

@@ -4,21 +4,35 @@ polynomial and level-matrix suites use as an oracle, the binary sums that
 the sum suites check ``core_sum`` against, the per-atom evaluator with
 binary sums that the parser suite checks the evaluator and the scanner
 against, the commutator as two products that the bracket suite checks
-against, and a spy that records the calls of a rebound function."""
+against, a spy that records the calls of a rebound function, the
+benchmark's workload file loaded by path, and three helpers that only
+the tests call: the token list of a text, the derivation part of an
+operator of order at most one, and whether a group fixes a polynomial."""
 
+import importlib.util
 import io
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
-from weylops import DiffOp, DomainError, FieldSpec, ParseError, Polynomial, PolyRing
+from weylops import (
+    DiffOp,
+    DomainError,
+    FieldSpec,
+    FiniteGroup,
+    ParseError,
+    Polynomial,
+    PolyRing,
+)
 from weylops.cli import main
 from weylops.diffop import canonical, core_mul, core_pow
-from weylops.opparser import _DSUGAR, _error_at
+from weylops.invariants import act_on_poly
+from weylops.opparser import _DSUGAR, _error_at, _lex
 
 # Property tests draw the same examples on every run (seeded from each
 # test's own source), so the suite's wall time is comparable between runs.
@@ -26,6 +40,16 @@ settings.register_profile("weylops", derandomize=True)
 settings.load_profile("weylops")
 
 CHARACTERISTICS = (0, 2, 3, 5)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_workloads():
+    """``perfbench/workloads.py``, loaded by path as a fresh module."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_cli(args):
@@ -78,6 +102,26 @@ def random_diffop(rng, ring, max_order=4, max_terms=3, coeff_degree=3,
     if not allow_zero and op.is_zero():
         return DiffOp.constant(ring, 1)
     return op
+
+
+def tokenize(src: str):
+    """The tokens of src as a list (see ``_lex``)."""
+    return list(_lex(src))
+
+
+def derivation_part(xi: DiffOp) -> DiffOp:
+    """For order <= 1: the summand with the constant part removed."""
+    if xi.order() > 1:
+        raise DomainError("derivation part defined for order <= 1 only")
+    return DiffOp._core(xi.ring, canonical(
+        {a: f for a, f in xi.num.items() if sum(a) == 1}, xi.den
+    ))
+
+
+def is_invariant_poly(G: FiniteGroup, f: Polynomial) -> bool:
+    """Whether every element fixes f, tested on the generators."""
+    G.elements[0]._check_ring(f.ring)
+    return all(act_on_poly(g, f) == f for g in G.generators)
 
 
 def reference_bracket(a, b):

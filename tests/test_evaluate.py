@@ -18,8 +18,8 @@ from hypothesis import example, given, strategies as st
 
 from weylops import DomainError, ParseError, WeylOpsError, opparser
 from weylops._kernels import BINOM_BITS_LIMIT
-from weylops.opparser import _error_at, _scan, evaluate, parse, parse_operator, tokenize
-from conftest import CHARACTERISTICS, make_ring, reference_evaluate
+from weylops.opparser import _error_at, _scan, evaluate, parse, parse_operator
+from conftest import CHARACTERISTICS, make_ring, reference_evaluate, tokenize
 
 
 def _outcome(evaluator, node, ring):

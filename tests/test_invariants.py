@@ -18,8 +18,7 @@ from weylops import (
     reynolds,
     standard_transpose,
 )
-from weylops.invariants import is_invariant_poly
-from conftest import make_ring, random_diffop
+from conftest import is_invariant_poly, make_ring, random_diffop
 
 
 def _sign_ring():

@@ -24,7 +24,7 @@ def test_matrix_of_multiplication_by_x():
     R = make_ring(2, 1)
     x = R.variable(0)
     m = to_matrix(DiffOp.from_poly(x), 1)
-    assert m.basis.monomials == [(0,), (1,)]
+    assert m.basis.monomials == ((0,), (1,))
     assert m.entries[0][0] == R.zero()
     assert m.entries[0][1] == x  # root x, meaning x squared
     assert m.entries[1][0] == R.one()

@@ -10,9 +10,18 @@ import sys
 import pytest
 
 from weylops import DiffOp, DomainError, ParseError, parse_operator, parse_polynomial
-from weylops.opparser import MAX_DEPTH, parse, tokenize
-from weylops.render import op_json, render_op, render_poly
-from conftest import CHARACTERISTICS, make_ring, random_diffop, run_cli
+from weylops.opparser import MAX_DEPTH, parse
+from weylops.levelmatrix import to_matrix
+from weylops.render import SCHEMA, level_matrix_json, op_json, poly_json, render_op, render_poly
+from conftest import (
+    CHARACTERISTICS,
+    make_ring,
+    random_diffop,
+    random_level_bounded_op,
+    random_poly,
+    run_cli,
+    tokenize,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -140,23 +149,80 @@ def _graded_lex_desc(exps):
     return sorted(exps, key=lambda e: (sum(e), e), reverse=True)
 
 
+def _poly_terms_reference(f):
+    """JSON terms of the Polynomial view f, built from lists."""
+    return [{"exponent": list(m), "coefficient": str(f.terms[m])}
+            for m in _graded_lex_desc(f.terms)]
+
+
+def _op_terms_reference(xi):
+    terms = xi.terms
+    return [{"exponent": list(alpha), "coefficient": _poly_terms_reference(terms[alpha])}
+            for alpha in _graded_lex_desc(terms)]
+
+
+def _payload_reference(kind, char, **rest):
+    """A two-variable payload of ``kind``, its keys in the order written."""
+    return {"schema": SCHEMA, "kind": kind, "characteristic": char,
+            "vars": ["x1", "x2"], **rest}
+
+
+def _json_texts(payload):
+    """The payload as the CLI writes it (the pure-Python encoder, under
+    ``indent``) and as a digest reads it (the C encoder)."""
+    return (json.dumps(payload, indent=2),
+            json.dumps(payload, sort_keys=True, separators=(",", ":")))
+
+
 def test_json_from_the_core_matches_the_field_view(rng):
     # op_json reads the integer core; the reference prints the Fraction
-    # (or residue) of each coefficient of the Polynomial view
+    # (or residue) of each coefficient of the Polynomial view.  The JSON
+    # text is compared, as the goldens and the benchmark pins fix it.
     for char in CHARACTERISTICS:
         for nvars in (1, 2):
             R = make_ring(char, nvars)
             for _ in range(30):
                 xi = random_diffop(rng, R)
-                terms = xi.terms
-                expected = [
-                    {"exponent": list(alpha),
-                     "coefficient": [
-                         {"exponent": list(m), "coefficient": str(terms[alpha].terms[m])}
-                         for m in _graded_lex_desc(terms[alpha].terms)]}
-                    for alpha in _graded_lex_desc(terms)
-                ]
-                assert op_json(xi)["terms"] == expected
+                assert _json_texts(op_json(xi)["terms"]) == _json_texts(
+                    _op_terms_reference(xi))
+
+
+def test_json_payloads_reuse_the_cores_tuples(rng):
+    # every exponent is the core's own key, and an empty level-matrix cell
+    # is the shared empty tuple; the JSON text is that of a list-built
+    # payload
+    for char in CHARACTERISTICS:
+        R = make_ring(char, 2)
+        for _ in range(20):
+            xi = random_diffop(rng, R)
+            payload = op_json(xi)
+            assert payload["vars"] is R.var_names
+            alphas = {id(alpha) for alpha in xi.num}
+            for term in payload["terms"]:
+                assert id(term["exponent"]) in alphas
+                keys = {id(m) for m in xi.num[term["exponent"]]}
+                assert all(id(t["exponent"]) in keys for t in term["coefficient"])
+            want = _payload_reference("operator", char, terms=_op_terms_reference(xi))
+            assert _json_texts(payload) == _json_texts(want)
+
+            f = random_poly(rng, R)
+            payload = poly_json(f)
+            keys = {id(m) for m in f.num}
+            assert all(id(t["exponent"]) in keys for t in payload["terms"])
+            want = _payload_reference("polynomial", char, terms=_poly_terms_reference(f))
+            assert _json_texts(payload) == _json_texts(want)
+        if char == 0:
+            continue
+        for _ in range(5):
+            m = to_matrix(random_level_bounded_op(rng, R, 1), 1)
+            payload = level_matrix_json(m)
+            empty = [cell for row in payload["entries"] for cell in row if not cell]
+            assert empty and {type(cell) for cell in empty} == {tuple}
+            want = _payload_reference(
+                "level-matrix", char, e=1, size=m.basis.size,
+                basis=[list(lam) for lam in m.basis.monomials],
+                entries=[[_poly_terms_reference(v) for v in row] for row in m.entries])
+            assert _json_texts(payload) == _json_texts(want)
 
 
 def test_render_zero_and_signs():

@@ -8,21 +8,10 @@ sample of its texts from every stratum, and checks that ``_scan`` takes
 each one and gives the per-atom reference's core with its key order.
 """
 
-import importlib.util
 import random
-from pathlib import Path
 
 from weylops.opparser import _scan, parse
-from conftest import make_ring, reference_evaluate
-
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-
-
-def _weyl_q():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.WeylQ()
+from conftest import load_workloads, make_ring, reference_evaluate
 
 
 def _texts(spec):
@@ -39,7 +28,7 @@ def _keys(core):
 
 
 def test_every_weyl_q_stratum_is_scanned():
-    workload = _weyl_q()
+    workload = load_workloads().WeylQ()
     ring = make_ring(0, 3, workload.names)
     assert set(workload.pool_sizes) == set(workload.slots)
     for stratum in workload.pool_sizes:
