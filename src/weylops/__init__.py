@@ -8,7 +8,7 @@ averaging.  All arithmetic is exact (rationals or prime fields).
 """
 
 from ._kernels import KERNEL_BACKEND
-from .artinian import ArtinianAlgebra, order_filtration, socle_adjoint, verify_order_preservation
+from .artinian import ArtinianAlgebra, order_filtration, socle_adjoint
 from .diffop import (
     DiffOp,
     bracket,
@@ -33,8 +33,6 @@ from .linalg import Matrix
 from .opparser import parse_operator, parse_polynomial
 from .poly import Polynomial, PolyRing, RingMap, apply_ring_map
 from .transpose import (
-    check_graded_sign,
-    derivation_formula_check,
     standard_transpose,
     transport_via_coordinates,
     twisted_transpose,
@@ -63,8 +61,6 @@ __all__ = [
     "alternating_multinomial_sum",
     "apply_ring_map",
     "bracket",
-    "check_graded_sign",
-    "derivation_formula_check",
     "equivariance_check",
     "is_invariant",
     "is_pseudoreflection",
@@ -81,5 +77,4 @@ __all__ = [
     "to_operator",
     "transport_via_coordinates",
     "twisted_transpose",
-    "verify_order_preservation",
 ]

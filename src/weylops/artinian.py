@@ -26,15 +26,21 @@ the degree by one and level 0 is graded), so each of its levels is one small
 elimination per block.  Ordering each factor's basis by level, the
 Kronecker products of one vector per variable, with level the sum of
 their levels, are a basis adapted to the whole filtration.
+
+The filtration, the order and membership compute on ints alone: residues
+mod p, or over Q integer vectors, eliminated fraction-free by
+:func:`linalg.rref`; a vector's scale changes neither the level it spans
+nor the order of an endomorphism.  Only ``bases`` turns the integer
+pieces into field values, when read.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, product
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .errors import DomainError
-from .exponents import check as check_exponent, unit
+from .exponents import check as check_exponent
 from .field import FieldSpec
 from .linalg import Matrix, rref
 
@@ -100,9 +106,6 @@ class ArtinianAlgebra:
                     rows[i][j] = F.add(rows[i][j], c)
         return Matrix(F, rows)
 
-    def variable_operator(self, i: int) -> Matrix:
-        return self.multiplication_operator({unit(i, self.nvars): 1})
-
     def gram(self) -> Matrix:
         """Matrix of the pairing (f, g) -> socle coefficient of f*g.
 
@@ -129,12 +132,12 @@ class ArtinianAlgebra:
 class OrderFiltration:
     """Computed chain of order-filtration subspaces of the endomorphisms.
 
-    The chain is stored as its graded pieces: vectors in the vectorized
-    (row-major, see :func:`vectorize`) coordinates, those of piece n
-    spanning a complement of level n-1 in level n.  ``dims`` are the level
-    dimensions and ``stabilized_at`` the top level, past which the chain
-    does not grow.  ``bases`` builds, when read, a matrix per level whose
-    columns span it.
+    The chain is stored as its graded pieces: integer vectors (residues
+    over F_p) in the vectorized (row-major, see :func:`vectorize`)
+    coordinates, those of piece n spanning a complement of level n-1 in
+    level n.  ``dims`` are the level dimensions and ``stabilized_at`` the
+    top level, past which the chain does not grow.  ``bases`` builds, when
+    read, a matrix per level whose columns span it.
     """
 
     __slots__ = ("algebra", "_pieces", "dims", "stabilized_at")
@@ -147,10 +150,11 @@ class OrderFiltration:
 
     @property
     def bases(self):
-        """Each level as a matrix whose columns span it, built when read."""
+        """Each level as a matrix whose columns span it, built when read;
+        the constructor brings each integer piece into the field."""
         F, columns, out = self.algebra.field, [], []
         for piece in self._pieces:
-            columns += piece
+            columns += Matrix(F, piece).rows
             out.append(Matrix.from_columns(F, columns))
         return out
 
@@ -158,13 +162,6 @@ class OrderFiltration:
         """Membership of an endomorphism in the order <= n subspace, for
         any n (below 0 only 0 is contained); brackets stop at depth n+1."""
         return all(m <= n for m in _nonzero_depths(self.algebra, xi, max(n + 1, 0)))
-
-    def graded_piece(self, n: int):
-        """Vectors spanning a complement of level n-1 inside level n: none
-        for n < 0 or past the top."""
-        if 0 <= n < len(self._pieces):
-            return [list(v) for v in self._pieces[n]]
-        return []
 
 
 def vectorize(m: Matrix):
@@ -204,13 +201,21 @@ def _nonzero_depths(A: ArtinianAlgebra, xi: Matrix, limit: int):
     moves a lex index by the stride s of x_i: from c = index(mu)*d +
     index(nu) the terms sit at c - s when nu_i > 0 and at c + s*d when
     mu_i < a_i - 1, reading mu_i and nu_i as base-a_i digits at s.
+
+    The walk runs on ints: residues over F_p, reduced once per bracket,
+    and over Q xi times the lcm of its denominators, since a nonzero scale
+    changes no depth.
     """
-    d, F = A.dim, A.field
+    d, p = A.dim, A.field.characteristic
     _refuse_large(A)
     _check_endomorphism(A, xi)
-    add, sub, zero = F.add, F.sub, F.zero()
     shifts = [(prod(A.exponents[i + 1 :]), a) for i, a in enumerate(A.exponents)]
-    vec = {j * d + k: v for j, row in enumerate(xi.rows) for k, v in enumerate(row) if v}
+    if p:
+        vec = {j * d + k: v for j, row in enumerate(xi.rows) for k, v in enumerate(row) if v}
+    else:
+        scale = lcm(*(v.denominator for row in xi.rows for v in row))
+        vec = {j * d + k: v.numerator * (scale // v.denominator)
+               for j, row in enumerate(xi.rows) for k, v in enumerate(row) if v}
     stack = [(0, 0, vec)] if vec else []
     while stack:
         depth, last, vec = stack.pop()
@@ -223,10 +228,13 @@ def _nonzero_depths(A: ArtinianAlgebra, xi: Matrix, limit: int):
             for c, v in vec.items():
                 j, k = divmod(c, d)
                 if k // s % a:
-                    out[c - s] = add(out.get(c - s, zero), v)
+                    out[c - s] = out.get(c - s, 0) + v
                 if j // s % a < a - 1:
-                    out[c + s * d] = sub(out.get(c + s * d, zero), v)
-            out = {c: v for c, v in out.items() if v}
+                    out[c + s * d] = out.get(c + s * d, 0) - v
+            if p:
+                out = {c: r for c, v in out.items() if (r := v % p)}
+            else:
+                out = {c: v for c, v in out.items() if v}
             if out:
                 stack.append((depth + 1, i, out))
 
@@ -238,10 +246,11 @@ def order(A: ArtinianAlgebra, xi: Matrix) -> int:
     return max(_nonzero_depths(A, xi, A.dim**2), default=-1)
 
 
-def _one_variable_levels(F: FieldSpec, a: int):
+def _one_variable_levels(p: int, a: int):
     """A basis of End_k(k[x]/(x^a)) adapted to its order filtration, as
     pairs (level, {(mu, nu): c}) of the entries of each vector on the
-    matrix units E_{mu,nu}, in increasing level.
+    matrix units E_{mu,nu}, in increasing level: residues over F_p, and
+    over Q primitive integer vectors.
 
     Level n is the kernel of ad_x^(n+1), and ad_x sends the degree block
     mu - nu = delta to block delta+1, so each block's annihilator at level
@@ -249,13 +258,15 @@ def _one_variable_levels(F: FieldSpec, a: int):
     so every annihilator starts as the identity.  The pivot columns of a
     block's annihilator only shrink from one level to the next, and the
     kernel vectors of the columns that turn free span a complement of the
-    lower level.
+    lower level.  Each annihilator is kept as the integer rows of
+    :func:`rref`, whose scale changes no kernel; a kernel vector is den in
+    its free column and minus that column of the rows in the pivot
+    columns, over Q divided by its content, with the free entry positive.
     """
-    zero, one = F.zero(), F.one()
     # the columns nu of block delta, whose entries are E_{nu+delta,nu}
     cols = {delta: range(max(0, -delta), min(a, a - delta)) for delta in range(1 - a, a)}
-    ann = {delta: ([[one if i == j else zero for j in range(len(c))]
-                    for i in range(len(c))], range(len(c)))
+    ann = {delta: ([[int(i == j) for j in range(len(c))] for i in range(len(c))],
+                   range(len(c)))
            for delta, c in cols.items()}
     out, n = [], 0
     while any(pivots for _, pivots in ann.values()):
@@ -265,25 +276,26 @@ def _one_variable_levels(F: FieldSpec, a: int):
             if above:
                 # [E_{mu,nu}, x] = E_{mu,nu-1} - E_{mu+1,nu}, both in block delta+1
                 lo = cols[delta + 1].start
-                red, pivots = rref(F, [
-                    [F.sub(r[nu - 1 - lo] if nu else zero,
-                           r[nu - lo] if nu + delta + 1 < a else zero) for nu in c]
+                red, pivots, den = rref(p, [
+                    [(r[nu - 1 - lo] if nu else 0) - (r[nu - lo] if nu + delta + 1 < a else 0)
+                     for nu in c]
                     for r in above])
                 red = red[: len(pivots)]
             else:
-                red, pivots = [], []
+                red, pivots, den = [], [], 1
             reduced[delta] = red, pivots
             for fc in ann[delta][1]:
                 if fc in pivots:
                     continue
-                vec = {(c[fc] + delta, c[fc]): one}
+                vec = {(c[fc] + delta, c[fc]): den}
                 for row, pc in zip(red, pivots):
-                    if not F.is_zero(row[fc]):
-                        vec[c[pc] + delta, c[pc]] = F.neg(row[fc])
-                if not F.is_modular:
-                    # integer entries keep later products of these vectors cheap
-                    scale = lcm(*(v.denominator for v in vec.values()))
-                    vec = {k: v * scale for k, v in vec.items()}
+                    if row[fc]:
+                        vec[c[pc] + delta, c[pc]] = -row[fc]
+                if p:
+                    vec = {k: v % p for k, v in vec.items()}
+                else:
+                    g = gcd(*vec.values()) if den > 0 else -gcd(*vec.values())
+                    vec = {k: v // g for k, v in vec.items()}
                 out.append((n, vec))
         ann = reduced
         n += 1
@@ -305,23 +317,22 @@ def order_filtration(A: ArtinianAlgebra) -> OrderFiltration:
     index is a sum of per-variable shares, so a product's coordinates are
     sums of one share per factor.
     """
-    F = A.field
-    d = A.dim
+    p, d = A.field.characteristic, A.dim
     _refuse_large(A)
     factors = []
     for i, a in enumerate(A.exponents):
         stride = prod(A.exponents[i + 1 :])
         factors.append([(level, [((mu * d + nu) * stride, c) for (mu, nu), c in vec.items()])
-                        for level, vec in _one_variable_levels(F, a)])
+                        for level, vec in _one_variable_levels(p, a)])
     top = sum(levels[-1][0] for levels in factors)
     pieces = [[] for _ in range(top + 1)]
-    zero, one, mul = F.zero(), F.one(), F.mul
     for combo in product(*factors):
         level = sum(lv for lv, _ in combo)
-        terms = [(0, one)]
+        terms = [(0, 1)]
         for _, entries in combo:
-            terms = [(at + share, mul(c, v)) for at, c in terms for share, v in entries]
-        vec = [zero] * (d * d)
+            terms = [(at + share, c * v % p if p else c * v)
+                     for at, c in terms for share, v in entries]
+        vec = [0] * (d * d)
         for at, c in terms:
             vec[at] = c
         pieces[level].append(vec)
@@ -365,9 +376,3 @@ def adjoint_table(A: ArtinianAlgebra) -> Matrix:
         rows[d * d - 1 - c % d * d - c // d][c] = F.one()
     return Matrix(F, rows)
 
-
-def verify_order_preservation(A: ArtinianAlgebra, xi: Matrix, n: int) -> bool:
-    """Check the adjoint of an order <= n operator again has order <= n."""
-    if order(A, xi) > n:
-        raise DomainError(f"operator is not in the order <= {n} subspace")
-    return order(A, socle_adjoint(A, xi)) <= n

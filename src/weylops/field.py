@@ -6,14 +6,15 @@ Field values are plain Python values without a wrapper object:
   positive denominator);
 * characteristic p: `int` residues in ``{0, ..., p-1}``.
 
-Matrices store these values.  Polynomials and operators over Q do not:
-they keep integer numerators over one common denominator (see
+Matrices store these values, and eliminate on ints (see
+:mod:`weylops.linalg`).  Polynomials and operators over Q do not: they
+keep integer numerators over one common denominator (see
 :mod:`weylops.poly` and :mod:`weylops.diffop`), so their kernels work on
 ints, and show field values only in their ``terms`` view.
 
-A :class:`FieldSpec` carries the characteristic and mediates every
-arithmetic operation, so modules never hard-code one representation.
-No floating point appears anywhere.
+A :class:`FieldSpec` carries the characteristic, coerces values into the
+field, and adds and multiplies field values.  No floating point appears
+anywhere.
 """
 
 from __future__ import annotations
@@ -136,25 +137,9 @@ class FieldSpec:
         p = self.characteristic
         return (a + b) % p if p else a + b
 
-    def sub(self, a, b):
-        p = self.characteristic
-        return (a - b) % p if p else a - b
-
-    def neg(self, a):
-        p = self.characteristic
-        return (-a) % p if p else -a
-
     def mul(self, a, b):
         p = self.characteristic
         return (a * b) % p if p else a * b
-
-    def inv(self, a):
-        if self.is_zero(a):
-            raise DomainError("division by zero")
-        p = self.characteristic
-        if p:
-            return pow(a % p, p - 2, p)
-        return 1 / Fraction(a)
 
     def is_zero(self, a) -> bool:
         p = self.characteristic

@@ -2,11 +2,17 @@
 
 Small matrices only (the Artinian and group modules work at dimensions
 well under a hundred), so plain Gauss-Jordan with exact pivots is enough.
-Elimination is :func:`rref` on plain row lists of field values, with
-:func:`rref_kernel` reading a kernel basis off it; :class:`Matrix` wraps both.
+Elimination is :func:`rref` on rows of ints, with no field arithmetic:
+residues mod p, or over Q fraction-free (Bareiss), whose reduced form is
+integer rows over one denominator.  :class:`Matrix` keeps field values
+(``Fraction`` over Q); its elimination methods bring each row to ints,
+over Q times the lcm of its denominators, and return field values.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
 
 from .errors import DomainError
 from .field import FieldSpec
@@ -31,8 +37,11 @@ class Matrix:
 
     @classmethod
     def _reduced(cls, field: FieldSpec, rows) -> Matrix:
-        """Wrap nonempty equal-length lists of values already in the field,
-        skipping the constructor's checks and coercion."""
+        """Wrap equal-length lists of values already in the field, skipping
+        the constructor's coercion; no rows, or empty ones, are refused as
+        the constructor refuses them."""
+        if not rows or not rows[0]:
+            raise DomainError("empty matrix")
         m = cls.__new__(cls)
         m.field = field
         m.rows = rows
@@ -110,75 +119,106 @@ class Matrix:
 
     # -- elimination ----------------------------------------------------
 
+    def _rref(self, identity=False):
+        """:func:`rref` of the rows as ints, each row times the lcm of its
+        denominators (1 for residues; a row's scale changes no reduced
+        form), with the identity block appended when asked, its row scaled
+        alike."""
+        n = self.nrows
+        rows = []
+        for i, row in enumerate(self.rows):
+            scale = lcm(*(v.denominator for v in row))
+            row = [v.numerator * (scale // v.denominator) for v in row]
+            if identity:
+                row = row + [scale if j == i else 0 for j in range(n)]
+            rows.append(row)
+        return rref(self.field.characteristic, rows)
+
+    def _values(self, rows, den):
+        """Field values of int rows over the denominator den."""
+        p = self.field.characteristic
+        if p:
+            return [[v % p for v in r] for r in rows]
+        return [[Fraction(v, den) for v in r] for r in rows]
+
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column list)."""
-        red, pivots = rref(self.field, self.rows)
-        return Matrix._reduced(self.field, red), pivots
+        red, pivots, den = self._rref()
+        return Matrix._reduced(self.field, self._values(red, den)), pivots
 
     def rank(self) -> int:
-        return len(rref(self.field, self.rows)[1])
+        return len(self._rref()[1])
 
     def nullspace(self):
-        """Basis of the right kernel, as a list of vectors."""
-        return rref_kernel(self.field, *rref(self.field, self.rows))
+        """Basis of the right kernel, as a list of vectors: one per free
+        column, 1 there and minus that column of the reduced pivot rows in
+        the pivot coordinates."""
+        red, pivots, den = self._rref()
+        basis = []
+        for fc in range(self.ncols):
+            if fc in pivots:
+                continue
+            vec = [0] * self.ncols
+            vec[fc] = den
+            for row, pc in zip(red, pivots):
+                vec[pc] = -row[fc]
+            basis.append(vec)
+        return self._values(basis, den)
 
     def inverse(self) -> Matrix:
         if self.nrows != self.ncols:
             raise DomainError("only square matrices can be inverted")
-        F, n = self.field, self.nrows
-        zero, one = F.zero(), F.one()
-        red, pivots = rref(F, [row + [one if j == i else zero for j in range(n)]
-                               for i, row in enumerate(self.rows)])
+        n = self.nrows
+        red, pivots, den = self._rref(identity=True)
         if pivots[:n] != list(range(n)):
             raise DomainError("matrix is singular")
-        return Matrix._reduced(F, [r[n:] for r in red])
+        return Matrix._reduced(self.field, self._values([r[n:] for r in red], den))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(v) for v in r) for r in self.rows)
         return f"<Matrix {self.nrows}x{self.ncols} [{body}]>"
 
 
-def rref(F: FieldSpec, rows):
-    """Gauss-Jordan elimination of a nonempty list of equal-length rows of
-    values of F: the reduced row echelon form as new rows, and its pivot
-    columns.  The input rows are left unchanged."""
-    rows = [list(r) for r in rows]
+def rref(p: int, rows):
+    """Gauss-Jordan elimination of a nonempty list of equal-length int rows,
+    over F_p for a prime p and over Q for p = 0: ``(rows, pivots, den)``,
+    the reduced row echelon form being rows/den, with its pivot columns.
+    The input rows are left unchanged.
+
+    Over F_p the rows are residues: each pivot row is scaled to a leading 1
+    and each update is reduced once mod p, so den is 1.  Over Q the
+    elimination is fraction-free Gauss-Jordan (Bareiss, "Sylvester's
+    identity and multistep integer-preserving Gaussian elimination", Math.
+    Comp. 22, 1968): at each pivot every other row, a 0 in the pivot column
+    or not, becomes (piv*row - f*pivot_row) // den, den the previous pivot.
+    Every entry stays a minor of the input, so each division is exact, and
+    den ends as the last pivot, which each pivot entry then equals.
+    """
+    rows = [[v % p for v in r] for r in rows] if p else [list(r) for r in rows]
     nrows, ncols = len(rows), len(rows[0])
-    pivots = []
-    r = 0
+    pivots, den, r = [], 1, 0
     for c in range(ncols):
-        pivot = next(
-            (i for i in range(r, nrows) if not F.is_zero(rows[i][c])), None
-        )
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, v) for v in rows[r]]
-        for i in range(nrows):
-            if i != r and not F.is_zero(rows[i][c]):
-                factor = rows[i][c]
-                rows[i] = [F.sub(v, F.mul(factor, w)) for v, w in zip(rows[i], rows[r])]
+        if p:
+            inv = pow(rows[r][c], -1, p)
+            top = rows[r] = [v * inv % p for v in rows[r]]
+            for i, row in enumerate(rows):
+                f = row[c]
+                if f and i != r:
+                    rows[i] = [(v - f * w) % p for v, w in zip(row, top)]
+        else:
+            top = rows[r]
+            piv = top[c]
+            for i, row in enumerate(rows):
+                if i != r:
+                    f = row[c]
+                    rows[i] = [(piv * v - f * w) // den for v, w in zip(row, top)]
+            den = piv
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return rows, pivots
-
-
-def rref_kernel(F: FieldSpec, rows, pivots):
-    """Right kernel basis read off the rows of a reduced row echelon form
-    and its pivot columns: one vector per free column, with -1 times that
-    column of the pivot rows in the pivot coordinates."""
-    ncols = len(rows[0])
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        vec = [F.zero()] * ncols
-        vec[fc] = F.one()
-        for r, pc in enumerate(pivots):
-            vec[pc] = F.neg(rows[r][fc])
-        basis.append(vec)
-    return basis
+    return rows, pivots, den

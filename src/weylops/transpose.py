@@ -9,9 +9,7 @@ characteristic 0 the ring is generated in order one, and prescribing
 d_i -> -d_i + f_i with each twist polynomial f_i univariate in its own
 variable yields further ("twisted") involutive anti-automorphisms; no such
 freedom exists in characteristic p, where the twisted construction is
-refused.  Both are plain functions, and a check that takes a
-transposition takes any function of one operator: ``standard_transpose``,
-or ``functools.partial(twisted_transpose, twist)`` for a twisted one.
+refused.  Both are plain functions.
 
 Conjugation by an invertible linear substitution m (the transport used
 for coordinate-invariance checks and group actions) is the contragredient
@@ -116,31 +114,6 @@ def twisted_transpose(twist, xi: DiffOp) -> DiffOp:
             term = core_mul(image, term, 0)
         parts.append((term[0], term[1] * xi.den * prod(factorial(a) for a in alpha), 1))
     return DiffOp._core(ring, core_sum(parts, 0))
-
-
-def check_graded_sign(xi: DiffOp, phi) -> bool:
-    """Whether phi(xi) + (-1)^(n+1) xi drops order, n the order of xi.
-
-    phi is any transposition function of one operator.  This is the
-    statement that the induced map on the associated graded ring is the
-    identity in even degrees and -1 in odd ones.
-    """
-    if xi.is_zero():
-        raise DomainError("graded-sign check is undefined on the zero operator")
-    n = xi.order()
-    combo = phi(xi) + (xi if (n + 1) % 2 == 0 else -xi)
-    return combo.order() <= n - 1
-
-
-def derivation_formula_check(theta: DiffOp, phi) -> bool:
-    """For a derivation, phi(theta) must equal -theta plus the
-    multiplication operator by phi(theta)(1); phi is any transposition
-    function of one operator."""
-    if not theta.is_derivation():
-        raise DomainError("input is not a derivation")
-    image = phi(theta)
-    constant = image.apply(theta.ring.one())
-    return image + theta == DiffOp.from_poly(constant)
 
 
 def transport_via_coordinates(m: RingMap, xi: DiffOp) -> DiffOp:

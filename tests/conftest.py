@@ -5,9 +5,14 @@ the sum suites check ``core_sum`` against, the per-atom evaluator with
 binary sums that the parser suite checks the evaluator and the scanner
 against, the commutator as two products that the bracket suite checks
 against, a spy that records the calls of a rebound function, the
-benchmark's workload file loaded by path, and three helpers that only
-the tests call: the token list of a text, the derivation part of an
-operator of order at most one, and whether a group fixes a polynomial."""
+benchmark's workload file loaded by path, the Gauss-Jordan elimination
+on field values that the integer elimination is checked against, and the
+helpers that only the tests call: the token list of a text, the
+derivation part of an operator of order at most one, whether a group
+fixes a polynomial, an Artinian variable's multiplication operator, a
+graded piece of an order filtration, the order-preservation check of the
+socle adjoint, and the graded-sign and derivation checks of a
+transposition."""
 
 import importlib.util
 import io
@@ -29,8 +34,10 @@ from weylops import (
     Polynomial,
     PolyRing,
 )
+from weylops.artinian import order, socle_adjoint
 from weylops.cli import main
 from weylops.diffop import canonical, core_mul, core_pow
+from weylops.exponents import unit
 from weylops.invariants import act_on_poly
 from weylops.opparser import _DSUGAR, _error_at, _lex
 
@@ -122,6 +129,100 @@ def is_invariant_poly(G: FiniteGroup, f: Polynomial) -> bool:
     """Whether every element fixes f, tested on the generators."""
     G.elements[0]._check_ring(f.ring)
     return all(act_on_poly(g, f) == f for g in G.generators)
+
+
+def variable_operator(A, i: int):
+    """The multiplication operator of the variable x_i on A."""
+    return A.multiplication_operator({unit(i, A.nvars): 1})
+
+
+def graded_piece(filt, n: int):
+    """Vectors spanning a complement of level n-1 inside level n: none
+    for n < 0 or past the top.  They are the filtration's integer pieces
+    (residues over F_p)."""
+    if 0 <= n < len(filt._pieces):
+        return [list(v) for v in filt._pieces[n]]
+    return []
+
+
+def verify_order_preservation(A, xi, n: int) -> bool:
+    """Check the adjoint of an order <= n operator again has order <= n."""
+    if order(A, xi) > n:
+        raise DomainError(f"operator is not in the order <= {n} subspace")
+    return order(A, socle_adjoint(A, xi)) <= n
+
+
+def check_graded_sign(xi: DiffOp, phi) -> bool:
+    """Whether phi(xi) + (-1)^(n+1) xi drops order, n the order of xi.
+
+    phi is any transposition function of one operator.  This is the
+    statement that the induced map on the associated graded ring is the
+    identity in even degrees and -1 in odd ones.
+    """
+    if xi.is_zero():
+        raise DomainError("graded-sign check is undefined on the zero operator")
+    n = xi.order()
+    combo = phi(xi) + (xi if (n + 1) % 2 == 0 else -xi)
+    return combo.order() <= n - 1
+
+
+def derivation_formula_check(theta: DiffOp, phi) -> bool:
+    """For a derivation, phi(theta) must equal -theta plus the
+    multiplication operator by phi(theta)(1); phi is any transposition
+    function of one operator."""
+    if not theta.is_derivation():
+        raise DomainError("input is not a derivation")
+    image = phi(theta)
+    constant = image.apply(theta.ring.one())
+    return image + theta == DiffOp.from_poly(constant)
+
+
+def reference_rref(F: FieldSpec, rows):
+    """Gauss-Jordan elimination of a nonempty list of equal-length rows of
+    values of F (``Fraction`` over Q, residues over F_p), each pivot row
+    scaled to a leading 1: the reduced row echelon form as new rows of
+    field values, and its pivot columns.  ``linalg.rref`` did this before
+    it moved onto int rows."""
+    p = F.characteristic
+    rows = [list(r) for r in rows]
+    nrows, ncols = len(rows), len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][c], -1, p) if p else 1 / Fraction(rows[r][c])
+        rows[r] = [inv * v % p if p else inv * v for v in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                factor = rows[i][c]
+                rows[i] = [(v - factor * w) % p if p else v - factor * w
+                           for v, w in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def reference_rref_kernel(F: FieldSpec, rows, pivots):
+    """Right kernel basis read off the rows of a reduced row echelon form
+    (of field values) and its pivot columns: one vector per free column,
+    with minus that column of the pivot rows in the pivot coordinates."""
+    p = F.characteristic
+    ncols = len(rows[0])
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [F.zero()] * ncols
+        vec[fc] = F.one()
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rows[r][fc] % p if p else -rows[r][fc]
+        basis.append(vec)
+    return basis
 
 
 def reference_bracket(a, b):

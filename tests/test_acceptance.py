@@ -38,6 +38,7 @@ from weylops.invariants import FiniteGroup, GroupElement, act_on_op, equivarianc
 from weylops.poly import RingMap
 from weylops.render import render_op
 from conftest import (
+    graded_piece,
     make_ring,
     random_diffop,
     random_exponent,
@@ -318,7 +319,7 @@ def test_c09_artinian_suite():
             A = ArtinianAlgebra(exps, FieldSpec(0))
             filt = order_filtration(A)
             top = len(filt.bases) - 1
-            pieces = {n: filt.graded_piece(n) for n in range(top + 1)}
+            pieces = {n: graded_piece(filt, n) for n in range(top + 1)}
             mats = {
                 n: [unvectorize(A.field, v, A.dim) for v in vecs]
                 for n, vecs in pieces.items()

@@ -5,6 +5,7 @@ import json
 import random
 from contextlib import redirect_stdout
 from functools import cache
+from hashlib import sha256
 from itertools import product
 from math import prod
 
@@ -17,7 +18,6 @@ from weylops import (
     Matrix,
     order_filtration,
     socle_adjoint,
-    verify_order_preservation,
 )
 from weylops.artinian import (
     SIZE_LIMIT,
@@ -28,7 +28,13 @@ from weylops.artinian import (
     vectorize,
 )
 from weylops.cli import main
-from weylops.linalg import rref, rref_kernel
+from conftest import (
+    graded_piece,
+    reference_rref,
+    reference_rref_kernel,
+    variable_operator,
+    verify_order_preservation,
+)
 
 
 def _random_endo(rng, A):
@@ -162,7 +168,7 @@ def test_socle_adjoint_is_the_gram_twisted_transpose(rng):
 
 def test_socle_adjoint_fixes_multiplications():
     A = ArtinianAlgebra((3,), FieldSpec(0))
-    mult_x = A.variable_operator(0)
+    mult_x = variable_operator(A, 0)
     assert socle_adjoint(A, mult_x) == mult_x
 
 
@@ -224,7 +230,7 @@ def test_socle_adjoint_with_unit_rescaling(rng):
         xi = _random_endo(rng, A)
         adj = socle_adjoint(A, xi, unit=unit)
         assert socle_adjoint(A, adj, unit=unit) == xi
-        mult_x = A.variable_operator(0)
+        mult_x = variable_operator(A, 0)
         assert socle_adjoint(A, mult_x, unit=unit) == mult_x
     with pytest.raises(DomainError, match="nondegenerate"):
         socle_adjoint(A, xi, unit={(1,): 1})  # no constant term, not a unit
@@ -248,14 +254,14 @@ def test_socle_adjoint_refuses_a_foreign_endomorphism():
 
 def test_order_preservation():
     A = ArtinianAlgebra((4,), FieldSpec(0))
-    mult = A.variable_operator(0)
+    mult = variable_operator(A, 0)
     assert verify_order_preservation(A, mult, 0)
     assert verify_order_preservation(A, _euler_operator(A), 1)
 
     A2 = ArtinianAlgebra((2, 2), FieldSpec(0))
     filt = order_filtration(A2)
     rng = random.Random(3)
-    piece = filt.graded_piece(2)
+    piece = graded_piece(filt, 2)
     for vec in piece[:4]:
         xi = unvectorize(A2.field, vec, A2.dim)
         assert verify_order_preservation(A2, xi, 2)
@@ -274,8 +280,8 @@ def test_filtration_membership_and_products():
     # composing graded pieces lands within the summed level
     for n in range(len(filt.dims) - 1):
         for m in range(len(filt.dims) - 1 - n):
-            for u in filt.graded_piece(n)[:3]:
-                for v in filt.graded_piece(m)[:3]:
+            for u in graded_piece(filt, n)[:3]:
+                for v in graded_piece(filt, m)[:3]:
                     xi = unvectorize(A.field, u, A.dim)
                     eta = unvectorize(A.field, v, A.dim)
                     assert filt.contains(xi * eta, n + m)
@@ -298,7 +304,7 @@ def test_graded_sign_on_graded_pieces():
         top = len(filt.dims) - 1
         for n in range(top + 1):
             sign = 1 if (n + 1) % 2 == 0 else -1
-            for vec in filt.graded_piece(n):
+            for vec in graded_piece(filt, n):
                 xi = unvectorize(A.field, vec, A.dim)
                 combo = socle_adjoint(A, xi) + xi.scale(sign)
                 assert filt.contains(combo, n - 1)
@@ -328,7 +334,7 @@ def _dense_order_filtration(A):
     F, d = A.field, A.dim
     brackets = []
     for i in range(A.nvars):
-        X = A.variable_operator(i).rows
+        X = variable_operator(A, i).rows
         B = []
         for j in range(d):
             for k in range(d):
@@ -336,7 +342,7 @@ def _dense_order_filtration(A):
                 for b in range(d):
                     col[j * d + b] = F.add(col.get(j * d + b, F.zero()), X[k][b])
                 for a in range(d):
-                    col[a * d + k] = F.sub(col.get(a * d + k, F.zero()), X[a][j])
+                    col[a * d + k] = F.add(col.get(a * d + k, F.zero()), -X[a][j])
                 B.append([(c, v) for c, v in col.items() if not F.is_zero(v)])
         brackets.append(B)
 
@@ -375,7 +381,7 @@ def test_filtration_matches_dense_oracle(exps, char):
     assert filt.dims == [b.ncols for b in bases]
     # membership by brackets agrees with the dense annihilator of each level
     F, rng = A.field, random.Random(f"{exps}:{char}")
-    vecs = [v for n in range(len(bases)) for v in filt.graded_piece(n)]
+    vecs = [v for n in range(len(bases)) for v in graded_piece(filt, n)]
     vecs += [vectorize(_random_endo(rng, A)) for _ in range(6)]
     for vec in vecs:
         xi, support = unvectorize(F, vec, A.dim), [c for c, v in enumerate(vec) if v]
@@ -406,12 +412,12 @@ def _eliminated_order_filtration(A):
     rows the next annihilator, up to level 2d.  Returns (bases, dims,
     stabilized_at)."""
     F = A.field
-    d = A.dim
+    d, p = A.dim, F.characteristic
 
     columns = [vectorize(A.multiplication_operator({mu: 1})) for mu in A.basis]
     bases = [Matrix.from_columns(F, columns)]
     dims = [d]  # x^mu sends 1 to x^mu, so these operators are independent
-    ann = rref_kernel(F, *rref(F, columns))
+    ann = reference_rref_kernel(F, *reference_rref(F, columns))
     zero = F.zero()
     bracket_pairs = [_bracket_pairs(A, i) for i in range(A.nvars)]
 
@@ -423,9 +429,10 @@ def _eliminated_order_filtration(A):
         # ann applied to the brackets, one block of rows per variable; the
         # nonzero rows of its reduced form span the next annihilator
         padded = [row + [zero] for row in ann]
-        red, pivots = rref(F, [[F.sub(r[a], r[b]) for a, b in pairs]
-                               for pairs in bracket_pairs for r in padded])
-        kernel = rref_kernel(F, red, pivots)
+        red, pivots = reference_rref(F, [[(r[a] - r[b]) % p if p else r[a] - r[b]
+                                          for a, b in pairs]
+                                         for pairs in bracket_pairs for r in padded])
+        kernel = reference_rref_kernel(F, red, pivots)
         if not kernel:
             raise DomainError("order filtration lost the ring itself")
         bases.append(Matrix.from_columns(F, kernel))
@@ -447,18 +454,18 @@ def _spans(bases):
     """Each level's span as the nonzero rows of its reduced row form."""
     out = []
     for b in bases:
-        red, pivots = rref(b.field, b.transpose().rows)
+        red, pivots = reference_rref(b.field, b.transpose().rows)
         out.append(red[: len(pivots)])
     return out
 
 
 def _kernel_span_contains(F, kernel):
     """Membership of a vector, given as its nonzero entries {c: v}, in the
-    span of an ``rref_kernel`` basis.  Such a basis is reduced in reversed
-    column order: each vector's last nonzero entry is a 1 in its free
-    column, where every other vector is 0.  So a vector lies in the span
-    exactly when it is the sum of its free-column entries times the basis
-    vectors (and a yes is a proof either way)."""
+    span of a ``reference_rref_kernel`` basis.  Such a basis is reduced in
+    reversed column order: each vector's last nonzero entry is a 1 in its
+    free column, where every other vector is 0.  So a vector lies in the
+    span exactly when it is the sum of its free-column entries times the
+    basis vectors (and a yes is a proof either way)."""
     by_free = {}
     for k in kernel:
         entries = [(c, v) for c, v in enumerate(k) if not F.is_zero(v)]
@@ -483,10 +490,10 @@ def _assert_matches_elimination(A):
     bases, dims, stabilized_at = _eliminated(A.exponents, F.characteristic)
     assert (filt.dims, filt.stabilized_at) == (dims, stabilized_at)
     # level 0 is the multiplication operators, in basis order
-    assert filt.graded_piece(0) == [bases[0].column(j) for j in range(A.dim)]
+    assert graded_piece(filt, 0) == [bases[0].column(j) for j in range(A.dim)]
     below = []
     for n in range(len(dims)):
-        for vec in filt.graded_piece(n):
+        for vec in graded_piece(filt, n):
             assert order(A, unvectorize(F, vec, A.dim)) == n
             below.append({c: v for c, v in enumerate(vec) if not F.is_zero(v)})
         if n:
@@ -509,7 +516,7 @@ def test_one_variable_blocks_match_elimination(char):
     F = FieldSpec(char)
     for a in range(1, 9):
         _assert_matches_elimination(ArtinianAlgebra((a,), F))
-        levels = _one_variable_levels(F, a)
+        levels = _one_variable_levels(char, a)
         assert [n for n, _ in levels] == sorted(n for n, _ in levels)
         # each vector lies in one degree block mu - nu
         assert all(len({mu - nu for mu, nu in vec}) == 1 for _, vec in levels)
@@ -533,7 +540,7 @@ def test_graded_piece_matches_greedy_rank_loop():
     for exps, char in (((4,), 0), ((2, 3), 2), ((2, 2), 3)):
         filt = order_filtration(ArtinianAlgebra(exps, FieldSpec(char)))
         for n in range(1, len(filt.bases)):
-            assert filt.graded_piece(n) == _greedy_graded_piece(filt, n)
+            assert graded_piece(filt, n) == _greedy_graded_piece(filt, n)
 
 
 @pytest.mark.parametrize(
@@ -608,14 +615,26 @@ def test_membership_past_a_truncated_chain():
     assert not filt.contains(D, 3)
 
 
+def test_order_reads_fractions_at_their_value():
+    """Over Q the walk scales xi by one lcm of its denominators: half the
+    Euler operator x*d/dx on k[x]/(x^3), diag(0, 1/2, 1), has order 1, and
+    its numerators alone, diag(0, 1, 1), order 2."""
+    A = ArtinianAlgebra((3,), FieldSpec(0))
+    half_euler = Matrix(A.field, [[0, 0, 0], [0, "1/2", 0], [0, 0, 1]])
+    assert half_euler.scale(2) == _euler_operator(A)
+    assert order(A, half_euler) == 1
+    assert order(A, Matrix(A.field, [[0, 0, 0], [0, 1, 0], [0, 0, 1]])) == 2
+    assert order_filtration(A).contains(half_euler, 1)
+
+
 def test_membership_edge_cases():
     A = ArtinianAlgebra((2, 2), FieldSpec(0))
     filt = order_filtration(A)
     zero = A.multiplication_operator({})
     assert filt.contains(zero, -1) and filt.contains(zero, -5)
-    assert not filt.contains(A.variable_operator(1), -1)
-    assert filt.contains(A.variable_operator(1), 0)
-    assert order(A, zero) == -1 and order(A, A.variable_operator(1)) == 0
+    assert not filt.contains(variable_operator(A, 1), -1)
+    assert filt.contains(variable_operator(A, 1), 0)
+    assert order(A, zero) == -1 and order(A, variable_operator(A, 1)) == 0
     with pytest.raises(DomainError, match="wrong size"):
         filt.contains(Matrix(A.field, [[1, 0], [0, 1]]), 2)
     with pytest.raises(DomainError, match="wrong size"):
@@ -638,9 +657,9 @@ def test_graded_piece_outside_the_chain():
     """No piece below level 0 or past the top."""
     filt = order_filtration(ArtinianAlgebra((2,), FieldSpec(0)))
     assert (filt.dims, filt.stabilized_at) == ([2, 3, 4], 2)
-    assert len(filt.graded_piece(2)) == 1
-    assert filt.graded_piece(3) == filt.graded_piece(5) == []
-    assert filt.graded_piece(-1) == filt.graded_piece(-3) == []
+    assert len(graded_piece(filt, 2)) == 1
+    assert graded_piece(filt, 3) == graded_piece(filt, 5) == []
+    assert graded_piece(filt, -1) == graded_piece(filt, -3) == []
 
 
 def _unit_by_unit_adjoint_table(A):
@@ -715,3 +734,40 @@ def test_order_is_the_first_eliminated_level_containing(exps, char):
         else:
             expected = next(n for n in range(1, len(dims)) if contains[n](entries))
         assert order(A, xi) == expected
+
+
+def test_filtration_answers_pinned():
+    """The graded pieces, ``bases`` and one-variable vectors, as the str of
+    each value, hash to what the elimination on field values gave before
+    it moved onto ints."""
+    digest = sha256()
+    for exps in ((1,), (4,), (5,), (2, 3), (3, 2), (3, 3), (2, 2, 2)):
+        for p in (0, 2, 3, 5):
+            F = FieldSpec(p)
+            filt = order_filtration(ArtinianAlgebra(exps, F))
+            digest.update(repr([[[str(v) for v in vec] for vec in piece]
+                                for piece in filt._pieces]).encode())
+            digest.update(repr([[[str(v) for v in row] for row in b.rows]
+                                for b in filt.bases]).encode())
+            for a in exps:
+                digest.update(repr([(n, [(k, str(v)) for k, v in vec.items()])
+                                    for n, vec in _one_variable_levels(p, a)]).encode())
+    assert digest.hexdigest() == (
+        "753bba11205ebb61937f1aeb1d66fd5c2569ea19ab024d7f89cdc264ffc92c81")
+
+
+@pytest.mark.parametrize("char", [0, 2, 5])
+def test_build_and_membership_do_no_field_arithmetic(char, monkeypatch):
+    """The filtration, membership and the order run on ints: no call of
+    ``FieldSpec.add``, ``mul``, ``is_zero``, ``from_int`` or ``coerce``."""
+    A = ArtinianAlgebra((2, 3), FieldSpec(char))
+    xis = [_random_endo(random.Random(char), A) for _ in range(4)]
+    xis.append(Matrix(A.field, [["1/3" if j == k + 1 else 0 for j in range(A.dim)]
+                                for k in range(A.dim)]))
+    expected = [(order(A, xi), order_filtration(A).contains(xi, 2)) for xi in xis]
+    calls = []
+    for name in ("add", "mul", "is_zero", "from_int", "coerce"):
+        monkeypatch.setattr(FieldSpec, name, lambda self, *args, name=name: calls.append(name))
+    filt = order_filtration(A)
+    assert [(order(A, xi), filt.contains(xi, 2)) for xi in xis] == expected
+    assert calls == []

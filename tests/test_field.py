@@ -159,12 +159,3 @@ def test_field_axioms(data):
     assert spec.add(a, b) == spec.add(b, a)
     assert spec.mul(a, b) == spec.mul(b, a)
     assert spec.mul(a, spec.add(b, c)) == spec.add(spec.mul(a, b), spec.mul(a, c))
-    assert spec.add(a, spec.neg(a)) == spec.zero()
-    if not spec.is_zero(a):
-        assert spec.mul(a, spec.inv(a)) == spec.one()
-
-
-def test_division_by_zero_rejected():
-    for spec in (FieldSpec(0), FieldSpec(3)):
-        with pytest.raises(DomainError):
-            spec.inv(spec.zero())

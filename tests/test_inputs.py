@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylops import ArtinianAlgebra, DiffOp, DomainError, FieldSpec, FrobeniusBasis
-from weylops import Polynomial, PolyRing, socle_adjoint, to_matrix
+from weylops import Matrix, Polynomial, PolyRing, socle_adjoint, to_matrix
 from weylops.poly import NVARS_LIMIT
-from conftest import make_ring, run_cli
+from conftest import make_ring, run_cli, variable_operator
 
 R = make_ring(0, 2)
 R5 = make_ring(5, 1)
@@ -35,6 +35,8 @@ BAD_EXPONENTS = {
 BAD_INDICES = {"negative": -1, "float": 1.5, "bool": True, "arity": 2}
 BAD_LEVELS = {"negative": -1, "float": 1.5, "bool": True}
 BAD_COEFFICIENTS = {"text": "abc", "float": 0.5, "bool": True, "object": object()}
+# a matrix of n rows and columns with n below 1 is empty
+BAD_SIZES = {"zero": 0, "negative": -1}
 # not an int, or too long to print: refused before any arithmetic
 BAD_CHARACTERISTICS = {"float": 2.0, "text": "2", "None": None, "fraction": 3.5,
                        "bool": False, "huge": 10**5000, "huge negative": -10**5000}
@@ -49,17 +51,22 @@ EXPONENT_TAKERS = {
     "ArtinianAlgebra": lambda a: ArtinianAlgebra(a, FieldSpec(0)),
     "ArtinianAlgebra.index": lambda a: A.index(a),
     "multiplication_operator": lambda a: A.multiplication_operator({a: 1}),
-    "socle_adjoint unit": lambda a: socle_adjoint(A, A.variable_operator(0),
+    "socle_adjoint unit": lambda a: socle_adjoint(A, variable_operator(A, 0),
                                                   unit={a: 1, (0, 0): 1}),
 }
 INDEX_TAKERS = {
     "PolyRing.variable": lambda i: R.variable(i),
     "DiffOp.partial": lambda i: DiffOp.partial(R, i),
-    "ArtinianAlgebra.variable_operator": lambda i: A.variable_operator(i),
+    "ArtinianAlgebra.variable_operator": lambda i: variable_operator(A, i),
 }
 LEVEL_TAKERS = {
     "FrobeniusBasis": lambda e: FrobeniusBasis(R5, e),
     "to_matrix": lambda e: to_matrix(DiffOp.partial(R5, 0), e),
+}
+SIZE_TAKERS = {
+    "Matrix": lambda n: Matrix(A.field, [[0] * n] * n),
+    "Matrix.identity": lambda n: Matrix.identity(A.field, n),
+    "Matrix.from_columns": lambda n: Matrix.from_columns(A.field, [[0] * n] * n),
 }
 COEFFICIENT_TAKERS = {
     "Polynomial": lambda c: Polynomial(R, {(1, 0): c}),
@@ -76,6 +83,7 @@ CASES = [
     for what, takers, bads in (("exponent", EXPONENT_TAKERS, BAD_EXPONENTS),
                                ("index", INDEX_TAKERS, BAD_INDICES),
                                ("level", LEVEL_TAKERS, BAD_LEVELS),
+                               ("size", SIZE_TAKERS, BAD_SIZES),
                                ("coefficient", COEFFICIENT_TAKERS, BAD_COEFFICIENTS),
                                ("characteristic", {"FieldSpec": FieldSpec},
                                 BAD_CHARACTERISTICS))

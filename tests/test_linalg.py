@@ -2,14 +2,16 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import GF, QQ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
 from weylops import DomainError, FieldSpec, Matrix
-from weylops.linalg import rref, rref_kernel
+from weylops.linalg import rref
 
 CHARS = (0, 2, 3, 5, 1000003)
 
@@ -83,21 +85,58 @@ def test_elimination_matches_sympy(p):
             assert ours.inverse().rows == expected
 
 
+def _assert_int_rref_matches_sympy(p, rows):
+    """``rref(p, rows)`` on int rows leaves them unchanged, has den in
+    every pivot entry, and rows/den is sympy's reduced form."""
+    before = [list(r) for r in rows]
+    red, pivots, den = rref(p, rows)
+    assert rows == before  # the filtration reuses its input rows
+    assert all(row[c] == (den if i == r else 0)
+               for r, c in enumerate(pivots) for i, row in enumerate(red))
+    K = _domain(p)
+    sred, spivots = DomainMatrix([[K.convert(v) for v in r] for r in rows],
+                                 (len(rows), len(rows[0])), K).rref()
+    ours = [[v % p for v in r] for r in red] if p else [[Fraction(v, den) for v in r] for r in red]
+    assert (ours, pivots) == (_from_sympy(p, sred.to_list()), list(spivots))
+
+
 @pytest.mark.parametrize("p", CHARS)
 def test_row_list_elimination_matches_sympy(p):
-    F, K = FieldSpec(p), _domain(p)
+    """The seeded matrices as int rows: residues, or over Q each row times
+    the lcm of its denominators."""
     rng = random.Random(6000 + p)
     for rows in _matrices(rng, p):
-        before = [list(r) for r in rows]
-        red, pivots = rref(F, rows)
-        assert rows == before  # the filtration reuses its input rows
-        theirs = DomainMatrix([[K.convert(v) for v in r] for r in rows],
-                              (len(rows), len(rows[0])), K)
-        sred, spivots = theirs.rref()
-        assert (red, pivots) == (_from_sympy(p, sred.to_list()), list(spivots))
-        kernel = rref_kernel(F, red, pivots)
-        assert len(kernel) == len(rows[0]) - theirs.rank()
-        assert _row_space(F, kernel) == _row_space(F, _from_sympy(p, theirs.nullspace().to_list()))
+        if not p:
+            rows = [[v.numerator * (lcm(*(w.denominator for w in r)) // v.denominator)
+                     for v in r] for r in rows]
+        _assert_int_rref_matches_sympy(p, rows)
+
+
+def _dense(rng, nrows, ncols):
+    """Entries in -3..3 at density 1/2."""
+    return [[rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(ncols)]
+            for _ in range(nrows)]
+
+
+@pytest.mark.parametrize("p", CHARS)
+def test_dense_integer_elimination_matches_sympy(p):
+    """Dense n x n matrices at n = 16 and 32, as given and with their last
+    row the sum of two others, so the fraction-free divisions run on long
+    rows; unreduced and negative ints are read mod p."""
+    rng = random.Random(7000 + p)
+    for n in (16, 32):
+        rows = _dense(rng, n, n)
+        _assert_int_rref_matches_sympy(p, rows)
+        rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
+        _assert_int_rref_matches_sympy(p, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CHARS), st.integers(1, 6), st.integers(1, 6), st.data())
+def test_integer_elimination_property(p, nrows, ncols, data):
+    rows = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols),
+                              min_size=nrows, max_size=nrows))
+    _assert_int_rref_matches_sympy(p, rows)
 
 
 @pytest.mark.parametrize("p", (0, 5))

@@ -1,13 +1,16 @@
 """The examples in README.md, run: each ``$ weylops ...`` line of a ``sh``
 block against the lines printed under it, and the library example against
-the comment on each ``print`` line (the text before two spaces)."""
+the comment on each ``print`` line (the text before two spaces); and the
+public-surface table against ``weylops.__all__``."""
 
 import contextlib
+import importlib
 import io
 import pathlib
 import re
 import shlex
 
+import weylops
 from conftest import run_cli
 
 README = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
@@ -43,3 +46,12 @@ def test_library_example_matches():
     with contextlib.redirect_stdout(out):
         exec(code, {})
     assert out.getvalue().splitlines() == expected
+
+
+def test_public_surface_table_is_all():
+    section = README.split("## Public surface\n", 1)[1].split("\n## ", 1)[0]
+    names = re.findall(r"^\| `(\w+)` \|", section, re.M)
+    assert names == weylops.__all__
+    for name in names:
+        module = re.search(rf"^\| `{name}` \| `(\w+)` \|", section, re.M).group(1)
+        assert name in vars(importlib.import_module(f"weylops.{module}")), name

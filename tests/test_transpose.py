@@ -15,8 +15,6 @@ from weylops import (
     Matrix,
     act_on_op,
     act_on_poly,
-    check_graded_sign,
-    derivation_formula_check,
     standard_transpose,
     transport_via_coordinates,
     twisted_transpose,
@@ -30,7 +28,13 @@ from weylops.transpose import (
     prepare_substitution,
     transport_prepared,
 )
-from conftest import make_ring, random_diffop, random_poly
+from conftest import (
+    check_graded_sign,
+    derivation_formula_check,
+    make_ring,
+    random_diffop,
+    random_poly,
+)
 
 
 def test_standard_examples():
