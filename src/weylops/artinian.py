@@ -312,18 +312,19 @@ def order_filtration(A: ArtinianAlgebra) -> OrderFiltration:
     guardrail, before building anything.
 
     The graded pieces are the Kronecker products of one-variable adapted
-    basis vectors (:func:`_one_variable_levels`), by the sum of their
-    levels.  E_{mu,nu} has coordinate index(mu)*d + index(nu), and the lex
-    index is a sum of per-variable shares, so a product's coordinates are
-    sums of one share per factor.
+    basis vectors (:func:`_one_variable_levels`, once per distinct
+    exponent), by the sum of their levels.  E_{mu,nu} has coordinate
+    index(mu)*d + index(nu), and the lex index is a sum of per-variable
+    shares, so a product's coordinates are sums of one share per factor.
     """
     p, d = A.field.characteristic, A.dim
     _refuse_large(A)
+    levels_of = {a: _one_variable_levels(p, a) for a in set(A.exponents)}
     factors = []
     for i, a in enumerate(A.exponents):
         stride = prod(A.exponents[i + 1 :])
         factors.append([(level, [((mu * d + nu) * stride, c) for (mu, nu), c in vec.items()])
-                        for level, vec in _one_variable_levels(p, a)])
+                        for level, vec in levels_of[a]])
     top = sum(levels[-1][0] for levels in factors)
     pieces = [[] for _ in range(top + 1)]
     for combo in product(*factors):

@@ -13,8 +13,8 @@ from __future__ import annotations
 from .diffop import DiffOp, core_sum
 from .errors import DomainError
 from .linalg import Matrix
-from .poly import Polynomial, PolyRing, RingMap, substitute
-from .transpose import prepare_substitution, standard_transpose, transport_prepared
+from .poly import Polynomial, PolyRing, RingMap, apply_ring_map, prepare_substitution
+from .transpose import standard_transpose, transport_prepared
 # not called here; perfbench/tests checks that its tracer rebinds this
 # imported name
 from .transpose import transport_via_coordinates  # noqa: F401
@@ -29,12 +29,12 @@ class GroupElement:
     eliminate nothing.
 
     The substitution is prepared on the element's first action and kept
-    (``transpose.Substitution``): whether it is the identity, and the
-    images of the variables and the inverse's rows, each as an integer
-    core over its own denominator.  So building a group and checking its
-    closure prepare nothing, and every later action on a polynomial or an
-    operator reuses the record.  Its size depends on the matrix alone;
-    nothing that depends on an operator is kept.
+    (``poly.Substitution``): whether it is the identity, and the images of
+    the variables and the inverse's rows, each as an integer core over its
+    own denominator.  So building a group and checking its closure prepare
+    nothing, and every later action on a polynomial or an operator, and
+    every ring map of the element, reuses the record.  Its size depends on
+    the matrix alone; nothing that depends on an operator is kept.
     """
 
     __slots__ = ("matrix", "_inverse", "_key", "_substitution")
@@ -74,19 +74,16 @@ class GroupElement:
 
     def substitution(self):
         """The prepared substitution (class docstring), built on first use."""
-        sub = self._substitution
-        if sub is None:
-            sub = self._substitution = prepare_substitution(
-                self.matrix.rows, self._inverse.rows,
-                self.matrix.field.characteristic,
-            )
-        return sub
+        if self._substitution is None:
+            self._substitution = prepare_substitution(
+                self.matrix.rows, self._inverse.rows, self.matrix.field.characteristic)
+        return self._substitution
 
     def is_identity(self) -> bool:
         return self.substitution().identity
 
     def __eq__(self, other):
-        return isinstance(other, GroupElement) and self._key == other._key
+        return isinstance(other, GroupElement) and self.matrix == other.matrix
 
     def __hash__(self):
         return hash(self._key)
@@ -99,9 +96,9 @@ class GroupElement:
             raise DomainError("group element does not act on this ring")
 
     def ring_map(self, ring: PolyRing) -> RingMap:
-        """The element's matrix pair as a map of ``ring``."""
+        """The element's matrix pair and substitution as a map of ``ring``."""
         self._check_ring(ring)
-        return RingMap._pair(ring, self.matrix.rows, self._inverse.rows)
+        return RingMap._pair(ring, self.matrix.rows, self._inverse.rows, self.substitution())
 
 
 class FiniteGroup:
@@ -114,9 +111,10 @@ class FiniteGroup:
     doubles the reached subgroup and there are at most log2 |G| of them.
     Every reached element is multiplied by every generator once, |G| times
     |S| products, and the check refuses at the first product outside the
-    list.  The products of generators reach every element and are closed
-    under right multiplication by them, so the list is closed under
-    products.
+    list.  Elements over more than one field or of more than one size are
+    refused before any product.  The products of generators reach every
+    element and are closed under right multiplication by them, so the list
+    is closed under products.
     """
 
     __slots__ = ("elements", "generators")
@@ -125,10 +123,13 @@ class FiniteGroup:
         elements = list(elements)
         if not elements:
             raise DomainError("a group needs at least the identity")
+        field, n = elements[0].matrix.field, elements[0].n
+        if any(g.matrix.field != field or g.n != n for g in elements):
+            raise DomainError("group elements must share one field and size")
         by_key = {g._key: g for g in elements}
         if len(by_key) != len(elements):
             raise DomainError("duplicate group elements")
-        one = Matrix.identity(elements[0].matrix.field, elements[0].n)
+        one = Matrix.identity(field, n)
         identity = by_key.get(tuple(map(tuple, one.rows)))
         if identity is None:
             raise DomainError("group does not contain the identity")
@@ -176,13 +177,8 @@ def is_pseudoreflection(g: GroupElement) -> bool:
 
 
 def act_on_poly(g: GroupElement, f: Polynomial) -> Polynomial:
-    """Substitution action of the matrix on a polynomial, by the prepared
-    images of the variables."""
-    g._check_ring(f.ring)
-    sub = g.substitution()
-    return Polynomial._core(f.ring, substitute(
-        f.num, f.den, sub.images, sub.dens, f.ring.characteristic, {}
-    ))
+    """Substitution action of the matrix on a polynomial, by its ring map."""
+    return apply_ring_map(g.ring_map(f.ring), f)
 
 
 def act_on_op(g: GroupElement, xi: DiffOp) -> DiffOp:

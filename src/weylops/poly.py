@@ -13,8 +13,8 @@ every ``PolyRing`` factory calls it: exponents go through
 are dropped, and :func:`integer_core` gives the core.
 :class:`CoreElement` holds what polynomials and operators share: the
 core, sums, negation and equality.  :class:`RingMap` is an invertible
-linear change of variables, kept as its matrix pair, and
-:func:`apply_ring_map` substitutes its images on the same cores.
+linear change of variables, kept as its matrix pair and its prepared
+:class:`Substitution`, by which :func:`apply_ring_map` substitutes.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm, prod
+from typing import NamedTuple
 
 from . import _kernels as K
 from . import exponents
@@ -282,32 +283,68 @@ class Polynomial(CoreElement):
         return render_poly(self)
 
 
+class Substitution(NamedTuple):
+    """A linear substitution and its inverse B, prepared once per pair.
+
+    ``images`` are the variables' images (the matrix's columns) as integer
+    polynomial dicts over ``dens``, one denominator each, or None when all
+    are 1.  ``inv_rows`` are B's rows as integer cores ({j: B[k][j]} over
+    the nonzero entries, den_k), keyed by their support, and ``tops`` the
+    largest of den_k and row k's absolute numerators (1 over F_p), the
+    base of the largest power that the transport's l_k^[a] forms.
+    """
+
+    identity: bool
+    images: list
+    dens: list | None
+    inv_rows: list
+    tops: list
+
+
+def prepare_substitution(rows, inv_rows, p: int) -> Substitution:
+    """The prepared form of the matrix pair (rows, inv_rows) over the field
+    of characteristic p, as :class:`Substitution` describes it."""
+    n = len(rows)
+    identity = all(v == (1 if i == j else 0)
+                   for i, row in enumerate(rows) for j, v in enumerate(row))
+    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    images = [integer_core({units[i]: v for i, v in enumerate(col) if v}, p)
+              for col in zip(*rows)]
+    dens = [den for _, den in images]
+    inv_rows = [integer_core({j: b for j, b in enumerate(row) if b}, p)
+                for row in inv_rows]
+    tops = [1 if p else max(den, *map(abs, row.values())) for row, den in inv_rows]
+    return Substitution(identity, [image for image, _ in images],
+                        dens if max(dens) > 1 else None, inv_rows, tops)
+
+
 class RingMap:
     """The substitution automorphism of S given by an invertible matrix and
     its inverse, with the column convention: the image of x_j is the sum of
-    rows[i][j] * x_i.  ``images`` holds those images as polynomials.
+    rows[i][j] * x_i.  ``substitution``, the pair's prepared form, is made
+    with the map and read by every substitution and transport along it.
     """
 
-    __slots__ = ("ring", "rows", "inverse_rows", "images")
+    __slots__ = ("ring", "rows", "inverse_rows", "substitution")
 
     @classmethod
-    def _pair(cls, ring: PolyRing, rows, inverse_rows) -> RingMap:
-        """Wrap a matrix pair already in the field, known to be inverse."""
+    def _pair(cls, ring: PolyRing, rows, inverse_rows, substitution=None) -> RingMap:
+        """Wrap an inverse pair in the field, preparing its substitution if not given."""
         m = cls.__new__(cls)
         m.ring, m.rows, m.inverse_rows = ring, rows, inverse_rows
-        n = ring.nvars
-        units = [exponents.unit(i, n) for i in range(n)]
-        m.images = [Polynomial(ring, {units[i]: rows[i][j] for i in range(n)})
-                    for j in range(n)]
+        if substitution is None:
+            substitution = prepare_substitution(rows, inverse_rows, ring.characteristic)
+        m.substitution = substitution
         return m
 
     @classmethod
     def from_matrix(cls, ring: PolyRing, rows, inverse_rows=None) -> RingMap:
         """The map of an invertible n x n matrix: a singular one is refused,
-        and a supplied inverse is checked by one product (a one-sided
-        inverse of a square matrix is two-sided)."""
+        and a supplied inverse, of the same size, is checked by one product
+        (a one-sided inverse of a square matrix is two-sided)."""
         n = ring.nvars
-        if len(rows) != n or any(len(r) != n for r in rows):
+        if any(len(m) != n or any(len(r) != n for r in m)
+               for m in (rows, inverse_rows) if m is not None):
             raise DomainError(f"matrix must be {n}x{n}")
         a = Matrix(ring.field, rows)
         if inverse_rows is None:
@@ -330,20 +367,15 @@ class RingMap:
     def __call__(self, f: Polynomial) -> Polynomial:
         return apply_ring_map(self, f)
 
-    def matrix(self):
-        """The rows of the matrix, entries in the field."""
-        return self.rows
-
 
 def apply_ring_map(m: RingMap, f: Polynomial) -> Polynomial:
-    """Substitution: replace each variable of f by its image under m, each
-    image taken as its own integer core."""
+    """Substitution: replace each variable of f by its image under m, by
+    the map's prepared substitution."""
     if f.ring != m.ring:
         raise DomainError("polynomial does not live in the map's ring")
-    dens = [g.den for g in m.images]
+    sub = m.substitution
     return Polynomial._core(m.ring, substitute(
-        f.num, f.den, [g.num for g in m.images], dens if max(dens) > 1 else None,
-        m.ring.characteristic, {}
+        f.num, f.den, sub.images, sub.dens, m.ring.characteristic, {}
     ))
 
 

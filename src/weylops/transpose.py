@@ -21,28 +21,25 @@ contribute), and the coefficient f goes to m(f).
 These coefficients are integral in the entries of B, so the same formula
 holds in every characteristic.
 
-The transport runs in two steps.  ``prepare_substitution`` turns the
-matrix pair into a :class:`Substitution`, which depends on the pair
-alone: whether it is the identity, and the images of the x_j and the rows
-of B, each as an integer core over its own denominator.
-``transport_prepared`` then conjugates one operator by it; the divided
-powers l_k^[a] and the powers of the variable images it forms depend on
-the operator and are dropped when it returns.
-``transport_via_coordinates`` prepares the pair a ``poly.RingMap``
-carries on each call; a group element prepares once and keeps the record
-(``invariants.GroupElement``).
+``transport_prepared`` conjugates one operator by a matrix pair in its
+prepared form, a ``poly.Substitution``: whether it is the identity, and
+the images of the x_j and the rows of B, each as an integer core over its
+own denominator.  The pair is prepared once, when a ``poly.RingMap`` is
+made or on a group element's first action (``invariants.GroupElement``),
+and ``transport_via_coordinates`` reads the map's record.  The divided
+powers l_k^[a] and the powers of the variable images that a call forms
+depend on the operator and are dropped when it returns.
 """
 
 from __future__ import annotations
 
 from math import comb, factorial, prod
-from typing import NamedTuple
 
 from . import _kernels as K
 from . import exponents
 from .diffop import DiffOp, core_mul, core_pow, core_sum
 from .errors import DomainError
-from .poly import Polynomial, RingMap, integer_core, substitute
+from .poly import Polynomial, RingMap, Substitution, substitute
 
 # most term pairs that the products building prod_k l_k^[alpha_k] may form
 # for one term of an operator, bounded by the product over k of
@@ -118,50 +115,11 @@ def twisted_transpose(twist, xi: DiffOp) -> DiffOp:
 
 def transport_via_coordinates(m: RingMap, xi: DiffOp) -> DiffOp:
     """Conjugate the operator by the substitution automorphism of m (the
-    formula is in the module docstring), with B the inverse matrix m
-    carries."""
+    formula is in the module docstring), by the substitution m prepared
+    when it was made, with B the inverse matrix m carries."""
     if m.ring != xi.ring:
         raise DomainError("map/operator ring mismatch")
-    return transport_prepared(
-        xi, prepare_substitution(m.rows, m.inverse_rows, xi.ring.characteristic)
-    )
-
-
-class Substitution(NamedTuple):
-    """A linear substitution and its inverse B, prepared for transport.
-
-    ``images`` are the images of the variables (the columns of the matrix)
-    as integer polynomial dicts, and ``dens`` their denominators, one per
-    image, or None when every one is 1.  ``inv_rows`` are B's rows as
-    integer cores ({j: B[k][j]} over the nonzero entries, den_k), so each
-    row's keys are its support, and ``tops`` the largest of den_k and row
-    k's absolute numerators over Q, the base of the largest power that
-    l_k^[a] forms.  Over F_p every denominator and top is 1.  Everything
-    here depends on the matrix pair alone, never on an operator.
-    """
-
-    identity: bool
-    images: list
-    dens: list | None
-    inv_rows: list
-    tops: list
-
-
-def prepare_substitution(rows, inv_rows, p: int) -> Substitution:
-    """The prepared form of the matrix pair (rows, inv_rows) over the field
-    of characteristic p, as :class:`Substitution` describes it."""
-    n = len(rows)
-    identity = all(v == (1 if i == j else 0)
-                   for i, row in enumerate(rows) for j, v in enumerate(row))
-    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-    images = [integer_core({units[i]: v for i, v in enumerate(col) if v}, p)
-              for col in zip(*rows)]
-    dens = [den for _, den in images]
-    inv_rows = [integer_core({j: b for j, b in enumerate(row) if b}, p)
-                for row in inv_rows]
-    tops = [1 if p else max(den, *map(abs, row.values())) for row, den in inv_rows]
-    return Substitution(identity, [image for image, _ in images],
-                        dens if max(dens) > 1 else None, inv_rows, tops)
+    return transport_prepared(xi, m.substitution)
 
 
 def transport_prepared(xi: DiffOp, sub: Substitution) -> DiffOp:

@@ -522,6 +522,19 @@ def test_one_variable_blocks_match_elimination(char):
         assert all(len({mu - nu for mu, nu in vec}) == 1 for _, vec in levels)
 
 
+def test_one_elimination_per_distinct_exponent(spy):
+    """A filtration build eliminates each distinct exponent's one-variable
+    blocks once, however many variables share it."""
+    from weylops import artinian
+
+    calls = spy("_one_variable_levels", artinian)
+    for exps, count in (((3, 3), 1), ((2, 2, 2), 1), ((2, 3), 2)):
+        for char in (0, 5):
+            del calls[:]
+            order_filtration(ArtinianAlgebra(exps, FieldSpec(char)))
+            assert len(calls) == count
+
+
 def _greedy_graded_piece(filt, n):
     """Candidates of level n kept when they raise the rank over level n-1
     and the candidates kept before them."""

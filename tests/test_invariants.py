@@ -222,6 +222,8 @@ def test_invariance_is_tested_on_the_generators(rng):
 
 
 def test_group_validation():
+    from weylops import FieldSpec
+
     F = _sign_ring().field
     minus = GroupElement(Matrix(F, [[-1, 0], [0, -1]]))
     with pytest.raises(DomainError):
@@ -230,10 +232,19 @@ def test_group_validation():
         GroupElement(Matrix(F, [[1, 1], [1, 1]]))  # singular
     rot = GroupElement(Matrix(F, [[0, -1], [1, 0]]))
     ident = GroupElement(Matrix.identity(F, 2))
+    # equal entries over another field make another element
+    F3 = FieldSpec(3)
+    assert GroupElement(Matrix(F, [[2]])) != GroupElement(Matrix(F3, [[2]]))
+    assert GroupElement(Matrix(F, [[2]])) == GroupElement(Matrix(FieldSpec(0), [[2]]))
+    mixed = "group elements must share one field and size"
     for elems, message in (([ident, rot], "not closed under products"),
                            ([ident, minus, ident], "duplicate"),
                            ([minus, rot], "does not contain the identity"),
-                           ([], "at least the identity")):
+                           ([], "at least the identity"),
+                           ([GroupElement(Matrix.identity(F, 1)),
+                             GroupElement(Matrix.identity(F3, 1))], mixed),
+                           ([GroupElement(Matrix.identity(F, 1)), ident], mixed),
+                           ([GroupElement(Matrix.identity(F3, 2)), minus], mixed)):
         with pytest.raises(DomainError, match=message):
             FiniteGroup(elems)
 

@@ -116,11 +116,11 @@ def test_ring_map_inverse_verified():
     R = make_ring(0, 1)
     x = R.variable(0)
     good = RingMap.from_matrix(R, [[2]], inverse_rows=[[Fraction(1, 2)]])
-    assert good.inverse.images == [x * Fraction(1, 2)]
+    assert [good.inverse(v) for v in R.gens()] == [x * Fraction(1, 2)]
     with pytest.raises(DomainError, match="does not invert"):
         RingMap.from_matrix(R, [[2]], inverse_rows=[[1]])
     # without inverse_rows, from_matrix finds the inverse itself
-    assert RingMap.from_matrix(R, [[2]]).inverse.matrix() == [[Fraction(1, 2)]]
+    assert RingMap.from_matrix(R, [[2]]).inverse.rows == [[Fraction(1, 2)]]
     # the transport reads inverse_rows, so they are verified
     R2 = make_ring(3, 2)
     rows = [[1, 1], [0, 1]]
@@ -143,7 +143,8 @@ def test_ring_map_from_matrix_images():
                          for _ in range(n)] for _ in range(n)]
             expected = [sum((R.variable(i) * R.field.coerce(rows[i][j]) for i in range(n)),
                             R.zero()) for j in range(n)]
-            assert RingMap.from_matrix(R, rows).images == expected
+            m = RingMap.from_matrix(R, rows)
+            assert [m(v) for v in R.gens()] == expected
     with pytest.raises(DomainError, match="3x3"):
         RingMap.from_matrix(make_ring(0, 3), [[1, 0], [0, 1]])
 
@@ -153,6 +154,11 @@ def test_ring_map_arity_mismatch():
     for rows in ([[1], [0]], [[1, 0]], [[1, 0], [0, 1], [0, 0]]):
         with pytest.raises(DomainError, match="2x2"):
             RingMap.from_matrix(R, rows)
+    # a supplied inverse of another shape is refused with the same message
+    for inverse_rows in ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0], [0, 1], [0, 0]],
+                         [[1], [0]], [[1, 0], [0]]):
+        with pytest.raises(DomainError, match="matrix must be 2x2"):
+            RingMap.from_matrix(R, [[1, 0], [0, 1]], inverse_rows=inverse_rows)
 
 
 def test_ring_map_refuses_a_singular_matrix():

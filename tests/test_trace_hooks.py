@@ -30,3 +30,14 @@ def test_hook_target_resolves(layer, modname, attr):
         owner = vars(owner)[part]
     # the tracer wraps attributes defined on the owner itself
     assert callable(vars(owner).get(name)), f"{layer}: {modname}.{attr} is gone"
+
+
+def test_invariants_keeps_the_imported_transport():
+    """``perfbench/tests`` checks that the tracer rebinds the copy of
+    ``transport_via_coordinates`` that ``weylops.invariants`` imports, and
+    those tests run apart from this suite: the import must stay."""
+    import weylops.invariants
+    import weylops.transpose
+
+    assert (weylops.invariants.transport_via_coordinates
+            is weylops.transpose.transport_via_coordinates)

@@ -21,13 +21,9 @@ from weylops import (
 )
 from weylops import exponents
 from weylops.diffop import operator_from_monomial_values
-from weylops.poly import RingMap, apply_ring_map
-from weylops import transpose
-from weylops.transpose import (
-    TRANSPORT_TERMS_LIMIT,
-    prepare_substitution,
-    transport_prepared,
-)
+from weylops import invariants, poly
+from weylops.poly import RingMap, apply_ring_map, prepare_substitution
+from weylops.transpose import TRANSPORT_TERMS_LIMIT
 from conftest import (
     check_graded_sign,
     derivation_formula_check,
@@ -332,8 +328,8 @@ def test_charp_coordinate_invariance_gl2f2(rng):
             xi = random_diffop(rng, R, max_order=3, allow_zero=False)
             minv = RingMap.from_matrix(
                 R,
-                Matrix(R.field, m.matrix()).inverse().rows,
-                inverse_rows=m.matrix(),
+                Matrix(R.field, m.rows).inverse().rows,
+                inverse_rows=m.rows,
             )
             conj = transport_via_coordinates(
                 m, standard_transpose(transport_via_coordinates(minv, xi))
@@ -364,7 +360,7 @@ def _transport_oracle(m, xi):
     if xi.is_zero():
         return xi
     inverse = RingMap.from_matrix(
-        ring, Matrix(ring.field, m.matrix()).inverse().rows
+        ring, Matrix(ring.field, m.rows).inverse().rows
     )
     bound = xi.order() + max(f.degree() for f in xi.terms.values()) + 1
     values = {}
@@ -429,7 +425,7 @@ def _action_elements(R):
     in characteristic 0 the dihedral group of order 8 and some dense
     matrices, built both from a matrix and as products."""
     if R.characteristic:
-        return [GroupElement(Matrix(R.field, m.matrix())) for m in _all_gl2(R)]
+        return [GroupElement(Matrix(R.field, m.rows)) for m in _all_gl2(R)]
     F = R.field
     rot = GroupElement(Matrix(F, [[0, -1], [1, 0]]))
     flip = GroupElement(Matrix(F, [[1, 0], [0, -1]]))
@@ -507,13 +503,13 @@ def _element_and_operator(draw):
 @given(_element_and_operator())
 def test_prepared_action_matches_bare_rows_and_oracle(data):
     """act_on_op, through the element's prepared substitution, gives the
-    operator that transport on bare rows gives, key order included, and
-    the evaluate-and-solve oracle's value; twice in a row, so the second
-    action reads the kept record."""
+    operator that transport along a map of its bare rows gives, key order
+    included, and the evaluate-and-solve oracle's value; twice in a row, so
+    the second action reads the kept record."""
     g, xi = data
-    bare = transport_prepared(xi, prepare_substitution(
-        g.matrix.rows, g.inverse().matrix.rows, xi.ring.characteristic
-    ))
+    bare = transport_via_coordinates(RingMap.from_matrix(
+        xi.ring, g.matrix.rows, inverse_rows=g.inverse().matrix.rows
+    ), xi)
     for _ in range(2):
         moved = act_on_op(g, xi)
         assert moved == bare and _key_order(moved) == _key_order(bare)
@@ -587,24 +583,47 @@ def test_prepared_action_keeps_the_guardrail():
 
 
 def test_element_prepares_its_substitution_once(rng, spy):
-    """The integer cores of an element, one per image and one per row of
-    its inverse, are derived on its first action and never again: a second
-    act_on_op, act_on_poly and is_identity convert nothing."""
-    calls = spy("integer_core", transpose)
+    """An element's substitution is prepared on its first action and never
+    again: a second act_on_op, act_on_poly and is_identity prepare
+    nothing."""
+    calls = spy("prepare_substitution", poly, invariants)
     R = make_ring(0, 2)
     g = GroupElement(Matrix(R.field, [[2, 1], [Fraction(1, 2), Fraction(-3, 4)]]))
     ident = GroupElement(Matrix.identity(R.field, 2))
     assert calls == []  # building an element prepares nothing
     xi = random_diffop(rng, R, max_order=2, coeff_degree=2, allow_zero=False)
     first = act_on_op(g, xi)
-    assert len(calls) == 4
+    assert len(calls) == 1
     assert act_on_op(g, xi) == first
     assert act_on_poly(g, random_poly(rng, R)) is not None
     assert not g.is_identity()
-    assert len(calls) == 4
+    assert len(calls) == 1
     assert ident.is_identity() and act_on_op(ident, xi) is xi
     assert act_on_poly(ident, random_poly(rng, R)) is not None
-    assert len(calls) == 8
+    assert len(calls) == 2
+
+
+def test_a_map_prepares_its_substitution_once(rng, spy):
+    """A map prepares its substitution when it is made, and transports and
+    substitutions along it prepare nothing; an element's ring map hands
+    over the element's own record, and its actions prepare nothing more."""
+    calls = spy("prepare_substitution", poly, invariants)
+    R = make_ring(0, 2)
+    rows = [[2, 1], [Fraction(1, 2), Fraction(-3, 4)]]
+    m = RingMap.from_matrix(R, rows)
+    assert len(calls) == 1
+    for _ in range(4):
+        transport_via_coordinates(m, random_diffop(rng, R, max_order=2, coeff_degree=2))
+        apply_ring_map(m, random_poly(rng, R))
+    assert len(calls) == 1
+    g = GroupElement(Matrix(R.field, rows))
+    sub = g.substitution()
+    assert len(calls) == 2
+    for _ in range(4):
+        assert g.ring_map(R).substitution is sub
+        act_on_op(g, random_diffop(rng, R, max_order=2, coeff_degree=2))
+        act_on_poly(g, random_poly(rng, R))
+    assert len(calls) == 2
 
 
 def test_prepared_substitution_does_not_grow_with_operators(rng):
@@ -614,7 +633,7 @@ def test_prepared_substitution_does_not_grow_with_operators(rng):
     g = GroupElement(Matrix(R.field, [[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
     act_on_op(g, DiffOp.partial(R, 0))
     sub = g.substitution()
-    fresh = transpose.prepare_substitution(g.matrix.rows, g.inverse().matrix.rows, 0)
+    fresh = prepare_substitution(g.matrix.rows, g.inverse().matrix.rows, 0)
     for order in range(1, 5):
         act_on_op(g, random_diffop(rng, R, max_order=order, coeff_degree=order))
         act_on_poly(g, random_poly(rng, R, max_degree=order))
